@@ -16,8 +16,6 @@ as literature values, instead of pretending to measure them.
 
 from __future__ import annotations
 
-import platform
-import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -144,6 +142,8 @@ KEY_SIZE_NOTE = (
 
 
 def _time_op(fn, iterations: int) -> tuple[float, float]:
+    import statistics  # here, not at the top: a one-shot CLI process never needs it
+
     for _ in range(_WARMUP_ITERS):
         fn()
     samples = []
@@ -178,6 +178,8 @@ def run_suite(
     message: bytes = DEFAULT_MESSAGE,
 ) -> BenchReport:
     """Measure both schemes; at least 10 iterations for stable quantiles."""
+    import platform  # here, not at the top: a one-shot CLI process never needs it
+
     if iterations < 10:
         raise ValueError("need at least 10 iterations")
     params = get_curve(curve)

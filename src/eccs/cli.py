@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import os
 import random
+import secrets
 import sys
 import time
 
@@ -82,13 +83,31 @@ def _read_file(path: str) -> bytes:
 
 
 def _write_file(path: str, data: bytes, *, private: bool = False) -> None:
-    if private:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-    else:
+    """Write data to a new file beside path, then rename it onto path.
+
+    The new file is created exclusively, with mode 0600 when private, so
+    a private key never sits in a file with a mode from before; a failed
+    write removes it and leaves path as it was, so no partial output
+    remains.  A path that exists and is no regular file, such as
+    /dev/stdout, is written directly, as there is nothing to replace.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as handle:
             handle.write(data)
+        return
+    directory, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600 if private else 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
 
 
 def _sniff(raw: bytes) -> tuple[str | None, bytes]:
@@ -307,10 +326,11 @@ def run_selftest(stream) -> bool:
     """Execute the built-in verification suite; True iff everything passed.
 
     Covers the hash primitive (standard known-answer vectors), a fresh
-    re-validation of the registry constants including re-running the
-    small-curve search, the brute-force group table against the group
-    law, the correctness identity for every ephemeral scalar on the
-    small curve, and a ciphertext bit-flip sweep.
+    re-validation of the registry constants with every proof, a check of
+    their pinned digests and a re-run of the small-curve search, the
+    brute-force group table against the group law, the correctness
+    identity for every ephemeral scalar on the small curve, and a
+    ciphertext bit-flip sweep.
     """
     started = time.perf_counter()
     passed = True
@@ -332,9 +352,12 @@ def run_selftest(stream) -> bool:
                 raise AssertionError(f"sha3-256({message!r}) = {got}")
 
     def check_registry() -> None:
-        # construct from the frozen constants, re-running all validation
-        for spec in curve_mod._REGISTRY_SPECS.values():
+        # construct from the frozen constants, re-running all validation,
+        # and check that each still matches the digest loading compares
+        for curve_id, spec in curve_mod._REGISTRY_SPECS.items():
             CurveParams(**spec)
+            if curve_mod._spec_digest(spec) != curve_mod._REGISTRY_DIGESTS[curve_id]:
+                raise AssertionError(f"{spec['name']} does not match its pinned digest")
         found = curve_mod.toy_curve_search()
         if found != CurveParams(**curve_mod._REGISTRY_SPECS[curve_mod.TOY_ID]):
             raise AssertionError("small-curve search no longer reproduces registry")

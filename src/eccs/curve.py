@@ -393,8 +393,13 @@ class CurveParams:
     upper Hasse limit).  With ``beta`` and ``lam`` given it also checks
     that lam * g1 == (beta * x, y) on an a == 0 curve, computed without
     that endomorphism, which scalar multiplication then uses.  A
-    corrupted constant therefore fails loudly at load time instead of
+    corrupted constant therefore fails loudly at construction instead of
     mis-encrypting later.
+
+    ``curve_by_id`` builds registry curves through ``_pinned`` instead,
+    which skips the three proofs (primality, exact order n, lam * g1)
+    once the spec has matched its pinned digest; the tests and
+    ``eccs selftest`` construct the same specs here, with every proof.
     """
 
     __slots__ = (
@@ -432,12 +437,28 @@ class CurveParams:
         beta: Optional[int] = None,
         lam: Optional[int] = None,
     ) -> None:
+        self._setup(curve_id, name, p, a, b, n, g1, g2, beta, lam, proofs=True)
+
+    @classmethod
+    def _pinned(cls, spec: dict) -> "CurveParams":
+        """A registry curve whose spec matched its pinned digest.
+
+        The digest stands for the proofs the tests ran on these exact
+        constants, so only the cheap checks run: coefficient range,
+        discriminant, Hasse bound, cofactor and both generators on the
+        curve.
+        """
+        params = cls.__new__(cls)
+        params._setup(*(spec[key] for key in _SPEC_FIELDS), proofs=False)
+        return params
+
+    def _setup(self, curve_id, name, p, a, b, n, g1, g2, beta, lam, *, proofs) -> None:
         if not 0 <= curve_id <= 0xFF:
             raise ValueError("curve id must fit in one byte")
         self.curve_id = curve_id
         self.name = name
-        self.field = PrimeField(p)
-        self.scalar_field = PrimeField(n)
+        self.field = PrimeField(p, check_prime=proofs)
+        self.scalar_field = PrimeField(n, check_prime=proofs)
         self.p = p
         self.n = n
         if not 0 <= a < p or not 0 <= b < p:
@@ -461,20 +482,20 @@ class CurveParams:
         self._all_ones = (1 << 4 * self._windows) - 1
         self._inv2 = (n + 1) // 2
         self._bases = weakref.WeakKeyDictionary()
-        self.g1 = self._checked_generator(g1, "g1")
-        self.g2 = self._checked_generator(g2, "g2")
+        self.g1 = self._checked_generator(g1, "g1", proofs)
+        self.g2 = self._checked_generator(g2, "g2", proofs)
         self._glv = None
         if beta is not None or lam is not None:
-            self._glv = self._checked_endomorphism(beta, lam)
+            self._glv = self._checked_endomorphism(beta, lam, proofs)
 
-    def _checked_generator(self, xy: tuple[int, int], label: str) -> CurvePoint:
+    def _checked_generator(self, xy: tuple[int, int], label: str, proofs: bool) -> CurvePoint:
         x, y = xy
         point = self.point(x, y)
-        if not _raw_has_order_n(self.p, self.a, self.b, self.n, x, y):
+        if proofs and not _raw_has_order_n(self.p, self.a, self.b, self.n, x, y):
             raise ValueError(f"{label} does not have order n")
         return point
 
-    def _checked_endomorphism(self, beta, lam) -> _Endomorphism:
+    def _checked_endomorphism(self, beta, lam, proofs: bool) -> _Endomorphism:
         p, n = self.p, self.n
         if (
             self.a != 0
@@ -485,10 +506,11 @@ class CurveParams:
             or pow(beta, 3, p) != 1
         ):
             raise ValueError("beta must be a cube root of unity mod p, 1 < lam < n, a == 0")
-        x, y = self._num(self.g1.x.value), self._num(self.g1.y.value)
-        X, Y, Z = _variable_base(self, x, y, lam, None)
-        if Z % p == 0 or (X - beta * x * Z) % p or (Y - y * Z) % p:
-            raise ValueError("lam * g1 is not (beta * x, y)")
+        if proofs:
+            x, y = self._num(self.g1.x.value), self._num(self.g1.y.value)
+            X, Y, Z = _variable_base(self, x, y, lam, None)
+            if Z % p == 0 or (X - beta * x * Z) % p or (Y - y * Z) % p:
+                raise ValueError("lam * g1 is not (beta * x, y)")
         return _Endomorphism(n, beta, lam)
 
     def _recode(self, k: int) -> int:
@@ -847,18 +869,58 @@ _REGISTRY_SPECS: dict[int, dict] = {
     ),
 }
 
+# The digest encoding's field order; ``CurveParams._pinned`` reads the
+# spec in this order, so nothing outside the digest reaches a curve.
+_SPEC_FIELDS = ("curve_id", "name", "p", "a", "b", "n", "g1", "g2", "beta", "lam")
+
+
+def _spec_digest(spec: dict) -> str:
+    """SHA3-256 hex digest of a canonical byte encoding of a registry spec.
+
+    Fields go in ``_SPEC_FIELDS`` order, a point as its x then its y.
+    Each integer is big-endian in its minimal length and each string is
+    UTF-8; every value is preceded by its byte length in two bytes.
+    """
+    out = bytearray(b"ECCS-registry-v1")
+    for key in _SPEC_FIELDS:
+        value = spec[key]
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, str):
+                raw = item.encode()
+            else:
+                raw = item.to_bytes((item.bit_length() + 7) // 8, "big")
+            out += len(raw).to_bytes(2, "big") + raw
+    return hashlib.sha3_256(out).hexdigest()
+
+
+# _spec_digest of each registry spec above, taken when the tests and
+# ``eccs selftest`` had proved every property of it with ``CurveParams``;
+# a test recomputes them, so a changed constant needs a new digest here.
+_REGISTRY_DIGESTS: dict[int, str] = {
+    SECP256K1_ID: "6361b86f6859cdfb37f7a7a2b2d670358d88daf61a8daee08f1b56fec70ce735",
+    TOY_ID: "866a2edb018cf7c643fb22ed9c9740dc57992a3cdf789a1932682bc27f974a34",
+}
+
 _loaded: dict[int, CurveParams] = {}
 
 
 def curve_by_id(curve_id: int) -> CurveParams:
-    """Registry lookup by wire identifier; validates parameters on first use."""
+    """Registry lookup by wire identifier.
+
+    On first use in a process the spec's digest is recomputed and compared
+    with its pinned value, and the curve is built without re-running the
+    proofs that digest stands for (see ``CurveParams``).  A spec that no
+    longer matches its digest raises ``ValueError``.
+    """
     try:
         spec = _REGISTRY_SPECS[curve_id]
     except KeyError:
         raise ParseError(f"unknown curve id {curve_id:#04x}") from None
     params = _loaded.get(curve_id)
     if params is None:
-        params = CurveParams(**spec)
+        if _spec_digest(spec) != _REGISTRY_DIGESTS[curve_id]:
+            raise ValueError(f"registry spec {curve_id:#04x} does not match its pinned digest")
+        params = CurveParams._pinned(spec)
         _loaded[curve_id] = params
     return params
 

@@ -75,6 +75,45 @@ def test_private_key_file_is_owner_only(keypair):
     assert mode == 0o600
 
 
+def test_existing_private_key_file_becomes_owner_only(tmp_path):
+    pub, priv = tmp_path / "pk", tmp_path / "sk"
+    priv.write_bytes(b"old")
+    priv.chmod(0o644)
+    assert run_cli("keygen", "--pub", pub, "--priv", priv).returncode == 0
+    assert stat.S_IMODE(os.stat(priv).st_mode) == 0o600
+    parse_private_key(priv.read_bytes())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pk", "sk"]
+
+
+def _fail_replace(src, dst):
+    raise OSError("injected rename failure")
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, fault):
+    target = tmp_path / "plain"
+    data = b"secret"
+    if fault == "write":
+        data = "not bytes"  # the write itself raises
+    else:
+        monkeypatch.setattr(cli.os, "replace", _fail_replace)
+    with pytest.raises((OSError, TypeError)):
+        cli._write_file(str(target), data, private=True)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_decrypt_to_stdout(keypair, sealed):
+    # /dev/stdout is no regular file, so it is written, never replaced
+    _, priv = keypair
+    msg, ct = sealed
+    result = subprocess.run(
+        [sys.executable, "-m", "eccs", "decrypt", "--priv", priv, "--in", ct, "--out", "/dev/stdout"],
+        capture_output=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout == msg.read_bytes()
+
+
 def test_armored_flow(tmp_path):
     pub = tmp_path / "pk.txt"
     priv = tmp_path / "sk.txt"
@@ -290,3 +329,32 @@ def test_selftest_catches_corrupted_registry(monkeypatch):
     report = out.getvalue()
     assert "registry parameter validation: FAIL" in report
     assert "selftest: FAIL" in report
+
+
+def test_selftest_catches_corrupted_digest(monkeypatch):
+    # negative control: an intact spec with a wrong pinned digest
+    digests = dict(curve_mod._REGISTRY_DIGESTS)
+    digests[curve_mod.SECP256K1_ID] = "00" * 32
+    monkeypatch.setattr(curve_mod, "_REGISTRY_DIGESTS", digests)
+    out = io.StringIO()
+    assert cli.run_selftest(out) is False
+    report = out.getvalue()
+    assert "registry parameter validation: FAIL" in report
+    assert "selftest: FAIL" in report
+
+
+def test_cli_import_leaves_bench_only_modules_unloaded():
+    # a one-shot process does not pay for modules only `eccs bench` uses
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import eccs.cli\n"
+        "print(sorted({'platform', 'statistics'} & (set(sys.modules) - before)))\n"
+        "sys.exit(eccs.cli.main(['bench', '--iters', '10']))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    first, rest = result.stdout.split("\n", 1)
+    assert first == "[]"
+    assert rest.startswith("curve=secp256k1 message=28B iterations=10 host=")
+    assert "eccs.decrypt.median_ms=" in rest

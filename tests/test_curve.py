@@ -1,8 +1,12 @@
+import copy
 import random
 
 import pytest
 
+from eccs import curve as curve_mod
+from eccs import field as field_mod
 from eccs.curve import (
+    _REGISTRY_DIGESTS,
     _REGISTRY_SPECS,
     _TABLE_AT_USE,
     CurveParams,
@@ -13,6 +17,7 @@ from eccs.curve import (
     _from_projective,
     _odd_multiples,
     _pack,
+    _spec_digest,
     _straus,
     _variable_base,
     compress,
@@ -60,6 +65,72 @@ def test_registry_rejects_unknown():
         curve_by_id(0x42)
     with pytest.raises(ValueError):
         get_curve("p256")
+
+
+@pytest.mark.parametrize("curve_id", sorted(_REGISTRY_SPECS))
+def test_pinned_digests_match_fully_validated_specs(curve_id):
+    spec = _REGISTRY_SPECS[curve_id]
+    assert _spec_digest(spec) == _REGISTRY_DIGESTS[curve_id]
+    loaded, proved = curve_by_id(curve_id), CurveParams(**spec)
+    assert loaded == proved
+    for attr in ("beta", "windows", "_basis", "_shift"):
+        assert getattr(loaded._glv, attr) == getattr(proved._glv, attr)
+    lam = spec["lam"]
+    rng = random.Random(curve_id)
+    for k in [0, 1, proved.n - 1, lam] + [rng.randrange(proved.n) for _ in range(3)]:
+        for base in ("g1", "g2"):
+            got = scalar_mult(loaded, getattr(loaded, base), k)
+            assert got == scalar_mult(proved, getattr(proved, base), k), (base, k)
+
+
+def _mutate(spec, key):
+    """The spec's value for key, changed: g1 in its y, g2 in its x."""
+    value = spec[key]
+    if key in ("g1", "g2"):
+        x, y = value
+        return (x + 1, y) if key == "g2" else (x, y + 1)
+    return value + 1
+
+
+@pytest.fixture
+def fresh_registry(monkeypatch):
+    """A private copy of the specs and digests, and an empty load cache."""
+    specs = copy.deepcopy(_REGISTRY_SPECS)
+    digests = dict(_REGISTRY_DIGESTS)
+    monkeypatch.setattr(curve_mod, "_REGISTRY_SPECS", specs)
+    monkeypatch.setattr(curve_mod, "_REGISTRY_DIGESTS", digests)
+    monkeypatch.setattr(curve_mod, "_loaded", {})
+    return specs, digests
+
+
+@pytest.mark.parametrize("key", ["p", "n", "b", "g1", "g2", "beta", "lam"])
+@pytest.mark.parametrize("curve_id", sorted(_REGISTRY_SPECS))
+def test_registry_load_rejects_a_changed_constant(fresh_registry, curve_id, key):
+    specs, _ = fresh_registry
+    specs[curve_id][key] = _mutate(specs[curve_id], key)
+    with pytest.raises(ValueError, match="pinned digest"):
+        curve_by_id(curve_id)
+
+
+@pytest.mark.parametrize("curve_id", sorted(_REGISTRY_SPECS))
+def test_registry_load_rejects_a_changed_digest(fresh_registry, curve_id):
+    _, digests = fresh_registry
+    digests[curve_id] = "00" * 32  # the spec itself is intact
+    with pytest.raises(ValueError, match="pinned digest"):
+        curve_by_id(curve_id)
+
+
+def _no_proofs(*_args, **_kwargs):
+    raise AssertionError("a registry load ran a proof")
+
+
+def test_registry_load_runs_no_proofs(fresh_registry, monkeypatch, toy, secp):
+    monkeypatch.setattr(field_mod, "is_probable_prime", _no_proofs)
+    monkeypatch.setattr(curve_mod, "_raw_has_order_n", _no_proofs)
+    monkeypatch.setattr(curve_mod, "_variable_base", _no_proofs)  # the lam * g1 check
+    assert curve_by_id(SECP256K1_ID) == secp
+    assert curve_by_id(TOY_ID) == toy
+    assert curve_mod._loaded[TOY_ID] is not toy
 
 
 @pytest.mark.parametrize(
