@@ -20,6 +20,7 @@ import hashlib
 import os
 import random
 import secrets
+import stat
 import sys
 import time
 
@@ -83,24 +84,38 @@ def _read_file(path: str) -> bytes:
 
 
 def _write_file(path: str, data: bytes, *, private: bool = False) -> None:
-    """Write data to a new file beside path, then rename it onto path.
+    """Write data to path, replacing a regular file atomically.
 
-    The new file is created exclusively, with mode 0600 when private, so
-    a private key never sits in a file with a mode from before; a failed
-    write removes it and leaves path as it was, so no partial output
-    remains.  A path that exists and is no regular file, such as
-    /dev/stdout, is written directly, as there is nothing to replace.
+    A path that is missing or a regular file gets a new file beside it,
+    created exclusively with mode 0600 when private and otherwise given
+    the mode of the file it replaces; the data is synced to disk before
+    the new file is renamed onto path, and a failed write removes it and
+    leaves path as it was, so no partial output remains.  Anything else,
+    such as a symlink or /dev/stdout, is written through as it is; when
+    private, a regular file behind it is set to 0600 before the write.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as handle:
+    try:
+        old_mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        old_mode = None
+    if old_mode is not None and not stat.S_ISREG(old_mode):
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
+        with open(fd, "wb") as handle:
+            if private and stat.S_ISREG(os.fstat(fd).st_mode):
+                os.fchmod(fd, 0o600)
             handle.write(data)
         return
     directory, name = os.path.split(os.path.abspath(path))
     temp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600 if private else 0o666)
+    mode = 0o666 if old_mode is None and not private else 0o600
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     try:
         with open(fd, "wb") as handle:
+            if old_mode is not None and not private:
+                os.fchmod(fd, old_mode & 0o777)
             handle.write(data)
+            handle.flush()
+            os.fsync(fd)
         os.replace(temp, path)
     except BaseException:
         try:

@@ -114,6 +114,74 @@ def test_decrypt_to_stdout(keypair, sealed):
     assert result.stdout == msg.read_bytes()
 
 
+def test_decrypt_to_redirected_stdout(keypair, sealed, tmp_path):
+    # /dev/stdout is a symlink to a regular file here: written through
+    _, priv = keypair
+    msg, ct = sealed
+    before = os.lstat("/dev/stdout").st_mode
+    out = tmp_path / "plain"
+    with open(out, "wb") as handle:
+        result = subprocess.run(
+            [sys.executable, "-m", "eccs", "decrypt", "--priv", priv, "--in", ct, "--out", "/dev/stdout"],
+            stdout=handle,
+            stderr=subprocess.PIPE,
+        )
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == msg.read_bytes()
+    assert os.lstat("/dev/stdout").st_mode == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_output_symlink_is_written_through(keypair, sealed, tmp_path):
+    _, priv = keypair
+    msg, ct = sealed
+    real = tmp_path / "real"
+    real.write_bytes(b"old")
+    real.chmod(0o640)
+    link = tmp_path / "link"
+    link.symlink_to(real)
+    assert run_cli("decrypt", "--priv", priv, "--in", ct, "--out", link).returncode == 0
+    assert link.is_symlink()
+    assert real.read_bytes() == msg.read_bytes()
+    assert stat.S_IMODE(os.stat(real).st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+
+def test_private_key_through_symlink_becomes_owner_only(tmp_path):
+    real = tmp_path / "real"
+    real.write_bytes(b"old")
+    real.chmod(0o644)
+    link = tmp_path / "sk"
+    link.symlink_to(real)
+    assert run_cli("keygen", "--pub", tmp_path / "pk", "--priv", link).returncode == 0
+    assert link.is_symlink()
+    assert stat.S_IMODE(os.stat(real).st_mode) == 0o600
+    parse_private_key(real.read_bytes())
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=["0600", "0640"])
+def test_decrypt_keeps_mode_of_existing_output(keypair, sealed, tmp_path, mode):
+    # a plaintext file made private beforehand stays private
+    _, priv = keypair
+    msg, ct = sealed
+    out = tmp_path / "plain"
+    out.write_bytes(b"old")
+    out.chmod(mode)
+    assert run_cli("decrypt", "--priv", priv, "--in", ct, "--out", out).returncode == 0
+    assert out.read_bytes() == msg.read_bytes()
+    assert stat.S_IMODE(os.stat(out).st_mode) == mode
+
+
+def test_write_syncs_before_rename(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = cli.os.fsync, cli.os.replace
+    monkeypatch.setattr(cli.os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd)))
+    monkeypatch.setattr(cli.os, "replace", lambda a, b: (calls.append("replace"), real_replace(a, b)))
+    cli._write_file(str(tmp_path / "out"), b"data")
+    assert calls == ["fsync", "replace"]
+    assert (tmp_path / "out").read_bytes() == b"data"
+
+
 def test_armored_flow(tmp_path):
     pub = tmp_path / "pk.txt"
     priv = tmp_path / "sk.txt"
