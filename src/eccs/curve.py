@@ -6,19 +6,24 @@ addition formulas, so no input pair needs special-casing.  The formulas
 are complete only on odd-order groups; every curve accepted here has
 prime (hence odd) order, which parameter validation enforces.
 
-Scalar multiplication reads the scalar as signed odd 4-bit digits and
-adds one table entry per digit.  A base used often gets a fixed-base
-table with a row per digit position and needs no doublings; any other
-base gets a row of its odd multiples per call and, where the curve has
-the endomorphism (x, y) -> (beta*x, y) as both registry curves do, a GLV
-split into two half-length scalars.  Iteration counts depend only on the
-curve, every table entry is chosen by a masked scan of its whole row,
-and signs are applied by a mask, so the sequence of arithmetic
-operations does not depend on the scalar.  Python integers are not a
-hard side-channel boundary, but the structure keeps the usual leak
-classes (branches, table indices) out of the scalar path.  Converting a
-result back to affine uses the built-in inverse on a randomly blinded
-input.
+All scalar multiplication goes through one multi-scalar core,
+``linear_combinations``, which computes sums of products k1*P1 + ... in
+one call; ``scalar_mult`` is its one-term case.  Scalars are read as
+signed odd 4-bit digits, one table entry added per digit.  A base used
+often gets a fixed-base table with a row per digit position and needs no
+doublings; any other base gets a row of its odd multiples per call and,
+where the curve has the endomorphism (x, y) -> (beta*x, y) as both
+registry curves do, a GLV split into two half-length scalars.  The
+untabled terms of a sum share their doublings (Straus), a base's rows
+are built once per call, and all results of a call go to affine with
+one inversion.  Iteration counts depend only on the curve and on the
+shape of the sums, every table entry is chosen by a masked scan of its
+whole row, and signs are applied by a mask, so the sequence of
+arithmetic operations does not depend on the scalars.  Python integers
+are not a hard side-channel boundary, but the structure keeps the usual
+leak classes (branches, table indices) out of the scalar path.
+Converting results back to affine uses the built-in inverse on a
+randomly blinded input.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import secrets
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import ParseError
 from .field import FieldElement, PrimeField, is_probable_prime
@@ -96,8 +101,10 @@ def count_ops() -> Iterator[OpCounter]:
     """Count public group operations (and scheme hashes) in the enclosed block.
 
     Only calls to the public API are tallied; the additions inside a
-    scalar multiplication do not count.  The counter is module-global
-    and not thread-safe.
+    scalar multiplication do not count.  A ``linear_combinations`` sum
+    of t terms counts as the t scalar multiplications and t - 1 point
+    additions it stands for.  The counter is module-global and not
+    thread-safe.
     """
     global _active_counter
     prev = _active_counter
@@ -109,10 +116,10 @@ def count_ops() -> Iterator[OpCounter]:
         _active_counter = prev
 
 
-def _tally(op: str) -> None:
+def _tally(op: str, count: int = 1) -> None:
     counter = _active_counter
     if counter is not None:
-        setattr(counter, op, getattr(counter, op) + 1)
+        setattr(counter, op, getattr(counter, op) + count)
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +590,23 @@ def is_on_curve(params: CurveParams, point: CurvePoint) -> bool:
     return (point.y * point.y).value == params._rhs(point.x.value)
 
 
-def _from_projective(params: CurveParams, X, Y, Z) -> CurvePoint:
+def _affine(params: CurveParams, triples) -> list[CurvePoint]:
+    """Affine points of projective triples with one blinded inversion.
+
+    A triple with Z == 0 is the identity and takes no part in the
+    inversion; every other result is checked by ``params.point``.
+    """
     p = params.p
-    Z = Z % p
-    if Z == 0:
-        return IDENTITY
-    inv = _blinded_inverse(Z, p)
-    return params.point(int(X * inv % p), int(Y * inv % p))
+    live = [i for i, (_, _, Z) in enumerate(triples) if Z % p]
+    out = [IDENTITY] * len(triples)
+    if live:
+        for i, (X, Y, _) in zip(live, _normalize([triples[i] for i in live], p)):
+            out[i] = params.point(int(X), int(Y))
+    return out
+
+
+def _from_projective(params: CurveParams, X, Y, Z) -> CurvePoint:
+    return _affine(params, [(X, Y, Z)])[0]
 
 
 def point_add(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
@@ -665,14 +682,88 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
     return table
 
 
-def _variable_base(params: CurveParams, x, y, k: int, glv: Optional[_Endomorphism]):
-    """k * (x, y) from a row built for this call, split by ``glv`` if given."""
+def _rows(params: CurveParams, x, y, glv: Optional[_Endomorphism]) -> list:
+    """Packed rows of (x, y) for one call: its odd multiples and, given glv, their images."""
     add, dbl, p = params._add, params._dbl, params._p
     row = _odd_multiples(add, dbl, x, y, 1)
     if glv is None:
-        return _straus(add, dbl, p, [_pack(row, p)], [params._recode(k)], params._windows)
-    rows = [_pack(row, p), _pack([(glv.beta * X % p, Y, Z) for X, Y, Z in row], p)]
-    return _straus(add, dbl, p, rows, glv.split(k), glv.windows)
+        return [_pack(row, p)]
+    return [_pack(row, p), _pack([(glv.beta * X % p, Y, Z) for X, Y, Z in row], p)]
+
+
+def _digits(params: CurveParams, k: int, glv: Optional[_Endomorphism]):
+    """The values whose readings on the rows of ``_rows`` sum to k."""
+    return (params._recode(k),) if glv is None else glv.split(k)
+
+
+def _variable_base(params: CurveParams, x, y, k: int, glv: Optional[_Endomorphism]):
+    """k * (x, y) from rows built for this call, split by ``glv`` if given.
+
+    The untabled pass of ``linear_combinations`` for a single term; the
+    lam * g1 check at construction uses it before any base is counted.
+    """
+    windows = params._windows if glv is None else glv.windows
+    rows, values = _rows(params, x, y, glv), _digits(params, k, glv)
+    return _straus(params._add, params._dbl, params._p, rows, values, windows)
+
+
+def linear_combinations(
+    params: CurveParams,
+    sums: Sequence[Sequence[tuple[CurvePoint, Union[int, FieldElement]]]],
+) -> list[CurvePoint]:
+    """sum_j k_j * P_j for each sum of (P_j, k_j) terms, sharing the work.
+
+    A sum of t terms stands for, and is tallied as, t scalar
+    multiplications and t - 1 point additions.  In each sum the terms
+    whose base has a fixed-base table take one Straus window over their
+    tables' rows (no doublings), and the other terms one Straus pass with
+    shared doublings over their rows, split where the curve has the
+    endomorphism; the two parts are then added.  A base's rows are built
+    and its membership checked once per call, however many terms use
+    it, and every result goes to affine with one inversion.  Each term
+    still counts as one use of its base towards a fixed-base table.  The
+    sequence of operations depends only on the curve and on the shape of
+    the sums (their sizes, and which bases are the identity or have a
+    table), never on the scalars.
+    """
+    glv = params._glv
+    add, dbl, p = params._add, params._dbl, params._p
+    windows = params._windows if glv is None else glv.windows
+    checked: set[int] = set()
+    built: dict[int, list] = {}
+    results = []
+    for terms in sums:
+        _tally("scalar_mults", len(terms))
+        _tally("point_adds", max(len(terms) - 1, 0))
+        tab_rows, tab_values, var_rows, var_values = [], [], [], []
+        for point, k in terms:
+            k = _as_scalar(params, k)
+            key = id(point)
+            if key not in checked:
+                _require_member(params, point)
+                checked.add(key)
+            if point.is_identity:
+                continue
+            table = _fixed_table(params, point)
+            if table is not None:
+                v = params._recode(k)
+                tab_rows += table
+                tab_values += [v >> shift & 15 for shift in range(0, 4 * len(table), 4)]
+                continue
+            rows = built.get(key)
+            if rows is None:
+                x, y = params._num(point.x.value), params._num(point.y.value)
+                rows = built[key] = _rows(params, x, y, glv)
+            var_rows += rows
+            var_values += _digits(params, k, glv)
+        total = None
+        if tab_rows:
+            total = _straus(add, dbl, p, tab_rows, tab_values, 1)
+        if var_rows:
+            part = _straus(add, dbl, p, var_rows, var_values, windows)
+            total = part if total is None else add(*total, *part)
+        results.append((0, 1, 0) if total is None else total)
+    return _affine(params, results)
 
 
 def scalar_mult(
@@ -680,27 +771,15 @@ def scalar_mult(
 ) -> CurvePoint:
     """k * point, with a sequence of operations that does not depend on k.
 
-    The scalar is read as signed odd 4-bit digits, and each digit adds
-    one table entry, chosen by a masked scan of the whole row and negated
-    by a mask.  A base used often gets a fixed-base table (no doublings);
-    otherwise a row of its odd multiples is built per call and, on curves
-    with the endomorphism, the scalar is split into two half-length ones.
+    The one-term case of ``linear_combinations``: the scalar is read as
+    signed odd 4-bit digits, and each digit adds one table entry, chosen
+    by a masked scan of the whole row and negated by a mask.  A base used
+    often gets a fixed-base table (no doublings); otherwise a row of its
+    odd multiples is built per call and, on curves with the
+    endomorphism, the scalar is split into two half-length ones.
     Iteration counts depend only on the curve.
     """
-    _tally("scalar_mults")
-    k = _as_scalar(params, k)
-    _require_member(params, point)
-    if point.is_identity:
-        return IDENTITY
-    table = _fixed_table(params, point)
-    if table is None:
-        x, y = params._num(point.x.value), params._num(point.y.value)
-        X, Y, Z = _variable_base(params, x, y, k, params._glv)
-    else:
-        v = params._recode(k)
-        windows = [v >> shift & 15 for shift in range(0, 4 * len(table), 4)]
-        X, Y, Z = _straus(params._add, params._dbl, params._p, table, windows, 1)
-    return _from_projective(params, X, Y, Z)
+    return linear_combinations(params, [[(point, k)]])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ private key and rejects on mismatch, which is what buys chosen-
 ciphertext security: tampered or replayed chunks fail before any
 plaintext is released.
 
-Secret-dependent work is confined to ``scalar_mult`` (a fixed sequence
-of operations with masked table scans) and a constant-time comparison;
-there are no secret-indexed lookups and no early exits ahead of the
-validity check.
+Secret-dependent work is confined to the curve's multi-scalar core,
+``linear_combinations``, and its one-term case ``scalar_mult`` (a fixed
+sequence of operations with masked table scans), and to a constant-time
+comparison; there are no secret-indexed lookups and no early exits
+ahead of the validity check.  Key generation and decryption hand their
+sums of products to the core in one call each, so they share rows,
+doublings and the final inversion.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .curve import (
     compress,
     curve_by_id,
     is_on_curve,
+    linear_combinations,
     point_add,
     point_negate,
     scalar_mult,
@@ -97,9 +101,10 @@ def keygen(params: CurveParams, rng=None) -> tuple[PrivateKey, PublicKey]:
         rng = _SYSTEM_RNG
     n = params.n
     x1, x2, y1, y2, z = (sample_scalar(n, rng) for _ in range(5))
-    c = point_add(params, scalar_mult(params, params.g1, x1), scalar_mult(params, params.g2, x2))
-    d = point_add(params, scalar_mult(params, params.g1, y1), scalar_mult(params, params.g2, y2))
-    h = scalar_mult(params, params.g1, z)
+    g1, g2 = params.g1, params.g2
+    c, d, h = linear_combinations(
+        params, [[(g1, x1), (g2, x2)], [(g1, y1), (g2, y2)], [(g1, z)]]
+    )
     private = PrivateKey(params.curve_id, x1, x2, y1, y2, z)
     public = PublicKey(params.curve_id, c, d, h)
     return private, public
@@ -175,10 +180,9 @@ def decrypt_chunk(
         alpha = hash_to_scalar(params, header, u1, u2, e)
         s1 = (priv.x1 + alpha * priv.y1) % n
         s2 = (priv.x2 + alpha * priv.y2) % n
-        expected_v = point_add(
-            params, scalar_mult(params, u1, s1), scalar_mult(params, u2, s2)
+        expected_v, mask = linear_combinations(
+            params, [[(u1, s1), (u2, s2)], [(u1, priv.z)]]
         )
-        mask = scalar_mult(params, u1, priv.z)
         m_point = point_add(params, e, point_negate(params, mask))
         if not hmac.compare_digest(compress(params, expected_v), compress(params, v)):
             raise InvalidCiphertext

@@ -1,7 +1,10 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eccs import curve as curve_mod
 from eccs import field as field_mod
@@ -28,6 +31,7 @@ from eccs.curve import (
     derive_g2,
     get_curve,
     is_on_curve,
+    linear_combinations,
     point_add,
     point_negate,
     scalar_mult,
@@ -35,6 +39,7 @@ from eccs.curve import (
 )
 from eccs.errors import ParseError
 
+from conftest import ALT_A, ALT_B, ALT_G1, ALT_G2, ALT_ID, ALT_N, ALT_P
 from helpers import aff_add, aff_mul, as_tuple
 
 SECP_P = 2**256 - 2**32 - 977
@@ -456,6 +461,179 @@ def test_fixed_tables_wait_for_the_break_even_use():
     assert isinstance(secp._bases[base], list)
     del base  # counts and tables go with the base object
     assert len(secp._bases) == 0
+
+
+# --- multi-scalar core ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def core_curves():
+    """Fresh curves by name, each with its bases g1, g2, 5*g1, and 7*g1
+    with its fixed-base table."""
+    curves = {}
+    for name in ("toy", "alt", "secp256k1"):
+        if name == "alt":
+            params = CurveParams(ALT_ID, "p1033-a1", ALT_P, ALT_A, ALT_B, ALT_N, ALT_G1, ALT_G2)
+        else:
+            params = fresh_curve(name)
+        g1t = as_tuple(params.g1)
+        other = params.point(*aff_mul(params.p, params.a, g1t, 5))
+        tabled = with_table(params, params.point(*aff_mul(params.p, params.a, g1t, 7)))
+        curves[name] = params, (params.g1, params.g2, other, tabled)
+    return curves
+
+
+def edge_scalars(params):
+    """0, 1, n - 1 and, on curves with the endomorphism, lam and n - lam."""
+    n = params.n
+    if params._glv is None:
+        return [0, 1, n - 1]
+    lam = _REGISTRY_SPECS[params.curve_id]["lam"]
+    return [0, 1, n - 1, lam, n - lam]
+
+
+def reference_sum(params, terms):
+    """sum k * P over the terms, on the affine helpers."""
+    total = None
+    for point, k in terms:
+        total = aff_add(params.p, params.a, total, aff_mul(params.p, params.a, as_tuple(point), k))
+    return total
+
+
+def check_core(params, sums, untabled):
+    # forget earlier uses so that no call here meets a table it did not build
+    for base in untabled:
+        params._bases.pop(base, None)
+    got = linear_combinations(params, sums)
+    assert [as_tuple(point) for point in got] == [reference_sum(params, t) for t in sums]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_linear_combinations_match_the_affine_reference(core_curves, data):
+    params, bases = core_curves[data.draw(st.sampled_from(sorted(core_curves)))]
+    scalar = st.one_of(st.sampled_from(edge_scalars(params)), st.integers(0, params.n - 1))
+    term = st.tuples(st.sampled_from(bases + (IDENTITY,)), scalar)
+    sums = data.draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=3))
+    check_core(params, sums, bases[:3])
+
+
+@pytest.mark.parametrize("name", ["toy", "alt", "secp256k1"])
+def test_linear_combinations_edge_shapes(core_curves, name):
+    params, (g1, g2, other, tabled) = core_curves[name]
+    n = params.n
+    lam = edge_scalars(params)[3] if params._glv else n - 2  # alt has no endomorphism
+    sums = [
+        [(g1, 0), (g1, n - 1), (g2, lam)],  # a base twice in one sum
+        [(IDENTITY, 5), (g1, 1)],  # an identity base; g1 again, across sums
+        [(tabled, n - 1), (other, lam), (g1, 0)],  # tabled and untabled in one sum
+        [(tabled, 0)],
+        [(IDENTITY, n - 1)],  # an identity result
+        [(g2, 1), (g2, n - 1)],  # terms that cancel
+        [(other, 0), (g2, 0), (g1, 0)],
+    ]
+    check_core(params, sums, (g1, g2, other))
+    for k in edge_scalars(params):
+        check_core(params, [[(g1, k), (g2, k)], [(g1, k)]], (g1, g2, other))
+
+
+def test_linear_combinations_tally_the_logical_operations(toy):
+    with count_ops() as ops:
+        linear_combinations(toy, [[(toy.g1, 3), (toy.g2, 4)], [(toy.g1, 5)]])
+    assert (ops.scalar_mults, ops.point_adds, ops.negations) == (3, 1, 0)
+    with count_ops() as ops:
+        assert linear_combinations(toy, []) == []
+        assert linear_combinations(toy, [[]]) == [IDENTITY]
+    assert (ops.scalar_mults, ops.point_adds) == (0, 0)
+
+
+def test_linear_combinations_count_each_term_as_a_use():
+    toy = fresh_curve("toy")
+    P, Q = toy.g1, toy.g2
+    linear_combinations(toy, [[(P, 1), (Q, 2)], [(P, 3)], [(IDENTITY, 4)]])
+    assert (toy._bases[P], toy._bases[Q]) == (2, 1)
+    # uses 3 to 6 of P in one call: the last term meets the new table
+    sums = [[(P, 5), (P, 6), (Q, 7)], [(P, 8), (P, 9)]]
+    got = linear_combinations(toy, sums)
+    assert isinstance(toy._bases[P], list) and toy._bases[Q] == 2
+    assert [as_tuple(point) for point in got] == [reference_sum(toy, t) for t in sums]
+
+
+def test_linear_combinations_check_each_base_once(monkeypatch, secp):
+    calls = Counter()
+    original = curve_mod.is_on_curve
+
+    def counted(params, point):
+        calls[point] += 1
+        return original(params, point)
+
+    monkeypatch.setattr(curve_mod, "is_on_curve", counted)
+    P, Q = secp.point(*as_tuple(secp.g1)), secp.point(*as_tuple(secp.g2))
+    linear_combinations(secp, [[(P, 2), (Q, 3)], [(P, 4)]])
+    assert calls == {P: 1, Q: 1}
+
+
+def test_linear_combinations_validate_every_term(toy, secp):
+    fake = CurvePoint(toy.field(1), toy.field(1))
+    with pytest.raises(ValueError):
+        linear_combinations(toy, [[(toy.g1, 1)], [(toy.g2, 1), (fake, 2)]])
+    with pytest.raises(ValueError):
+        linear_combinations(toy, [[(toy.g1, 1), (secp.g1, 1)]])
+    with pytest.raises(ValueError):
+        linear_combinations(toy, [[(toy.g1, 1)], [(toy.g1, toy.n)]])  # a seen base, bad scalar
+    with pytest.raises(TypeError):
+        linear_combinations(toy, [[(toy.g1, 1.5)]])
+
+
+def test_linear_combinations_shape_is_independent_of_the_scalars(monkeypatch):
+    """The decrypt shape makes the same additions, doublings and row scans
+    whatever its scalars, without tables and with one."""
+    secp = fresh_curve("secp256k1")
+    n, lam = secp.n, _REGISTRY_SPECS[SECP256K1_ID]["lam"]
+    P, Q = secp.g1, secp.g2
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    rng = random.Random(0x5A5E)
+    edges = [0, 1, n - 1, lam, n - lam]
+    choices = [(k, k, k) for k in edges] + [tuple(rng.choice(edges) for _ in range(3)) for _ in range(6)]
+    choices += [tuple(rng.randrange(n) for _ in range(3)) for _ in range(4)]
+
+    def shape():
+        """The one (adds, doublings, row scans) of every choice of scalars."""
+        seen = set()
+        with monkeypatch.context() as patch:
+            patch.setattr(secp, "_add", counted("add", secp._add))
+            patch.setattr(secp, "_dbl", counted("dbl", secp._dbl))
+            patch.setattr(curve_mod, "_select", counted("select", curve_mod._select))
+            for a, b, c in choices:
+                # forget earlier uses of the untabled bases: no table mid-run
+                secp._bases.pop(Q, None)
+                if not isinstance(secp._bases.get(P), list):
+                    secp._bases.pop(P, None)
+                calls.clear()
+                got = linear_combinations(secp, [[(P, a), (Q, b)], [(P, c)]])
+                seen.add((calls["add"], calls["dbl"], calls["select"]))
+                want = [reference_sum(secp, [(P, a), (Q, b)]), reference_sum(secp, [(P, c)])]
+                assert [as_tuple(point) for point in got] == want
+        assert len(seen) == 1, seen
+        return seen.pop()
+
+    untabled = shape()
+    with_table(secp, P)
+    tabled = shape()
+    windows = secp._glv.windows
+    # two sums of 4 * (windows - 1) doublings each, and one per row built (P, Q)
+    assert untabled[1] == 2 * 4 * (windows - 1) + 2
+    # P tabled: only Q's row and Q's pass in the first sum double
+    assert tabled[1] == 4 * (windows - 1) + 1
+    assert tabled[2] == 2 * len(secp._bases[P]) + 2 * windows
 
 
 def test_cross_curve_points_rejected(toy, secp):

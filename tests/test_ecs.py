@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eccs.codec import chunk_capacity
-from eccs.curve import count_ops, point_add, point_negate, scalar_mult
+from eccs.curve import IDENTITY, count_ops, point_add, point_negate, scalar_mult
 from eccs.ecs import (
     Ciphertext,
     CiphertextChunk,
@@ -18,8 +21,8 @@ from eccs.ecs import (
     keygen,
     sample_scalar,
 )
-from eccs.errors import InvalidCiphertext
-from eccs.wire import serialize_ciphertext, serialize_public_key
+from eccs.errors import InvalidCiphertext, ParseError
+from eccs.wire import parse_ciphertext, serialize_ciphertext, serialize_public_key
 
 from helpers import SeqRng
 
@@ -326,6 +329,62 @@ def test_decrypt_rejects_truncation_and_extension(secp):
         decrypt(priv, Ciphertext(ct.curve_id, ct.chunks + (ct.chunks[0],)))
     with pytest.raises(InvalidCiphertext):
         decrypt(priv, Ciphertext(ct.curve_id, ()))
+
+
+@pytest.mark.parametrize("fields", [("u1",), ("u2",), ("u1", "u2")])
+def test_decrypt_rejects_identity_mask_points(secp, fields):
+    rng = random.Random(1006)
+    priv, pub = keygen(secp, rng)
+    ct = encrypt(pub, b"identity", rng)
+    chunk = dataclasses.replace(ct.chunks[0], **{name: IDENTITY for name in fields})
+    blob = serialize_ciphertext(Ciphertext(ct.curve_id, (chunk,)))
+    assert len(blob) == len(serialize_ciphertext(ct)) - 32 * len(fields)  # 0x00 per point
+    with pytest.raises(InvalidCiphertext):
+        decrypt(priv, parse_ciphertext(blob))
+
+
+@pytest.fixture(scope="module")
+def two_chunks(secp):
+    """(private key, message, serialized two-chunk secp256k1 ciphertext)."""
+    rng = random.Random(1007)
+    priv, pub = keygen(secp, rng)
+    message = bytes(range(40, 100))
+    return priv, message, serialize_ciphertext(encrypt(pub, message, rng))
+
+
+@st.composite
+def mutated(draw, blob):
+    """blob with one substitution, truncation, extension or point change."""
+    kind = draw(st.sampled_from(["substitute", "truncate", "extend", "prefix", "swap", "identity"]))
+    # envelope (7 B) and chunk count (4 B), then eight 33-byte points
+    starts = [11 + 33 * j for j in range(8)]
+    if kind == "substitute":
+        i = draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i + 1 :]
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "extend":
+        return blob + draw(st.binary(min_size=1, max_size=40))
+    i = draw(st.sampled_from(starts))
+    if kind == "prefix":
+        return blob[:i] + bytes([draw(st.sampled_from([0x00, 0x02, 0x03, 0x04]))]) + blob[i + 1 :]
+    if kind == "identity":
+        return blob[:i] + b"\x00" + blob[i + 33 :]
+    j = draw(st.sampled_from(starts))
+    points = {i: blob[j : j + 33], j: blob[i : i + 33]}
+    return blob[:11] + b"".join(points.get(k, blob[k : k + 33]) for k in starts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decrypt_refuses_every_mutated_ciphertext(two_chunks, data):
+    priv, message, blob = two_chunks
+    changed = data.draw(mutated(blob))
+    if changed == blob:
+        assert decrypt(priv, parse_ciphertext(changed)) == message
+        return
+    with pytest.raises((ParseError, InvalidCiphertext)):
+        decrypt(priv, parse_ciphertext(changed))
 
 
 def test_decrypt_rejects_curve_mismatch(secp, toy):
