@@ -1,6 +1,9 @@
-"""Short-Weierstrass curve groups with a complete, constant-shape group law.
+"""Curve groups y^2 = x^3 + b over F_p, p % 4 == 3, with a complete law.
 
-Points are affine; the identity is the distinguished ``IDENTITY`` value.
+That is the one curve shape served here, and both registry curves
+(secp256k1 and toy) have it: a = 0 gives one pair of cheap complete
+formulas, and p % 4 == 3 gives square roots as a single power.  Points
+are affine; the identity is the distinguished ``IDENTITY`` value.
 Internally the group law runs on projective coordinates using complete
 addition formulas, so no input pair needs special-casing.  The formulas
 are complete only on odd-order groups; every curve accepted here has
@@ -126,107 +129,39 @@ def _tally(op: str, count: int = 1) -> None:
 # complete projective formulas (Renes-Costello-Batina, EUROCRYPT 2016)
 
 
-def _group_law(a, b3, p):
-    """Complete addition and doubling on (X : Y : Z) triples, b3 = 3*b mod p.
+def _group_law(b3, p):
+    """Complete addition and doubling on (X : Y : Z) triples of y^2 = x^3 + b.
 
-    (0 : 1 : 0) is the identity; results are reduced mod p.  a == 0,
-    which both registry curves have, gets its own cheaper pair.
+    b3 = 3*b mod p; (0 : 1 : 0) is the identity and results are reduced
+    mod p.  These are the a = 0 formulas (algorithms 7 and 9 there), the
+    only curve shape ``CurveParams`` accepts.
     """
-    if a == 0:
-
-        def add(X1, Y1, Z1, X2, Y2, Z2):
-            t0 = X1 * X2 % p
-            t1 = Y1 * Y2 % p
-            t2 = Z1 * Z2 % p
-            t3 = (X1 + Y1) * (X2 + Y2) - t0 - t1
-            t4 = (Y1 + Z1) * (Y2 + Z2) - t1 - t2
-            t5 = (X1 + Z1) * (X2 + Z2) - t0 - t2
-            x3 = t0 + t0 + t0
-            t2 = b3 * t2
-            z3 = (t1 + t2) % p
-            t1 = (t1 - t2) % p
-            y3 = b3 * t5 % p
-            X3 = (t3 * t1 - t4 * y3) % p
-            Y3 = (y3 * x3 + t1 * z3) % p
-            Z3 = (z3 * t4 + x3 * t3) % p
-            return X3, Y3, Z3
-
-        def dbl(X, Y, Z):
-            t0 = Y * Y % p
-            t2 = b3 * (Z * Z) % p
-            t8 = t0 << 3
-            t3 = t0 - 3 * t2
-            X3 = (t3 * (X * Y % p) << 1) % p
-            Y3 = (t3 * (t0 + t2) + t2 * t8) % p
-            Z3 = Y * Z % p * t8 % p
-            return X3, Y3, Z3
-
-        return add, dbl
 
     def add(X1, Y1, Z1, X2, Y2, Z2):
         t0 = X1 * X2 % p
         t1 = Y1 * Y2 % p
         t2 = Z1 * Z2 % p
-        t3 = (X1 + Y1) * (X2 + Y2) % p
-        t3 = (t3 - t0 - t1) % p
-        t4 = (X1 + Z1) * (X2 + Z2) % p
-        t4 = (t4 - t0 - t2) % p
-        t5 = (Y1 + Z1) * (Y2 + Z2) % p
-        t5 = (t5 - t1 - t2) % p
-        Z3 = a * t4 % p
-        X3 = b3 * t2 % p
-        Z3 = (X3 + Z3) % p
-        X3 = (t1 - Z3) % p
-        Z3 = (t1 + Z3) % p
-        Y3 = X3 * Z3 % p
-        t1 = (t0 + t0 + t0) % p
-        t2 = a * t2 % p
-        t4 = b3 * t4 % p
-        t1 = (t1 + t2) % p
-        t2 = (t0 - t2) % p
-        t2 = a * t2 % p
-        t4 = (t4 + t2) % p
-        t0 = t1 * t4 % p
-        Y3 = (Y3 + t0) % p
-        t0 = t5 * t4 % p
-        X3 = t3 * X3 % p
-        X3 = (X3 - t0) % p
-        t0 = t3 * t1 % p
-        Z3 = t5 * Z3 % p
-        Z3 = (Z3 + t0) % p
+        t3 = (X1 + Y1) * (X2 + Y2) - t0 - t1
+        t4 = (Y1 + Z1) * (Y2 + Z2) - t1 - t2
+        t5 = (X1 + Z1) * (X2 + Z2) - t0 - t2
+        x3 = t0 + t0 + t0
+        t2 = b3 * t2
+        z3 = (t1 + t2) % p
+        t1 = (t1 - t2) % p
+        y3 = b3 * t5 % p
+        X3 = (t3 * t1 - t4 * y3) % p
+        Y3 = (y3 * x3 + t1 * z3) % p
+        Z3 = (z3 * t4 + x3 * t3) % p
         return X3, Y3, Z3
 
     def dbl(X, Y, Z):
-        t0 = X * X % p
-        t1 = Y * Y % p
-        t2 = Z * Z % p
-        t3 = X * Y % p
-        t3 = (t3 + t3) % p
-        Z3 = X * Z % p
-        Z3 = (Z3 + Z3) % p
-        X3 = a * Z3 % p
-        Y3 = b3 * t2 % p
-        Y3 = (X3 + Y3) % p
-        X3 = (t1 - Y3) % p
-        Y3 = (t1 + Y3) % p
-        Y3 = X3 * Y3 % p
-        X3 = t3 * X3 % p
-        Z3 = b3 * Z3 % p
-        t2 = a * t2 % p
-        t3 = (t0 - t2) % p
-        t3 = a * t3 % p
-        t3 = (t3 + Z3) % p
-        Z3 = (t0 + t0) % p
-        t0 = (Z3 + t0 + t2) % p
-        t0 = t0 * t3 % p
-        Y3 = (Y3 + t0) % p
-        t2 = Y * Z % p
-        t2 = (t2 + t2) % p
-        t0 = t2 * t3 % p
-        X3 = (X3 - t0) % p
-        Z3 = t2 * t1 % p
-        Z3 = (Z3 + Z3) % p
-        Z3 = (Z3 + Z3) % p
+        t0 = Y * Y % p
+        t2 = b3 * (Z * Z) % p
+        t8 = t0 << 3
+        t3 = t0 - 3 * t2
+        X3 = (t3 * (X * Y % p) << 1) % p
+        Y3 = (t3 * (t0 + t2) + t2 * t8) % p
+        Z3 = Y * Z % p * t8 % p
         return X3, Y3, Z3
 
     return add, dbl
@@ -319,7 +254,7 @@ def _normalize(points, p):
     return out
 
 
-def _raw_has_order_n(p: int, a: int, b: int, n: int, x: int, y: int) -> bool:
+def _raw_has_order_n(p: int, b: int, n: int, x: int, y: int) -> bool:
     """n * (x, y) == identity, computed on raw integers.
 
     The multiple is exactly n: no halving mod n and no endomorphism
@@ -327,7 +262,7 @@ def _raw_has_order_n(p: int, a: int, b: int, n: int, x: int, y: int) -> bool:
     """
     if n % 2 == 0:
         raise ValueError("group order must be odd")
-    add, dbl = _group_law(a, 3 * b % p, p)
+    add, dbl = _group_law(3 * b % p, p)
     windows = (n.bit_length() + 3) // 4
     v = (n + (1 << 4 * windows) - 1) >> 1  # read(v) == n exactly
     row = _pack(_odd_multiples(add, dbl, x, y, 1), p)
@@ -392,16 +327,19 @@ class _Endomorphism:
 
 
 class CurveParams:
-    """Validated domain parameters for one short-Weierstrass group.
+    """Validated domain parameters for one curve y^2 = x^3 + b over F_p.
 
-    Construction re-derives every claimed property: primality of p and n,
-    a non-singular equation, both generators on the curve with exact
+    Only that shape is accepted: a must be 0 and p % 4 must be 3, else
+    construction raises ``ValueError``.  ``a`` stays a field because the
+    registry digest, equality and the oracle read it.  Construction
+    re-derives every claimed property: primality of p and n, b != 0 (a
+    non-singular equation), both generators on the curve with exact
     order n, the Hasse bound, and cofactor 1 (forced by 2n exceeding the
     upper Hasse limit).  With ``beta`` and ``lam`` given it also checks
-    that lam * g1 == (beta * x, y) on an a == 0 curve, computed without
-    that endomorphism, which scalar multiplication then uses.  A
-    corrupted constant therefore fails loudly at construction instead of
-    mis-encrypting later.
+    that lam * g1 == (beta * x, y), computed without that endomorphism,
+    which scalar multiplication then uses.  A corrupted constant
+    therefore fails loudly at construction instead of mis-encrypting
+    later.
 
     ``curve_by_id`` builds registry curves through ``_pinned`` instead,
     which skips the three proofs (primality, exact order n, lam * g1)
@@ -451,8 +389,8 @@ class CurveParams:
         """A registry curve whose spec matched its pinned digest.
 
         The digest stands for the proofs the tests ran on these exact
-        constants, so only the cheap checks run: coefficient range,
-        discriminant, Hasse bound, cofactor and both generators on the
+        constants, so only the cheap checks run: coefficient range, curve
+        shape, b != 0, Hasse bound, cofactor and both generators on the
         curve.
         """
         params = cls.__new__(cls)
@@ -470,12 +408,15 @@ class CurveParams:
         self.n = n
         if not 0 <= a < p or not 0 <= b < p:
             raise ValueError("coefficients must be reduced mod p")
+        if a != 0:
+            raise ValueError("only curves y^2 = x^3 + b (a == 0) are supported")
+        if p % 4 != 3:
+            raise ValueError("only fields with p % 4 == 3 are supported")
+        if b == 0:
+            raise ValueError("singular curve: b == 0")
         self.a = a
         self.b = b
-        disc = (4 * a * a * a + 27 * b * b) % p
-        if disc == 0:
-            raise ValueError("singular curve: 4a^3 + 27b^2 == 0 mod p")
-        two_sqrt = 2 * math.isqrt(p)
+        two_sqrt = math.isqrt(4 * p)  # floor(2 * sqrt(p)); 2 * isqrt(p) may fall short
         if not (p + 1 - two_sqrt <= n <= p + 1 + two_sqrt):
             raise ValueError("group order violates the Hasse bound")
         if 2 * n <= p + 1 + two_sqrt:
@@ -484,7 +425,7 @@ class CurveParams:
         # the one conversion point into gmpy2 integers, where they pay off
         self._num = _mpz if p.bit_length() > _MPZ_THRESHOLD_BITS else int
         self._p = self._num(p)
-        self._add, self._dbl = _group_law(self._num(a), self._num(3 * b % p), self._p)
+        self._add, self._dbl = _group_law(self._num(3 * b % p), self._p)
         self._windows = (n.bit_length() + 3) // 4
         self._all_ones = (1 << 4 * self._windows) - 1
         self._inv2 = (n + 1) // 2
@@ -498,21 +439,20 @@ class CurveParams:
     def _checked_generator(self, xy: tuple[int, int], label: str, proofs: bool) -> CurvePoint:
         x, y = xy
         point = self.point(x, y)
-        if proofs and not _raw_has_order_n(self.p, self.a, self.b, self.n, x, y):
+        if proofs and not _raw_has_order_n(self.p, self.b, self.n, x, y):
             raise ValueError(f"{label} does not have order n")
         return point
 
     def _checked_endomorphism(self, beta, lam, proofs: bool) -> _Endomorphism:
         p, n = self.p, self.n
         if (
-            self.a != 0
-            or not isinstance(beta, int)
+            not isinstance(beta, int)
             or not isinstance(lam, int)
             or not 1 < beta < p
             or not 1 < lam < n
             or pow(beta, 3, p) != 1
         ):
-            raise ValueError("beta must be a cube root of unity mod p, 1 < lam < n, a == 0")
+            raise ValueError("beta must be a cube root of unity mod p and 1 < lam < n")
         if proofs:
             x, y = self._num(self.g1.x.value), self._num(self.g1.y.value)
             X, Y, Z = _variable_base(self, x, y, lam, None)
@@ -534,7 +474,7 @@ class CurveParams:
 
     def _rhs(self, x: int) -> int:
         p = self.p
-        return (x * x % p * x + self.a * x + self.b) % p
+        return (x * x % p * x + self.b) % p
 
     @property
     def identity(self) -> CurvePoint:
@@ -836,7 +776,6 @@ def compressed_size(params: CurveParams) -> int:
 def derive_g2(
     curve_id: int,
     p: int,
-    a: int,
     b: int,
     n: int,
     domain_tag: bytes = G2_DOMAIN_TAG,
@@ -854,23 +793,23 @@ def derive_g2(
     for counter in range(2**32):
         digest = hashlib.sha3_256(tag + counter.to_bytes(4, "big")).digest()
         x = int.from_bytes(digest, "big") % p
-        rhs = field((x * x % p * x + a * x + b) % p)
+        rhs = field((x * x % p * x + b) % p)
         if not rhs.is_square():
             continue
         y = rhs.sqrt().value
         if y == 0:
             continue
-        if _raw_has_order_n(p, a, b, n, x, y):
+        if _raw_has_order_n(p, b, n, x, y):
             return x, y
     raise ValueError("no generator found in the counter range")
 
 
-def _count_points(p: int, a: int, b: int) -> int:
+def _count_points(p: int, b: int) -> int:
     """#E(F_p) by summing Legendre symbols; only sensible for small p."""
     total = p + 1
     exp = (p - 1) // 2
     for x in range(p):
-        rhs = (x * x % p * x + a * x + b) % p
+        rhs = (x * x % p * x + b) % p
         if rhs == 0:
             continue
         ls = pow(rhs, exp, p)
@@ -881,29 +820,27 @@ def _count_points(p: int, a: int, b: int) -> int:
 def toy_curve_search(min_p: int = 1009) -> CurveParams:
     """Re-run the search that produced the registry's toy curve.
 
-    Scans primes p >= min_p with the fixed equation y^2 = x^3 + 7 until
-    the group order n is prime (cofactor 1 by construction) and differs
-    from p.  g1 is the point with the smallest x, canonical even y; g2
-    comes from ``derive_g2``.  The result must equal the frozen registry
-    entry, which the test suite asserts.
+    Scans primes p >= min_p with p % 4 == 3 and the fixed equation
+    y^2 = x^3 + 7 until the group order n is prime (cofactor 1 by
+    construction) and differs from p.  g1 is the point with the smallest
+    x, canonical even y; g2 comes from ``derive_g2``.  The result must
+    equal the frozen registry entry, which the test suite asserts.
     """
+    b = 7
     p = min_p
     while True:
-        if is_probable_prime(p):
-            a, b = 0, 7
-            n = _count_points(p, a, b)
-            if n != p and is_probable_prime(n):
-                two_sqrt = 2 * math.isqrt(p)
-                if 2 * n > p + 1 + two_sqrt:
-                    field = PrimeField(p)
-                    g1 = None
-                    for x in range(p):
-                        rhs = field((x * x % p * x + a * x + b) % p)
-                        if rhs.value != 0 and rhs.is_square():
-                            g1 = (x, rhs.sqrt().value)
-                            break
-                    g2 = derive_g2(TOY_ID, p, a, b, n)
-                    return CurveParams(TOY_ID, "toy", p, a, b, n, g1, g2)
+        if p % 4 == 3 and is_probable_prime(p):
+            n = _count_points(p, b)
+            if n != p and 2 * n > p + 1 + math.isqrt(4 * p) and is_probable_prime(n):
+                field = PrimeField(p)
+                g1 = None
+                for x in range(p):
+                    rhs = field((x * x % p * x + b) % p)
+                    if rhs.value != 0 and rhs.is_square():
+                        g1 = (x, rhs.sqrt().value)
+                        break
+                g2 = derive_g2(TOY_ID, p, b, n)
+                return CurveParams(TOY_ID, "toy", p, 0, b, n, g1, g2)
         p += 2 if p % 2 else 1
 
 
@@ -922,7 +859,7 @@ _REGISTRY_SPECS: dict[int, dict] = {
             0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
             0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
         ),
-        # derive_g2(0x01, p, 0, 7, n) at counter 0; regenerated by tests
+        # derive_g2(0x01, p, 7, n) at counter 0; regenerated by tests
         g2=(
             0x9B87DF2B2083C5095C3BDAAEB321151E2BE89C5B772DBA9D711E2E86E5AD6076,
             0x08554BF431EFE0801349CEAF8498A33DF168280A7D7EEDE3736BCDD909684E22,
@@ -940,7 +877,7 @@ _REGISTRY_SPECS: dict[int, dict] = {
         b=7,
         n=1093,
         g1=(3, 666),
-        # derive_g2(0x7F, 1051, 0, 7, 1093) at counter 3; regenerated by tests
+        # derive_g2(0x7F, 1051, 7, 1093) at counter 3; regenerated by tests
         g2=(1033, 592),
         # as for secp256k1; the other pairing is (870, 151)
         beta=180,

@@ -165,10 +165,14 @@ def decrypt_chunk(
 ) -> CurvePoint:
     """Recover the message point, or raise ``InvalidCiphertext``.
 
-    The expected validity point and the candidate plaintext are both
-    computed before the comparison, and the comparison itself runs over
-    compressed encodings via ``hmac.compare_digest``; nothing about the
-    failure mode distinguishes which part of the chunk was bad.
+    A chunk whose u1 or u2 is the identity is refused, a check on public
+    points only: honest encryption never makes one (r is in [1, n-1]),
+    and a chunk with u1 = u2 = v = identity would pass the validity check
+    and decrypt to its e under every key.  The expected validity point
+    and the candidate plaintext are both computed before the comparison,
+    and the comparison itself runs over compressed encodings via
+    ``hmac.compare_digest``; nothing about the failure mode distinguishes
+    which part of the chunk was bad.
     """
     try:
         params = curve_by_id(priv.curve_id)
@@ -176,6 +180,8 @@ def decrypt_chunk(
         for point in (u1, u2, e, v):
             if not is_on_curve(params, point):
                 raise InvalidCiphertext
+        if u1.is_identity or u2.is_identity:
+            raise InvalidCiphertext
         n = params.n
         alpha = hash_to_scalar(params, header, u1, u2, e)
         s1 = (priv.x1 + alpha * priv.y1) % n

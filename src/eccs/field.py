@@ -55,7 +55,7 @@ class PrimeField:
     caller opts out for modulus values that are already trusted.
     """
 
-    __slots__ = ("modulus", "width", "_tonelli_ctx")
+    __slots__ = ("modulus", "width")
 
     def __init__(self, modulus: int, *, check_prime: bool = True) -> None:
         if not isinstance(modulus, int) or modulus <= 3 or modulus % 2 == 0:
@@ -65,7 +65,6 @@ class PrimeField:
         self.modulus = modulus
         # Fixed byte width used for all serialized elements of this field.
         self.width = (modulus.bit_length() + 7) // 8
-        self._tonelli_ctx: tuple[int, int, int] | None = None
 
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(value % self.modulus, self)
@@ -81,14 +80,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.modulus:#x})"
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
     def from_bytes(self, data: bytes) -> "FieldElement":
         """Decode a fixed-width big-endian element; rejects out-of-range values."""
         if len(data) != self.width:
@@ -97,23 +88,6 @@ class PrimeField:
         if value >= self.modulus:
             raise ValueError("encoded value is not reduced modulo the field prime")
         return FieldElement(value, self)
-
-    def _tonelli_params(self) -> tuple[int, int, int]:
-        # p - 1 = q * 2**s with q odd, plus a fixed quadratic non-residue z.
-        ctx = self._tonelli_ctx
-        if ctx is None:
-            p = self.modulus
-            q = p - 1
-            s = 0
-            while q % 2 == 0:
-                q //= 2
-                s += 1
-            z = 2
-            while pow(z, (p - 1) // 2, p) != p - 1:
-                z += 1
-            ctx = (q, s, z)
-            self._tonelli_ctx = ctx
-        return ctx
 
 
 class FieldElement:
@@ -161,11 +135,6 @@ class FieldElement:
     def __neg__(self) -> "FieldElement":
         return self.field(-self.value)
 
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return self.field(pow(self.value, exponent, self.field.modulus))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FieldElement):
             return (
@@ -185,21 +154,6 @@ class FieldElement:
     def __bool__(self) -> bool:
         return self.value != 0
 
-    def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via Fermat's little theorem.
-
-        Exponentiation with the fixed exponent p - 2 avoids the
-        value-dependent iteration count of the extended Euclidean
-        algorithm; inversion cost depends only on the modulus.
-        """
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        p = self.field.modulus
-        return self.field(int(_powmod(self.value, p - 2, p)))
-
-    def __truediv__(self, other: object) -> "FieldElement":
-        return self * self._coerce(other).inverse()
-
     def is_square(self) -> bool:
         """Euler criterion; zero counts as a square."""
         if self.value == 0:
@@ -210,47 +164,23 @@ class FieldElement:
     def sqrt(self) -> "FieldElement":
         """Canonical square root: of the two roots r and p - r, the even one.
 
-        Raises ``ValueError`` for quadratic non-residues.  The canonical
-        choice makes point decompression and the deterministic generator
-        derivation reproducible everywhere.
+        Only fields with p % 4 == 3, the curve fields of this package, are
+        served: the root is v**((p + 1) / 4), checked by squaring it.
+        Raises ``ValueError`` for quadratic non-residues and for every
+        element of any other field.  The canonical choice makes point
+        decompression and the deterministic generator derivation
+        reproducible everywhere.
         """
         p = self.field.modulus
+        if p % 4 != 3:
+            raise ValueError("square roots need a field with p % 4 == 3")
         v = self.value
-        if v == 0:
-            return self.field.zero
-        if p % 4 == 3:
-            root = int(_powmod(v, (p + 1) // 4, p))
-            if root * root % p != v:
-                raise ValueError("element is not a quadratic residue")
-        else:
-            root = self._tonelli_shanks()
+        root = int(_powmod(v, (p + 1) // 4, p))
+        if root * root % p != v:
+            raise ValueError("element is not a quadratic residue")
         if root % 2 == 1:
             root = p - root
         return self.field(root)
-
-    def _tonelli_shanks(self) -> int:
-        # General-case root for p % 4 == 1; assumes self.value != 0.
-        p = self.field.modulus
-        v = self.value
-        if pow(v, (p - 1) // 2, p) != 1:
-            raise ValueError("element is not a quadratic residue")
-        q, s, z = self.field._tonelli_params()
-        m = s
-        c = pow(z, q, p)
-        t = pow(v, q, p)
-        r = pow(v, (q + 1) // 2, p)
-        while t != 1:
-            t2 = t
-            i = 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m = i
-            c = b * b % p
-            t = t * c % p
-            r = r * b % p
-        return r
 
     def to_bytes(self) -> bytes:
         """Fixed-width big-endian encoding; width is a property of the field."""

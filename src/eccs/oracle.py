@@ -184,7 +184,8 @@ def independent_decrypt(table: GroupTable, pub, chunk, header: bytes) -> CurvePo
     Recovers the ephemeral scalar r from u1 and the receiver scalar z
     from h by brute-force discrete log, re-derives the binding hash with
     its own point serialization, checks u2 and the validity point, and
-    unmasks the message.  Raises ``ValueError`` on any inconsistency.
+    unmasks the message.  Raises ``ValueError`` on any inconsistency,
+    and for r = 0 (an identity u1), which no honest encryption makes.
     """
     params = table.params
     if pub.curve_id != params.curve_id:
@@ -194,6 +195,8 @@ def independent_decrypt(table: GroupTable, pub, chunk, header: bytes) -> CurvePo
         if t is not None and t not in table.index:
             raise ValueError("point outside the group")
     r = brute_dlog(table, params.g1, chunk.u1)
+    if r == 0:
+        raise ValueError("u1 is the identity")
     if table.mult(params.g2, r) != table.to_point(u2):
         raise ValueError("u2 is not r * g2")
     width = (params.p.bit_length() + 7) // 8

@@ -2,16 +2,18 @@ import pytest
 
 from eccs.curve import CurveParams, get_curve
 
-# Non-registry curve with a != 0: y^2 = x^3 + x + 1 over F_1033, prime
-# order 1061.  Exercises the general-coefficient formula path that the
-# registry curves (both a == 0) never touch.
+# Non-registry curve of the one accepted shape: y^2 = x^3 + 3 over F_1063
+# (1063 % 4 == 3), prime order 1129.  It is given no beta/lam, so it runs
+# the unsplit (no endomorphism) path that the registry curves never take.
+# Its trace 1064 - 1129 = -65 = -floor(2 * sqrt(1063)) sits on the Hasse
+# limit.
 ALT_ID = 0x70
-ALT_P = 1033
-ALT_A = 1
-ALT_B = 1
-ALT_N = 1061
-ALT_G1 = (0, 1032)
-ALT_G2 = (338, 48)
+ALT_P = 1063
+ALT_A = 0
+ALT_B = 3
+ALT_N = 1129
+ALT_G1 = (1, 2)
+ALT_G2 = (335, 308)
 
 
 @pytest.fixture(scope="session")
@@ -26,4 +28,4 @@ def secp():
 
 @pytest.fixture(scope="session")
 def alt():
-    return CurveParams(ALT_ID, "p1033-a1", ALT_P, ALT_A, ALT_B, ALT_N, ALT_G1, ALT_G2)
+    return CurveParams(ALT_ID, "p1063-b3", ALT_P, ALT_A, ALT_B, ALT_N, ALT_G1, ALT_G2)

@@ -8,6 +8,8 @@ formulas is meaningful.
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 
 def egcd_inverse(v: int, p: int) -> int:
     old_r, r = v % p, p
@@ -73,3 +75,20 @@ class SeqRng:
         if not self._values:
             raise AssertionError("SeqRng ran out of queued values")
         return self._values.pop(0)
+
+
+@st.composite
+def byte_mutation(draw, blob):
+    """(kind, blob) with one substitution, truncation or extension of blob.
+
+    Works on bytes and on str alike: an extension or substitute is drawn
+    as the same type as blob.
+    """
+    kind = draw(st.sampled_from(["substitute", "truncate", "extend"]))
+    pieces = st.text if isinstance(blob, str) else st.binary
+    if kind == "truncate":
+        return kind, blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "extend":
+        return kind, blob + draw(pieces(min_size=1, max_size=40))
+    i = draw(st.integers(0, len(blob) - 1))
+    return kind, blob[:i] + draw(pieces(min_size=1, max_size=1)) + blob[i + 1 :]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eccs.codec import (
     chunk_capacity,
@@ -9,7 +11,12 @@ from eccs.codec import (
     join_message,
     split_message,
 )
-from eccs.curve import CurvePoint, IDENTITY, is_on_curve
+from eccs.curve import CurvePoint, IDENTITY, compress, decompress, is_on_curve
+
+from helpers import byte_mutation
+
+# secp256k1's chunk capacity, for strategies drawn before any fixture
+SECP_CAPACITY = 30
 
 
 def test_capacity_secp(secp):
@@ -147,3 +154,26 @@ def test_split_join_identity_up_to_one_mebibyte(secp):
     for size in (1 << 10, 1 << 16, 1 << 20):
         blob = rng.randbytes(size)
         assert join_message(split_message(secp, blob)) == blob
+
+
+# --- property tests -------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=SECP_CAPACITY))
+def test_decode_inverts_encode(secp, data):
+    assert chunk_capacity(secp) == SECP_CAPACITY
+    assert decode_chunk(secp, encode_chunk(secp, data)) == data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=SECP_CAPACITY), change=st.data())
+def test_decode_of_a_mutated_point_raises_only_value_error(secp, data, change):
+    # mutate the point's compressed encoding; decompress raises ParseError,
+    # a ValueError, for what is no point at all
+    _, blob = change.draw(byte_mutation(compress(secp, encode_chunk(secp, data))))
+    try:
+        got = decode_chunk(secp, decompress(secp, blob))
+    except ValueError:
+        return
+    assert len(got) <= SECP_CAPACITY

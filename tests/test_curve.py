@@ -1,5 +1,7 @@
 import copy
+import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -182,6 +184,11 @@ def test_composite_field_rejected():
         CurveParams(0x60, "bad", 1053, 0, 7, 1093, (3, 666), (5, 5))
 
 
+def test_hasse_bound_admits_its_limit(alt):
+    # floor(2 * sqrt(p)) is 65 here, one more than 2 * isqrt(p)
+    assert alt.n - (alt.p + 1) == 65 == 2 * math.isqrt(alt.p) + 1
+
+
 def test_hasse_bound_enforced():
     # claimed order far outside p + 1 +- 2*sqrt(p)
     with pytest.raises(ValueError, match="Hasse"):
@@ -241,20 +248,15 @@ def test_commutativity_and_associativity_sampled(toy):
         assert lhs == rhs
 
 
-def test_general_coefficient_formulas(alt):
-    # a != 0 exercises the general add/double formulas and the unsplit path
-    rng = random.Random(11)
-    pts = enumerate_group(alt)
-    assert len(pts) == alt.n
-    for _ in range(2000):
-        P = rng.choice(pts)
-        Q = rng.choice(pts)
-        want = aff_add(alt.p, alt.a, as_tuple(P), as_tuple(Q))
-        assert as_tuple(point_add(alt, P, Q)) == want
-    for _ in range(500):
-        k = rng.randrange(alt.n)
-        got = scalar_mult(alt, alt.g1, k)
-        assert as_tuple(got) == aff_mul(alt.p, alt.a, as_tuple(alt.g1), k)
+def test_general_coefficient_formulas():
+    # valid prime-order curves of another shape: the formulas and the
+    # square root they would need are gone, so construction refuses them
+    with pytest.raises(ValueError, match=re.escape("a == 0")):
+        # y^2 = x^3 + x + 1 over F_1033, prime order 1061
+        CurveParams(0x70, "p1033-a1", 1033, 1, 1, 1061, (0, 1032), (338, 48))
+    with pytest.raises(ValueError, match=re.escape("p % 4 == 3")):
+        # y^2 = x^3 + 11 over F_1009 (1009 % 4 == 1), prime order 967
+        CurveParams(0x60, "p1009-b11", 1009, 0, 11, 967, (1, 298), (676, 232))
 
 
 def test_negation(toy):
@@ -473,7 +475,7 @@ def core_curves():
     curves = {}
     for name in ("toy", "alt", "secp256k1"):
         if name == "alt":
-            params = CurveParams(ALT_ID, "p1033-a1", ALT_P, ALT_A, ALT_B, ALT_N, ALT_G1, ALT_G2)
+            params = CurveParams(ALT_ID, "p1063-b3", ALT_P, ALT_A, ALT_B, ALT_N, ALT_G1, ALT_G2)
         else:
             params = fresh_curve(name)
         g1t = as_tuple(params.g1)
@@ -716,16 +718,16 @@ def test_compress_rejects_foreign_point(toy, secp):
 
 
 def test_derive_g2_reproduces_registry(toy, secp):
-    assert derive_g2(TOY_ID, toy.p, toy.a, toy.b, toy.n) == as_tuple(toy.g2)
-    assert derive_g2(SECP256K1_ID, secp.p, secp.a, secp.b, secp.n) == as_tuple(secp.g2)
+    assert derive_g2(TOY_ID, toy.p, toy.b, toy.n) == as_tuple(toy.g2)
+    assert derive_g2(SECP256K1_ID, secp.p, secp.b, secp.n) == as_tuple(secp.g2)
 
 
 def test_derive_g2_reproduces_alt_fixture(alt):
-    assert derive_g2(alt.curve_id, alt.p, alt.a, alt.b, alt.n) == as_tuple(alt.g2)
+    assert derive_g2(alt.curve_id, alt.p, alt.b, alt.n) == as_tuple(alt.g2)
 
 
 def test_derive_g2_depends_on_domain_tag(toy):
-    other = derive_g2(TOY_ID, toy.p, toy.a, toy.b, toy.n, domain_tag=b"different-tag")
+    other = derive_g2(TOY_ID, toy.p, toy.b, toy.n, domain_tag=b"different-tag")
     assert other != as_tuple(toy.g2)
     # still a valid order-n point
     P = toy.point(*other)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eccs.codec import chunk_capacity
+from eccs.codec import chunk_capacity, encode_chunk
 from eccs.curve import IDENTITY, count_ops, point_add, point_negate, scalar_mult
 from eccs.ecs import (
     Ciphertext,
@@ -341,6 +341,20 @@ def test_decrypt_rejects_identity_mask_points(secp, fields):
     assert len(blob) == len(serialize_ciphertext(ct)) - 32 * len(fields)  # 0x00 per point
     with pytest.raises(InvalidCiphertext):
         decrypt(priv, parse_ciphertext(blob))
+
+
+def test_decrypt_refuses_the_keyless_identity_forgery(secp):
+    # u1 = u2 = v = identity (0x00 each) around e = encode_chunk(m): made
+    # without any key, it passed the validity check under every key
+    m = b"forged without any key"
+    chunk = CiphertextChunk(IDENTITY, IDENTITY, encode_chunk(secp, m), IDENTITY)
+    blob = serialize_ciphertext(Ciphertext(secp.curve_id, (chunk,)))
+    assert len(blob) == 47 and len(m) == 22
+    priv, _ = keygen(secp, random.Random(1007))
+    with pytest.raises(InvalidCiphertext):
+        decrypt(priv, parse_ciphertext(blob))
+    with pytest.raises(InvalidCiphertext):
+        decrypt_chunk(priv, chunk, chunk_header(0, 1))
 
 
 @pytest.fixture(scope="module")

@@ -40,7 +40,7 @@ def test_enumeration_finds_whole_group(toy, table):
 
 
 def test_enumeration_detects_wrong_order(toy, alt):
-    # alt has p = 1033 < 2**20, so enumeration runs and must agree with n
+    # alt has p = 1063 < 2**20, so enumeration runs and must agree with n
     t = enumerate_points(alt)
     assert t.order == alt.n
 
@@ -148,6 +148,14 @@ def test_independent_decrypt_rejects_u2_forgery(toy, table):
     forged = CiphertextChunk(chunk.u1, point_add(toy, chunk.u2, toy.g2), chunk.e, chunk.v)
     with pytest.raises(ValueError):
         independent_decrypt(table, pub, forged, header)
+
+
+def test_independent_decrypt_rejects_identity_forgery(toy, table):
+    # r = 0 makes u1 = u2 = v = identity, which every key would accept
+    _, pub = keygen(toy, random.Random(0x1E3))
+    forged = CiphertextChunk(IDENTITY, IDENTITY, toy.g1, IDENTITY)
+    with pytest.raises(ValueError, match="identity"):
+        independent_decrypt(table, pub, forged, chunk_header(0, 1))
 
 
 def test_oracle_uses_no_group_ops_from_package(toy, table):

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eccs.curve import IDENTITY, TOY_ID, scalar_mult
-from eccs.ecs import Ciphertext, CiphertextChunk, PrivateKey, encrypt, keygen
+from eccs.ecs import Ciphertext, CiphertextChunk, PrivateKey, PublicKey, encrypt, keygen
 from eccs.errors import ParseError
 from eccs.wire import (
     KIND_CIPHERTEXT,
@@ -23,6 +25,8 @@ from eccs.wire import (
     serialize_private_key,
     serialize_public_key,
 )
+
+from helpers import byte_mutation
 
 
 @pytest.fixture(scope="module")
@@ -321,3 +325,72 @@ def test_dearmor_handles_crlf(toy_material):
     text = armor(blob, LABEL_PUBLIC_KEY).replace("\n", "\r\n")
     label, got = dearmor(text)
     assert (label, got) == (LABEL_PUBLIC_KEY, blob)
+
+
+# --- property tests -------------------------------------------------------
+
+LABELS = [LABEL_PUBLIC_KEY, LABEL_PRIVATE_KEY, LABEL_CIPHERTEXT]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["toy", "secp256k1"]), data=st.data())
+def test_key_parsers_round_trip(toy, secp, name, data):
+    params = toy if name == "toy" else secp
+    scalars = data.draw(st.lists(st.integers(1, params.n - 1), min_size=5, max_size=5))
+    priv = PrivateKey(params.curve_id, *scalars)
+    pub = PublicKey(params.curve_id, *(scalar_mult(params, params.g1, k) for k in scalars[:3]))
+    for key, serialize, parse, label in (
+        (priv, serialize_private_key, parse_private_key, LABEL_PRIVATE_KEY),
+        (pub, serialize_public_key, parse_public_key, LABEL_PUBLIC_KEY),
+    ):
+        blob = serialize(key)
+        assert parse(blob) == key
+        assert dearmor(armor(blob, label)) == (label, blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_key_parsers_refuse_mutations_only_with_parse_error(toy_material, secp_material, data):
+    priv, pub, _ = data.draw(st.sampled_from([toy_material, secp_material]))
+    serialize, parse, key = data.draw(
+        st.sampled_from(
+            [
+                (serialize_private_key, parse_private_key, priv),
+                (serialize_public_key, parse_public_key, pub),
+            ]
+        )
+    )
+    kind, blob = data.draw(byte_mutation(serialize(key)))
+    try:
+        got = parse(blob)
+    except ParseError:
+        return
+    # a length change never parses; a substitution that does is canonical
+    assert kind == "substitute"
+    assert serialize(got) == blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=st.sampled_from(LABELS), payload=st.binary(min_size=1, max_size=300))
+def test_dearmor_round_trips(label, payload):
+    assert dearmor(armor(payload, label)) == (label, payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dearmor_refuses_mutations_only_with_parse_error(toy_material, data):
+    priv, pub, _ = toy_material
+    label, blob = data.draw(
+        st.sampled_from(
+            [
+                (LABEL_PRIVATE_KEY, serialize_private_key(priv)),
+                (LABEL_PUBLIC_KEY, serialize_public_key(pub)),
+            ]
+        )
+    )
+    _, text = data.draw(byte_mutation(armor(blob, label)))
+    try:
+        got_label, _ = dearmor(text)
+    except ParseError:
+        return
+    assert got_label in LABELS
