@@ -17,7 +17,6 @@ as literature values, instead of pretending to measure them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from . import codec
 from .curve import (
@@ -31,6 +30,7 @@ from .curve import (
     scalar_mult,
 )
 from .ecs import _SYSTEM_RNG, decrypt, encrypt, keygen, sample_scalar
+from .record import Record
 from .wire import serialize_private_key, serialize_public_key
 
 # 28 bytes -> a single chunk on secp256k1 (capacity 30)
@@ -88,36 +88,22 @@ def elgamal_decrypt_message(params: CurveParams, z: int, pairs) -> bytes:
 # --- report types ---------------------------------------------------------
 
 
-@dataclass
-class OpStats:
-    """One operation's measured profile."""
+class OpStats(Record):
+    """One operation's measured profile: name, median_ms, p90_ms and its op counts."""
 
-    name: str
-    median_ms: float
-    p90_ms: float
-    scalar_mults: int
-    point_adds: int
-    negations: int
-    hashes: int
+    __slots__ = ("name", "median_ms", "p90_ms", "scalar_mults", "point_adds", "negations", "hashes")
 
 
-@dataclass
-class AlgorithmReport:
-    name: str
-    public_key_bytes: int
-    private_key_bytes: int
-    ops: list[OpStats] = field(default_factory=list)
-    note: str = ""
+class AlgorithmReport(Record):
+    """One scheme's key sizes, a tuple of ``OpStats`` and a note."""
+
+    __slots__ = ("name", "public_key_bytes", "private_key_bytes", "ops", "note")
 
 
-@dataclass
-class BenchReport:
-    curve: str
-    message_bytes: int
-    iterations: int
-    host: str
-    algorithms: list[AlgorithmReport] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class BenchReport(Record):
+    """The run's settings, a tuple of ``AlgorithmReport`` and a tuple of notes."""
+
+    __slots__ = ("curve", "message_bytes", "iterations", "host", "algorithms", "notes")
 
 
 # Published comparison figures (milliseconds on an Intel Core i7-8565U,
@@ -184,50 +170,41 @@ def run_suite(
         raise ValueError("need at least 10 iterations")
     params = get_curve(curve)
     rng = _SYSTEM_RNG
-    report = BenchReport(
-        curve=curve,
-        message_bytes=len(message),
-        iterations=iterations,
-        host=f"{platform.python_implementation()} {platform.python_version()} on {platform.machine() or 'unknown'}",
-    )
 
     priv, pub = keygen(params, rng)
     ciphertext = encrypt(pub, message, rng)
     ours = AlgorithmReport(
-        name="eccs",
-        public_key_bytes=len(serialize_public_key(pub)),
-        private_key_bytes=len(serialize_private_key(priv)),
+        "eccs",
+        len(serialize_public_key(pub)),
+        len(serialize_private_key(priv)),
+        (
+            _profile("keygen", lambda: keygen(params, rng), iterations),
+            _profile("encrypt", lambda: encrypt(pub, message, rng), iterations),
+            _profile("decrypt", lambda: decrypt(priv, ciphertext), iterations),
+        ),
+        "",
     )
-    ours.ops.append(_profile("keygen", lambda: keygen(params, rng), iterations))
-    ours.ops.append(_profile("encrypt", lambda: encrypt(pub, message, rng), iterations))
-    ours.ops.append(_profile("decrypt", lambda: decrypt(priv, ciphertext), iterations))
-    report.algorithms.append(ours)
 
     z, h = elgamal_keygen(params, rng)
     pairs = elgamal_encrypt_message(params, h, message, rng)
     baseline = AlgorithmReport(
-        name="ec-elgamal",
-        public_key_bytes=len(compress(params, h)),
-        private_key_bytes=params.scalar_bytes,
-        note="baseline only, malleable, not CCA-secure; key sizes are raw, no envelope",
+        "ec-elgamal",
+        len(compress(params, h)),
+        params.scalar_bytes,
+        (
+            _profile("keygen", lambda: elgamal_keygen(params, rng), iterations),
+            _profile(
+                "encrypt",
+                lambda: elgamal_encrypt_message(params, h, message, rng),
+                iterations,
+            ),
+            _profile("decrypt", lambda: elgamal_decrypt_message(params, z, pairs), iterations),
+        ),
+        "baseline only, malleable, not CCA-secure; key sizes are raw, no envelope",
     )
-    baseline.ops.append(
-        _profile("keygen", lambda: elgamal_keygen(params, rng), iterations)
-    )
-    baseline.ops.append(
-        _profile(
-            "encrypt",
-            lambda: elgamal_encrypt_message(params, h, message, rng),
-            iterations,
-        )
-    )
-    baseline.ops.append(
-        _profile("decrypt", lambda: elgamal_decrypt_message(params, z, pairs), iterations)
-    )
-    report.algorithms.append(baseline)
 
-    report.notes.append(KEY_SIZE_NOTE)
-    return report
+    host = f"{platform.python_implementation()} {platform.python_version()} on {platform.machine() or 'unknown'}"
+    return BenchReport(curve, len(message), iterations, host, (ours, baseline), (KEY_SIZE_NOTE,))
 
 
 def format_report(report: BenchReport) -> str:

@@ -24,7 +24,7 @@ import stat
 import sys
 import time
 
-from . import bench as bench_mod
+from . import bench as bench_mod  # eager: perfbench's tests rely on `import eccs.cli` loading it
 from . import curve as curve_mod
 from .codec import chunk_capacity
 from .curve import (
@@ -44,7 +44,6 @@ from .ecs import (
     keygen,
 )
 from .errors import InvalidCiphertext, ParseError
-from .oracle import enumerate_points
 from .wire import (
     KIND_CIPHERTEXT,
     KIND_PRIVATE_KEY,
@@ -383,6 +382,8 @@ def run_selftest(stream) -> bool:
 
     def toy_table():
         if "table" not in state:
+            from .oracle import enumerate_points  # only selftest needs it
+
             state["toy"] = get_curve("toy")
             state["table"] = enumerate_points(state["toy"])
         return state["toy"], state["table"]

@@ -42,7 +42,7 @@ def encode_chunk(params: CurveParams, data: bytes) -> CurvePoint:
             continue
         rhs = field(params._rhs(x))
         if rhs.is_square():
-            return CurvePoint(field(x), rhs.sqrt())
+            return CurvePoint(x, rhs.sqrt().value)
     raise ValueError("no curve point found for chunk (pad counter exhausted)")
 
 
@@ -55,7 +55,7 @@ def decode_chunk(params: CurveParams, point: CurvePoint) -> bytes:
     capacity = chunk_capacity(params)
     if point.is_identity:
         raise ValueError("identity point carries no chunk")
-    raw = point.x.to_bytes()
+    raw = point.x.to_bytes(params.coord_bytes, "big")
     head = len(raw) - (capacity + _OVERHEAD)
     if head and any(raw[:head]):
         raise ValueError("x coordinate too large for a chunk encoding")

@@ -36,19 +36,11 @@ import math
 import secrets
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import ParseError
 from .field import FieldElement, PrimeField, is_probable_prime
-
-try:  # big-int multiplication is the hot spot
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpz = int
-
-# Coordinate sizes below this many bits gain nothing from gmpy2.
-_MPZ_THRESHOLD_BITS = 64
+from .record import Record
 
 G2_DOMAIN_TAG = b"ECCS-G2-v1"
 
@@ -62,21 +54,20 @@ CURVE_NAMES = ("secp256k1", "toy")
 # points
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine curve point; ``x is None`` marks the identity."""
+class CurvePoint(Record):
+    """Affine curve point with int coordinates; ``x is None`` marks the identity.
 
-    x: Optional[FieldElement]
-    y: Optional[FieldElement]
+    Construction checks nothing: ``is_on_curve``, which every public
+    operation applies to its points, accepts only ints in [0, p) that
+    satisfy the curve equation.  Points are weakly referenceable, so a
+    base's fixed-base table can go when the base does.
+    """
+
+    __slots__ = ("x", "y", "__weakref__")
 
     @property
     def is_identity(self) -> bool:
         return self.x is None
-
-    def __repr__(self) -> str:
-        if self.is_identity:
-            return "CurvePoint(identity)"
-        return f"CurvePoint(x={self.x.value:#x}, y={self.y.value:#x})"
 
 
 IDENTITY = CurvePoint(None, None)
@@ -86,14 +77,14 @@ IDENTITY = CurvePoint(None, None)
 # operation counting
 
 
-@dataclass
 class OpCounter:
-    """Tally of group-level operations observed inside a ``count_ops`` block."""
+    """Tally of group-level operations observed inside a ``count_ops`` block.
 
-    point_adds: int = 0
-    scalar_mults: int = 0
-    negations: int = 0
-    hashes: int = 0
+    Not slotted: ``vars(counter)`` is the tally as a dict.
+    """
+
+    def __init__(self) -> None:
+        self.point_adds = self.scalar_mults = self.negations = self.hashes = 0
 
 
 _active_counter: Optional[OpCounter] = None
@@ -234,7 +225,7 @@ def _blinded_inverse(v, p: int) -> int:
     for a fresh uniform r from ``secrets``, which is independent of v.
     """
     r = 1 + secrets.randbelow(p - 1)
-    return r * pow(int(v) * r % p, -1, p) % p
+    return r * pow(v * r % p, -1, p) % p
 
 
 def _normalize(points, p):
@@ -358,8 +349,6 @@ class CurveParams:
         "scalar_field",
         "g1",
         "g2",
-        "_num",
-        "_p",
         "_add",
         "_dbl",
         "_windows",
@@ -422,10 +411,7 @@ class CurveParams:
         if 2 * n <= p + 1 + two_sqrt:
             # otherwise a cofactor >= 2 could hide inside the Hasse interval
             raise ValueError("order too small to force cofactor 1")
-        # the one conversion point into gmpy2 integers, where they pay off
-        self._num = _mpz if p.bit_length() > _MPZ_THRESHOLD_BITS else int
-        self._p = self._num(p)
-        self._add, self._dbl = _group_law(self._num(3 * b % p), self._p)
+        self._add, self._dbl = _group_law(3 * b % p, p)
         self._windows = (n.bit_length() + 3) // 4
         self._all_ones = (1 << 4 * self._windows) - 1
         self._inv2 = (n + 1) // 2
@@ -454,7 +440,7 @@ class CurveParams:
         ):
             raise ValueError("beta must be a cube root of unity mod p and 1 < lam < n")
         if proofs:
-            x, y = self._num(self.g1.x.value), self._num(self.g1.y.value)
+            x, y = self.g1.x, self.g1.y
             X, Y, Z = _variable_base(self, x, y, lam, None)
             if Z % p == 0 or (X - beta * x * Z) % p or (Y - y * Z) % p:
                 raise ValueError("lam * g1 is not (beta * x, y)")
@@ -465,16 +451,26 @@ class CurveParams:
         return (k + self._all_ones) * self._inv2 % self.n
 
     def point(self, x: int, y: int) -> CurvePoint:
-        """Build an affine point, verifying the curve equation."""
-        fx = self.field(x)
-        fy = self.field(y)
-        if (fy * fy).value != self._rhs(fx.value):
+        """Build an affine point from ints reduced mod p, verifying the curve equation."""
+        x, y = x % self.p, y % self.p
+        if not self._on_curve(x, y):
             raise ValueError("point is not on the curve")
-        return CurvePoint(fx, fy)
+        return CurvePoint(x, y)
 
     def _rhs(self, x: int) -> int:
         p = self.p
         return (x * x % p * x + self.b) % p
+
+    def _on_curve(self, x, y) -> bool:
+        """x and y are ints in [0, p) with y^2 == x^3 + b."""
+        p = self.p
+        return (
+            type(x) is int
+            and type(y) is int
+            and 0 <= x < p
+            and 0 <= y < p
+            and y * y % p == self._rhs(x)
+        )
 
     @property
     def identity(self) -> CurvePoint:
@@ -513,21 +509,15 @@ class CurveParams:
 
 
 def _require_member(params: CurveParams, point: CurvePoint) -> None:
-    if point.is_identity:
-        return
-    if point.x.field.modulus != params.p:
-        raise ValueError("point belongs to a different field")
     if not is_on_curve(params, point):
         raise ValueError("point is not on the curve")
 
 
 def is_on_curve(params: CurveParams, point: CurvePoint) -> bool:
-    """Curve-equation check; the identity counts as on-curve."""
+    """Membership check: the identity, or int coordinates in [0, p) on the curve."""
     if point.is_identity:
-        return True
-    if point.x.field.modulus != params.p or point.y.field.modulus != params.p:
-        return False
-    return (point.y * point.y).value == params._rhs(point.x.value)
+        return point.y is None
+    return params._on_curve(point.x, point.y)
 
 
 def _affine(params: CurveParams, triples) -> list[CurvePoint]:
@@ -541,7 +531,7 @@ def _affine(params: CurveParams, triples) -> list[CurvePoint]:
     out = [IDENTITY] * len(triples)
     if live:
         for i, (X, Y, _) in zip(live, _normalize([triples[i] for i in live], p)):
-            out[i] = params.point(int(X), int(Y))
+            out[i] = params.point(X, Y)
     return out
 
 
@@ -557,11 +547,11 @@ def point_add(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint
     if p1.is_identity:
         X1, Y1, Z1 = 0, 1, 0
     else:
-        X1, Y1, Z1 = p1.x.value, p1.y.value, 1
+        X1, Y1, Z1 = p1.x, p1.y, 1
     if p2.is_identity:
         X2, Y2, Z2 = 0, 1, 0
     else:
-        X2, Y2, Z2 = p2.x.value, p2.y.value, 1
+        X2, Y2, Z2 = p2.x, p2.y, 1
     return _from_projective(params, *params._add(X1, Y1, Z1, X2, Y2, Z2))
 
 
@@ -570,7 +560,7 @@ def point_negate(params: CurveParams, point: CurvePoint) -> CurvePoint:
     _require_member(params, point)
     if point.is_identity:
         return IDENTITY
-    return CurvePoint(point.x, -point.y)
+    return CurvePoint(point.x, (params.p - point.y) % params.p)
 
 
 def _as_scalar(params: CurveParams, k: Union[int, FieldElement]) -> int:
@@ -611,12 +601,12 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
         return None
     add, dbl = params._add, params._dbl
     points = []
-    base = (params._num(point.x.value), params._num(point.y.value), 1)
+    base = (point.x, point.y, 1)
     for _ in range(params._windows):
         row = _odd_multiples(add, dbl, *base)
         points += row
         base = add(*row[-1], *base)  # 15B + B
-    flat = _pack(_normalize(points, params.p), params._p)
+    flat = _pack(_normalize(points, params.p), params.p)
     table = [flat[i : i + 8] for i in range(0, len(flat), 8)]
     params._bases[point] = table
     return table
@@ -624,7 +614,7 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
 
 def _rows(params: CurveParams, x, y, glv: Optional[_Endomorphism]) -> list:
     """Packed rows of (x, y) for one call: its odd multiples and, given glv, their images."""
-    add, dbl, p = params._add, params._dbl, params._p
+    add, dbl, p = params._add, params._dbl, params.p
     row = _odd_multiples(add, dbl, x, y, 1)
     if glv is None:
         return [_pack(row, p)]
@@ -644,7 +634,7 @@ def _variable_base(params: CurveParams, x, y, k: int, glv: Optional[_Endomorphis
     """
     windows = params._windows if glv is None else glv.windows
     rows, values = _rows(params, x, y, glv), _digits(params, k, glv)
-    return _straus(params._add, params._dbl, params._p, rows, values, windows)
+    return _straus(params._add, params._dbl, params.p, rows, values, windows)
 
 
 def linear_combinations(
@@ -667,7 +657,7 @@ def linear_combinations(
     table), never on the scalars.
     """
     glv = params._glv
-    add, dbl, p = params._add, params._dbl, params._p
+    add, dbl, p = params._add, params._dbl, params.p
     windows = params._windows if glv is None else glv.windows
     checked: set[int] = set()
     built: dict[int, list] = {}
@@ -692,8 +682,7 @@ def linear_combinations(
                 continue
             rows = built.get(key)
             if rows is None:
-                x, y = params._num(point.x.value), params._num(point.y.value)
-                rows = built[key] = _rows(params, x, y, glv)
+                rows = built[key] = _rows(params, point.x, point.y, glv)
             var_rows += rows
             var_values += _digits(params, k, glv)
         total = None
@@ -731,8 +720,8 @@ def compress(params: CurveParams, point: CurvePoint) -> bytes:
     _require_member(params, point)
     if point.is_identity:
         return b"\x00"
-    prefix = 0x02 if point.y.value % 2 == 0 else 0x03
-    return bytes([prefix]) + point.x.to_bytes()
+    prefix = 0x02 if point.y % 2 == 0 else 0x03
+    return bytes([prefix]) + point.x.to_bytes(params.coord_bytes, "big")
 
 
 def decompress(params: CurveParams, data: bytes) -> CurvePoint:
@@ -749,19 +738,18 @@ def decompress(params: CurveParams, data: bytes) -> CurvePoint:
     if len(data) != 1 + params.coord_bytes:
         raise ParseError("wrong compressed point length")
     try:
-        fx = params.field.from_bytes(data[1:])
+        x = params.field.from_bytes(data[1:]).value
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    rhs = params.field(params._rhs(fx.value))
     try:
-        fy = rhs.sqrt()
+        y = params.field(params._rhs(x)).sqrt().value
     except ValueError:
         raise ParseError("x coordinate has no point on the curve") from None
     if prefix == 0x03:
-        if fy.value == 0:
+        if y == 0:
             raise ParseError("non-canonical encoding of a y == 0 point")
-        fy = -fy
-    return CurvePoint(fx, fy)
+        y = params.p - y
+    return CurvePoint(x, y)
 
 
 def compressed_size(params: CurveParams) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from dataclasses import dataclass
 
 from . import codec
 from .curve import (
@@ -37,6 +36,7 @@ from .curve import (
     scalar_mult,
 )
 from .errors import InvalidCiphertext
+from .record import Record
 
 # Domain-separation label for the validity hash.
 _HASH_LABEL = b"ECCS-v1-alpha"
@@ -44,42 +44,31 @@ _HASH_LABEL = b"ECCS-v1-alpha"
 _SYSTEM_RNG = random.SystemRandom()
 
 
-@dataclass(frozen=True)
-class PrivateKey:
-    """Five secret scalars in [1, n-1]."""
+class PrivateKey(Record):
+    """Five secret scalars in [1, n-1]; its repr shows none of them."""
 
-    curve_id: int
-    x1: int
-    x2: int
-    y1: int
-    y2: int
-    z: int
+    __slots__ = ("curve_id", "x1", "x2", "y1", "y2", "z")
+
+    def __repr__(self) -> str:
+        return f"PrivateKey(curve_id={self.curve_id:#04x}, <secret>)"
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(Record):
     """Commitments c = x1*g1 + x2*g2, d = y1*g1 + y2*g2, h = z*g1."""
 
-    curve_id: int
-    c: CurvePoint
-    d: CurvePoint
-    h: CurvePoint
+    __slots__ = ("curve_id", "c", "d", "h")
 
 
-@dataclass(frozen=True)
-class CiphertextChunk:
+class CiphertextChunk(Record):
     """One encrypted point: mask pair (u1, u2), payload e, validity v."""
 
-    u1: CurvePoint
-    u2: CurvePoint
-    e: CurvePoint
-    v: CurvePoint
+    __slots__ = ("u1", "u2", "e", "v")
 
 
-@dataclass(frozen=True)
-class Ciphertext:
-    curve_id: int
-    chunks: tuple[CiphertextChunk, ...]
+class Ciphertext(Record):
+    """A message's chunks, in order, on one curve."""
+
+    __slots__ = ("curve_id", "chunks")
 
 
 def sample_scalar(n: int, rng) -> int:

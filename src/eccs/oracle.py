@@ -109,7 +109,7 @@ class GroupTable:
 def _as_tuple(point: CurvePoint):
     if point.is_identity:
         return None
-    return point.x.value, point.y.value
+    return point.x, point.y
 
 
 def enumerate_points(params: CurveParams) -> GroupTable:

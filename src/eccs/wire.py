@@ -11,11 +11,11 @@ bytes rejected with :class:`~eccs.errors.ParseError`.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
 
 from .curve import CurveParams, CurvePoint, compress, curve_by_id, decompress
 from .ecs import Ciphertext, CiphertextChunk, PrivateKey, PublicKey
 from .errors import ParseError
+from .record import Record
 
 MAGIC = b"ECS1"
 VERSION = 0x01
@@ -33,13 +33,10 @@ _LABELS = (LABEL_PUBLIC_KEY, LABEL_PRIVATE_KEY, LABEL_CIPHERTEXT)
 _ARMOR_WIDTH = 64
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(Record):
     """Parsed outer frame; the body is still kind-specific raw bytes."""
 
-    kind: int
-    curve_id: int
-    body: bytes
+    __slots__ = ("kind", "curve_id", "body")
 
 
 class _Reader:

@@ -57,7 +57,7 @@ def as_tuple(point):
     """CurvePoint -> (x, y) tuple or None."""
     if point.is_identity:
         return None
-    return point.x.value, point.y.value
+    return point.x, point.y
 
 
 class SeqRng:

@@ -411,6 +411,20 @@ def test_selftest_catches_corrupted_digest(monkeypatch):
     assert "selftest: FAIL" in report
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_oracle():
+    # records are plain slotted classes, and only `eccs selftest` uses the oracle
+    code = (
+        "import sys\n"
+        "import eccs\n"
+        "print(sorted({'dataclasses'} & set(sys.modules)))\n"
+        "import eccs.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'eccs.oracle'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n[]\n"
+
+
 def test_cli_import_leaves_bench_only_modules_unloaded():
     # a one-shot process does not pay for modules only `eccs bench` uses
     code = (

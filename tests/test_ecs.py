@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eccs.codec import chunk_capacity, encode_chunk
-from eccs.curve import IDENTITY, count_ops, point_add, point_negate, scalar_mult
+from eccs.curve import IDENTITY, CurvePoint, count_ops, point_add, point_negate, scalar_mult
 from eccs.ecs import (
     Ciphertext,
     CiphertextChunk,
@@ -211,12 +210,36 @@ def test_tampered_chunk_rejected(toy):
     m = msg_point(toy, 9)
     chunk = encrypt_chunk(pub, m, header, rng)
     other = msg_point(toy, 10)
-    for field in ("u1", "u2", "e", "v"):
-        broken = CiphertextChunk(**{**chunk.__dict__, field: other})
+    names = ("u1", "u2", "e", "v")
+    for field in names:
         if getattr(chunk, field) == other:
             continue
+        broken = CiphertextChunk(
+            *(other if name == field else getattr(chunk, name) for name in names)
+        )
         with pytest.raises(InvalidCiphertext):
             decrypt_chunk(priv, broken, header)
+
+
+def test_non_canonical_point_rejected(toy):
+    # the same group element with x + p, or with field elements, is no member
+    rng = random.Random(79)
+    priv, pub = keygen(toy, rng)
+    header = chunk_header(0, 1)
+    chunk = encrypt_chunk(pub, msg_point(toy, 9), header, rng)
+    names = ("u1", "u2", "e", "v")
+    for field in names:
+        point = getattr(chunk, field)
+        for twin in (
+            CurvePoint(point.x + toy.p, point.y),
+            CurvePoint(toy.field(point.x), toy.field(point.y)),
+        ):
+            broken = CiphertextChunk(
+                *(twin if name == field else getattr(chunk, name) for name in names)
+            )
+            with pytest.raises(InvalidCiphertext):
+                decrypt_chunk(priv, broken, header)
+    assert decrypt_chunk(priv, chunk, header) == msg_point(toy, 9)
 
 
 def test_wrong_header_rejected(toy):
@@ -336,7 +359,10 @@ def test_decrypt_rejects_identity_mask_points(secp, fields):
     rng = random.Random(1006)
     priv, pub = keygen(secp, rng)
     ct = encrypt(pub, b"identity", rng)
-    chunk = dataclasses.replace(ct.chunks[0], **{name: IDENTITY for name in fields})
+    old = ct.chunks[0]
+    chunk = CiphertextChunk(
+        *(IDENTITY if name in fields else getattr(old, name) for name in ("u1", "u2", "e", "v"))
+    )
     blob = serialize_ciphertext(Ciphertext(ct.curve_id, (chunk,)))
     assert len(blob) == len(serialize_ciphertext(ct)) - 32 * len(fields)  # 0x00 per point
     with pytest.raises(InvalidCiphertext):
@@ -457,3 +483,13 @@ def test_decrypt_chunk_operation_profile(toy):
     assert ops.point_adds == 2
     assert ops.negations == 1
     assert ops.hashes == 1
+
+
+def test_private_key_repr_withholds_the_scalars(secp):
+    priv, _ = keygen(secp, random.Random(1007))
+    scalars = (priv.x1, priv.x2, priv.y1, priv.y2, priv.z)
+    for text in (repr(priv), str(priv)):
+        assert text == "PrivateKey(curve_id=0x01, <secret>)"
+        for s in scalars:
+            for form in (str(s), f"{s:x}", f"{s:X}"):
+                assert form not in text
