@@ -12,17 +12,18 @@ prime (hence odd) order, which parameter validation enforces.
 All scalar multiplication goes through one multi-scalar core,
 ``linear_combinations``, which computes sums of products k1*P1 + ... in
 one call; ``scalar_mult`` is its one-term case.  Scalars are read as
-signed odd 4-bit digits, one table entry added per digit.  A base used
-often gets a fixed-base table with a row per digit position and needs no
-doublings; any other base gets a row of its odd multiples per call and,
-where the curve has the endomorphism (x, y) -> (beta*x, y) as both
-registry curves do, a GLV split into two half-length scalars.  The
-untabled terms of a sum share their doublings (Straus), a base's rows
-are built once per call, and all results of a call go to affine with
-one inversion.  Iteration counts depend only on the curve and on the
-shape of the sums, every table entry is chosen by a masked scan of its
-whole row, and signs are applied by a mask, so the sequence of
-arithmetic operations does not depend on the scalars.  Python integers
+signed odd digits, one table entry added per digit.  A base used often
+gets a fixed-base table: a row of 16 odd multiples per 5-bit digit
+position, so it needs no doublings.  Any other base gets a row of its 8
+odd multiples per call, read with 4-bit digits, and, where the curve has
+the endomorphism (x, y) -> (beta*x, y) as both registry curves do, a GLV
+split into two half-length scalars.  The untabled terms of a sum share
+their doublings (Straus), a base's rows are built once per call, and all
+results of a call go to affine with one inversion.  Iteration counts
+depend only on the curve and on the shape of the sums, every table entry
+is chosen by a masked scan of its whole row, and signs are applied by a
+mask, so the sequence of arithmetic operations does not depend on the
+scalars.  Python integers
 are not a hard side-channel boundary, but the structure keeps the usual
 leak classes (branches, table indices) out of the scalar path.
 Converting results back to affine uses the built-in inverse on a
@@ -36,10 +37,10 @@ import math
 import secrets
 import weakref
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .errors import ParseError
-from .field import FieldElement, PrimeField, is_probable_prime
+from .field import PrimeField, is_probable_prime
 from .record import Record
 
 G2_DOMAIN_TAG = b"ECCS-G2-v1"
@@ -161,19 +162,21 @@ def _group_law(b3, p):
 # ---------------------------------------------------------------------------
 # constant-shape multi-scalar core
 #
-# A value v of 4*w bits is read as the signed odd-digit number
-#     read(v) = sum_{i<w} (2*c_i - 15) * 16**i = 2*v - (16**w - 1),
-# c_i being its 4-bit windows.  Every digit is odd and nonzero, so a table
-# row only holds the eight odd multiples P, 3P, ..., 15P, none of them the
-# identity when P has prime order above 15.  Any scalar k is reached by
-# halving mod n: read((k + 16**w - 1) / 2 mod n) == k (mod n).
+# A value v of c*w bits is read, in c-bit windows d_i, as the signed
+# odd-digit number
+#     read(v) = sum_{i<w} (2*d_i - (2**c - 1)) * 2**(c*i) = 2*v - (2**(c*w) - 1).
+# Every digit is odd and nonzero, so a row of width c only holds the odd
+# multiples P, 3P, ..., (2**c - 1)P, none of them the identity when P has
+# prime order above 2**c.  Variable bases use c = 4 (rows of 8) and
+# fixed-base tables c = 5 (rows of 16).  Any scalar k is reached by halving
+# mod n: read((k + 2**(c*w) - 1) / 2 mod n) == k (mod n).
 
 
-def _odd_multiples(add, dbl, X, Y, Z):
-    """The row [P, 3P, 5P, ..., 15P] for P = (X : Y : Z)."""
+def _odd_multiples(add, dbl, X, Y, Z, size=8):
+    """The row [P, 3P, 5P, ..., (2*size - 1)P] for P = (X : Y : Z)."""
     twice = dbl(X, Y, Z)
     row = [(X, Y, Z)]
-    for _ in range(7):
+    for _ in range(size - 1):
         row.append(add(*row[-1], *twice))
     return row
 
@@ -185,16 +188,19 @@ def _pack(points, p):
 
 
 def _select(row, window, p):
-    """Entry for the digit 2*window - 15, by a masked scan of the whole row.
+    """Entry for the digit 2*window - (2*len(row) - 1), by a masked scan.
 
-    Digits 1, 3, ..., 15 sit at indices 0..7 of a packed row.  A negative
-    digit takes the entry of its absolute value and negates y by a mask.
+    A row holds 8 or 16 entries, for 4- or 5-bit windows: digits 1, 3, ...
+    sit at indices 0, 1, ..., and every entry of the row is read.  A
+    negative digit takes the entry of its absolute value and negates y by
+    a mask.
     """
-    neg = (window >> 3) - 1  # -1 below digit zero, else 0
-    index = (window ^ neg) & 7
+    half = len(row)
+    neg = (window - half) >> 4  # -1 below digit zero, else 0
+    index = (window ^ neg) & (half - 1)
     entry = 0
     for j, packed in enumerate(row):
-        entry |= (((j ^ index) - 1) >> 3) & packed  # -1 & packed where j == index
+        entry |= (((j ^ index) - 1) >> 4) & packed  # -1 & packed where j == index
     s = p.bit_length()
     mask = (1 << s) - 1
     X, Y, Z = entry & mask, entry >> s & mask, entry >> 2 * s
@@ -203,11 +209,11 @@ def _select(row, window, p):
 
 
 def _straus(add, dbl, p, rows, values, windows):
-    """sum_j read(values[j]) * P_j, where rows[j] is the packed row of P_j.
+    """sum_j read(values[j]) * P_j, where rows[j] is the packed 8-entry row of P_j.
 
-    One pass over the windows, top first, with the doublings shared by
-    all rows (Straus).  It always makes windows * len(rows) additions and
-    4 * (windows - 1) doublings, whatever the values.
+    One pass over the 4-bit windows, top first, with the doublings shared
+    by all rows (Straus).  It always makes windows * len(rows) additions
+    and 4 * (windows - 1) doublings, whatever the values.
     """
     X, Y, Z = 0, 1, 0
     for shift in range(4 * windows - 4, -1, -4):
@@ -229,20 +235,22 @@ def _blinded_inverse(v, p: int) -> int:
 
 
 def _normalize(points, p):
-    """Scale non-identity projective points to Z = 1 with one inversion."""
-    prefix = []
+    """Non-identity projective points scaled to Z = 1, with one inversion.
+
+    A generator over a list: each point is scaled as it is taken, so a
+    caller that packs the results holds no second list of triples.
+    """
+    zinv = []
     acc = 1
     for _, _, Z in points:
-        prefix.append(acc)
+        zinv.append(acc)
         acc = acc * Z % p
     inv = _blinded_inverse(acc, p)
-    out = []
-    for (X, Y, Z), before in zip(reversed(points), reversed(prefix)):
-        zinv = inv * before % p
-        inv = inv * Z % p
-        out.append((X * zinv % p, Y * zinv % p, 1))
-    out.reverse()
-    return out
+    for i in range(len(points) - 1, -1, -1):
+        zinv[i] = inv * zinv[i] % p
+        inv = inv * points[i][2] % p
+    for (X, Y, _), scale in zip(points, zinv):
+        yield X * scale % p, Y * scale % p, 1
 
 
 def _raw_has_order_n(p: int, b: int, n: int, x: int, y: int) -> bool:
@@ -353,6 +361,8 @@ class CurveParams:
         "_dbl",
         "_windows",
         "_all_ones",
+        "_table_windows",
+        "_table_ones",
         "_inv2",
         "_glv",
         "_bases",
@@ -414,6 +424,8 @@ class CurveParams:
         self._add, self._dbl = _group_law(3 * b % p, p)
         self._windows = (n.bit_length() + 3) // 4
         self._all_ones = (1 << 4 * self._windows) - 1
+        self._table_windows = (n.bit_length() + 4) // 5
+        self._table_ones = (1 << 5 * self._table_windows) - 1
         self._inv2 = (n + 1) // 2
         self._bases = weakref.WeakKeyDictionary()
         self.g1 = self._checked_generator(g1, "g1", proofs)
@@ -446,9 +458,9 @@ class CurveParams:
                 raise ValueError("lam * g1 is not (beta * x, y)")
         return _Endomorphism(n, beta, lam)
 
-    def _recode(self, k: int) -> int:
-        """v with read(v) == k (mod n) over the full-length windows."""
-        return (k + self._all_ones) * self._inv2 % self.n
+    def _recode(self, k: int, ones: int) -> int:
+        """v with read(v) == k (mod n), for ones = 2**(c*w) - 1 over w c-bit windows."""
+        return (k + ones) * self._inv2 % self.n
 
     def point(self, x: int, y: int) -> CurvePoint:
         """Build an affine point from ints reduced mod p, verifying the curve equation."""
@@ -563,35 +575,34 @@ def point_negate(params: CurveParams, point: CurvePoint) -> CurvePoint:
     return CurvePoint(point.x, (params.p - point.y) % params.p)
 
 
-def _as_scalar(params: CurveParams, k: Union[int, FieldElement]) -> int:
-    if isinstance(k, FieldElement):
-        if k.field.modulus != params.n:
-            raise ValueError("scalar belongs to a different scalar field")
-        return k.value
-    if isinstance(k, int):
-        if not 0 <= k < params.n:
-            raise ValueError("scalar outside [0, n)")
-        return k
-    raise TypeError(f"scalar must be int or FieldElement, got {type(k).__name__}")
+def _as_scalar(params: CurveParams, k: int) -> int:
+    if not isinstance(k, int):
+        raise TypeError(f"scalar must be int, got {type(k).__name__}")
+    if not 0 <= k < params.n:
+        raise ValueError("scalar outside [0, n)")
+    return k
 
 
 # The break-even count: a base gets its fixed-base table on this use.  On
-# secp256k1 (CPython 3.11, 2-vCPU Xeon VM) building the table takes about
-# 5.4 ms, and each use of it takes 0.54 ms where a variable-base
-# multiplication takes 1.5 ms, so the table repays itself in about six
-# uses; the uses made before it cost about as much as the table.  Bases
-# used fewer times (keygen's three uses of g1 in a one-shot CLI process,
-# a fresh key's one chunk) never pay for a table.
-_TABLE_AT_USE = 6
+# secp256k1 (CPython 3.11, a 2-vCPU Xeon VM whose speed drifts; medians of
+# 40-60 rounds) building the 52-row table takes 10-15 ms, and each use of
+# it takes 0.58-0.93 ms where a variable-base multiplication takes
+# 1.5-2.3 ms.  Within one run the build costs what 11.0-11.1 uses save.
+# Building it once the untabled uses have cost about as much extra as the
+# table keeps every base within about 1.5 times the cost of the best
+# choice made knowing its use count.  Bases used fewer times (keygen's
+# three uses of g1 in a one-shot CLI process, a fresh key's one chunk)
+# never pay for a table.
+_TABLE_AT_USE = 12
 
 
 def _fixed_table(params: CurveParams, point: CurvePoint):
     """The base's fixed-base table from its ``_TABLE_AT_USE``-th use on.
 
-    Row i holds the odd multiples of 16**i * point with Z = 1, so k * point
-    is one window of a Straus sum over all rows: no doublings.  Uses are
-    counted per point in a weak mapping, so the count and the table go
-    when the object that first recorded them does.
+    Row i holds the 16 odd multiples of 32**i * point with Z = 1, one row
+    per 5-bit window, so k * point is one entry per row and no doublings.
+    Uses are counted per point in a weak mapping, so the count and the
+    table go when the object that first recorded them does.
     """
     uses = params._bases.get(point, 0)
     if not isinstance(uses, int):
@@ -602,12 +613,12 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
     add, dbl = params._add, params._dbl
     points = []
     base = (point.x, point.y, 1)
-    for _ in range(params._windows):
-        row = _odd_multiples(add, dbl, *base)
+    for _ in range(params._table_windows):
+        row = _odd_multiples(add, dbl, *base, 16)
         points += row
-        base = add(*row[-1], *base)  # 15B + B
+        base = add(*row[-1], *base)  # 31B + B
     flat = _pack(_normalize(points, params.p), params.p)
-    table = [flat[i : i + 8] for i in range(0, len(flat), 8)]
+    table = [flat[i : i + 16] for i in range(0, len(flat), 16)]
     params._bases[point] = table
     return table
 
@@ -623,7 +634,7 @@ def _rows(params: CurveParams, x, y, glv: Optional[_Endomorphism]) -> list:
 
 def _digits(params: CurveParams, k: int, glv: Optional[_Endomorphism]):
     """The values whose readings on the rows of ``_rows`` sum to k."""
-    return (params._recode(k),) if glv is None else glv.split(k)
+    return (params._recode(k, params._all_ones),) if glv is None else glv.split(k)
 
 
 def _variable_base(params: CurveParams, x, y, k: int, glv: Optional[_Endomorphism]):
@@ -639,16 +650,17 @@ def _variable_base(params: CurveParams, x, y, k: int, glv: Optional[_Endomorphis
 
 def linear_combinations(
     params: CurveParams,
-    sums: Sequence[Sequence[tuple[CurvePoint, Union[int, FieldElement]]]],
+    sums: Sequence[Sequence[tuple[CurvePoint, int]]],
 ) -> list[CurvePoint]:
     """sum_j k_j * P_j for each sum of (P_j, k_j) terms, sharing the work.
 
     A sum of t terms stands for, and is tallied as, t scalar
-    multiplications and t - 1 point additions.  In each sum the terms
-    whose base has a fixed-base table take one Straus window over their
-    tables' rows (no doublings), and the other terms one Straus pass with
-    shared doublings over their rows, split where the curve has the
-    endomorphism; the two parts are then added.  A base's rows are built
+    multiplications and t - 1 point additions.  In each sum a term whose
+    base has a fixed-base table adds one entry per table row, read from
+    its scalar's 5-bit signed odd digits (no doublings).  The other terms
+    take one Straus pass with shared doublings over their rows, read with
+    4-bit digits and split where the curve has the endomorphism; the
+    table entries are then added to its result.  A base's rows are built
     and its membership checked once per call, however many terms use
     it, and every result goes to affine with one inversion.  Each term
     still counts as one use of its base towards a fixed-base table.  The
@@ -665,7 +677,7 @@ def linear_combinations(
     for terms in sums:
         _tally("scalar_mults", len(terms))
         _tally("point_adds", max(len(terms) - 1, 0))
-        tab_rows, tab_values, var_rows, var_values = [], [], [], []
+        tab_rows, tab_digits, var_rows, var_values = [], [], [], []
         for point, k in terms:
             k = _as_scalar(params, k)
             key = id(point)
@@ -676,37 +688,37 @@ def linear_combinations(
                 continue
             table = _fixed_table(params, point)
             if table is not None:
-                v = params._recode(k)
+                v = params._recode(k, params._table_ones)
                 tab_rows += table
-                tab_values += [v >> shift & 15 for shift in range(0, 4 * len(table), 4)]
+                tab_digits += [v >> shift & 31 for shift in range(0, 5 * len(table), 5)]
                 continue
             rows = built.get(key)
             if rows is None:
                 rows = built[key] = _rows(params, point.x, point.y, glv)
             var_rows += rows
             var_values += _digits(params, k, glv)
-        total = None
-        if tab_rows:
-            total = _straus(add, dbl, p, tab_rows, tab_values, 1)
+        entries = (_select(row, digit, p) for row, digit in zip(tab_rows, tab_digits))
         if var_rows:
-            part = _straus(add, dbl, p, var_rows, var_values, windows)
-            total = part if total is None else add(*total, *part)
-        results.append((0, 1, 0) if total is None else total)
+            total = _straus(add, dbl, p, var_rows, var_values, windows)
+        else:  # start from the first table entry, not from the identity
+            total = next(entries, (0, 1, 0))
+        for entry in entries:
+            total = add(*total, *entry)
+        results.append(total)
     return _affine(params, results)
 
 
-def scalar_mult(
-    params: CurveParams, point: CurvePoint, k: Union[int, FieldElement]
-) -> CurvePoint:
+def scalar_mult(params: CurveParams, point: CurvePoint, k: int) -> CurvePoint:
     """k * point, with a sequence of operations that does not depend on k.
 
     The one-term case of ``linear_combinations``: the scalar is read as
-    signed odd 4-bit digits, and each digit adds one table entry, chosen
-    by a masked scan of the whole row and negated by a mask.  A base used
-    often gets a fixed-base table (no doublings); otherwise a row of its
-    odd multiples is built per call and, on curves with the
-    endomorphism, the scalar is split into two half-length ones.
-    Iteration counts depend only on the curve.
+    signed odd digits, and each digit adds one table entry, chosen by a
+    masked scan of the whole row and negated by a mask.  A base used
+    often gets a fixed-base table of 16-entry rows read with 5-bit digits
+    (no doublings); otherwise a row of its 8 odd multiples is built per
+    call and read with 4-bit digits and, on curves with the endomorphism,
+    the scalar is split into two half-length ones.  Iteration counts
+    depend only on the curve.
     """
     return linear_combinations(params, [[(point, k)]])[0]
 

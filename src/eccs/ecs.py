@@ -11,9 +11,10 @@ Secret-dependent work is confined to the curve's multi-scalar core,
 ``linear_combinations``, and its one-term case ``scalar_mult`` (a fixed
 sequence of operations with masked table scans), and to a constant-time
 comparison; there are no secret-indexed lookups and no early exits
-ahead of the validity check.  Key generation and decryption hand their
-sums of products to the core in one call each, so they share rows,
-doublings and the final inversion.
+ahead of the validity check, and a message is rejected only after all
+of its chunks have been decrypted.  Key generation and decryption hand
+their sums of products to the core in one call each, so they share
+rows, doublings and the final inversion.
 """
 
 from __future__ import annotations
@@ -201,7 +202,13 @@ def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
 
 
 def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
-    """Decrypt a full message; any failure raises ``InvalidCiphertext``."""
+    """Decrypt a full message; any failure raises ``InvalidCiphertext``.
+
+    Every chunk is decrypted and decoded before the message is accepted
+    or rejected as a whole, so the work done, and with it the time taken,
+    does not depend on which chunk is bad.  A rejected chunk decodes its
+    public e point in place of the message point it did not yield.
+    """
     try:
         if ciphertext.curve_id != priv.curve_id:
             raise InvalidCiphertext
@@ -209,10 +216,19 @@ def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
         total = len(ciphertext.chunks)
         if total == 0:
             raise InvalidCiphertext
+        failed = False
         pieces = []
         for index, chunk in enumerate(ciphertext.chunks):
-            m_point = decrypt_chunk(priv, chunk, chunk_header(index, total))
-            pieces.append(codec.decode_chunk(params, m_point))
+            try:
+                point = decrypt_chunk(priv, chunk, chunk_header(index, total))
+            except InvalidCiphertext:
+                failed, point = True, chunk.e
+            try:
+                pieces.append(codec.decode_chunk(params, point))
+            except ValueError:
+                failed = True
+        if failed:
+            raise InvalidCiphertext
         return codec.join_message(pieces)
     except InvalidCiphertext:
         raise

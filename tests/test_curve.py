@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eccs import curve as curve_mod
+from eccs import ecs
 from eccs import field as field_mod
 from eccs.curve import (
     _REGISTRY_DIGESTS,
@@ -22,6 +23,7 @@ from eccs.curve import (
     _from_projective,
     _odd_multiples,
     _pack,
+    _select,
     _spec_digest,
     _straus,
     _variable_base,
@@ -301,9 +303,9 @@ def test_scalar_mult_distributes_over_scalar_addition(toy):
         assert lhs == rhs
 
 
-def test_scalar_mult_accepts_scalar_field_elements(toy):
-    k = toy.scalar_field(77)
-    assert scalar_mult(toy, toy.g1, k) == scalar_mult(toy, toy.g1, 77)
+def test_scalar_mult_refuses_scalar_field_elements(toy):
+    with pytest.raises(TypeError):
+        scalar_mult(toy, toy.g1, toy.scalar_field(77))
 
 
 def test_scalar_range_enforced(toy, secp):
@@ -311,8 +313,8 @@ def test_scalar_range_enforced(toy, secp):
         scalar_mult(toy, toy.g1, -1)
     with pytest.raises(ValueError):
         scalar_mult(toy, toy.g1, toy.n)
-    with pytest.raises(ValueError):
-        scalar_mult(toy, toy.g1, secp.scalar_field(5))  # wrong scalar field
+    with pytest.raises(TypeError):
+        scalar_mult(toy, toy.g1, secp.scalar_field(5))  # not an int, whatever its field
     with pytest.raises(TypeError):
         scalar_mult(toy, toy.g1, 1.5)
 
@@ -387,6 +389,9 @@ def test_secp256k1_edge_scalars_on_every_path():
     scalars = [0, 1, 2, n - 1, lam, n - lam]
     # recodings that are all-zero or all-ones windows: every digit -15 or +15
     scalars += [(0 - full) % n, full % n]
+    # the same over the table's 52 5-bit windows: every digit -31 or +31
+    full5 = (1 << 5 * 52) - 1
+    scalars += [(0 - full5) % n, full5 % n]
     glv_windows = secp._glv.windows
     ones = (1 << 4 * glv_windows) - 1
     for v1 in (0, ones):
@@ -430,6 +435,39 @@ def test_straus_reads_extreme_windows(secp):
             assert as_tuple(got) == aff_mul(secp.p, 0, gt, multiple % secp.n)
 
 
+def plain_select(row, window):
+    """The digit 2*window - (2*len(row) - 1) looked up by index, negated by branch."""
+    digit = 2 * window - (2 * len(row) - 1)
+    X, Y, Z = row[(abs(digit) - 1) // 2]
+    return (X, Y, Z) if digit > 0 else (X, -Y, Z)
+
+
+@pytest.mark.parametrize("size", [8, 16])
+def test_select_matches_a_plain_lookup_for_every_window(secp, size):
+    p = secp.p
+    row = _odd_multiples(secp._add, secp._dbl, secp.g1.x, secp.g1.y, 1, size)
+    packed = _pack(row, p)
+    for window in range(2 * size):
+        X, Y, Z = _select(packed, window, p)
+        want = plain_select(row, window)
+        assert (X, Y % p, Z) == (want[0], want[1] % p, want[2]), window
+
+
+@pytest.mark.parametrize("name", ["toy", "secp256k1"])
+def test_fixed_tables_hold_16_odd_multiples_per_5_bit_window(name):
+    params = fresh_curve(name)
+    table = params._bases[with_table(params, params.g1)]
+    assert len(table) == {"toy": 3, "secp256k1": 52}[name]
+    assert 5 * len(table) >= params.n.bit_length() > 5 * (len(table) - 1)
+    s = params.p.bit_length()
+    g1t = as_tuple(params.g1)
+    for i in (0, 1, len(table) - 1):
+        assert len(table[i]) == 16
+        for j in (0, 1, 15):
+            want = aff_mul(params.p, 0, g1t, (2 * j + 1) * 32**i % params.n)
+            assert table[i][j] == want[0] | want[1] << s | 1 << 2 * s  # Z == 1
+
+
 def cube_roots_of_unity(m):
     """The two nontrivial cube roots of 1 modulo a prime m == 1 (mod 3)."""
     g = 2
@@ -463,6 +501,25 @@ def test_fixed_tables_wait_for_the_break_even_use():
     assert isinstance(secp._bases[base], list)
     del base  # counts and tables go with the base object
     assert len(secp._bases) == 0
+
+
+def test_one_shot_processes_build_no_table(fresh_registry):
+    """A one-shot CLI process loads its own curve: keygen uses g1 three
+    times, encrypting one chunk uses g1, g2, c, d and h once each, and
+    decrypting it uses u1 twice.  None of them reaches a table."""
+    assert _TABLE_AT_USE >= 4
+    rng = random.Random(0x1CE)
+    secp = curve_by_id(SECP256K1_ID)
+    priv, pub = ecs.keygen(secp, rng)
+    assert dict(secp._bases) == {secp.g1: 3, secp.g2: 2}
+    curve_mod._loaded.clear()
+    secp = curve_by_id(SECP256K1_ID)
+    ct = ecs.encrypt(pub, b"one chunk", rng)
+    assert list(secp._bases.values()) == [1] * 5
+    curve_mod._loaded.clear()
+    secp = curve_by_id(SECP256K1_ID)
+    assert ecs.decrypt(priv, ct) == b"one chunk"
+    assert sorted(secp._bases.values()) == [1, 2]
 
 
 # --- multi-scalar core ----------------------------------------------------
@@ -554,8 +611,9 @@ def test_linear_combinations_count_each_term_as_a_use():
     P, Q = toy.g1, toy.g2
     linear_combinations(toy, [[(P, 1), (Q, 2)], [(P, 3)], [(IDENTITY, 4)]])
     assert (toy._bases[P], toy._bases[Q]) == (2, 1)
-    # uses 3 to 6 of P in one call: the last term meets the new table
-    sums = [[(P, 5), (P, 6), (Q, 7)], [(P, 8), (P, 9)]]
+    # uses 3 to _TABLE_AT_USE of P in one call: the last term meets the new table
+    ks = list(range(5, 3 + _TABLE_AT_USE))
+    sums = [[(P, k) for k in ks[:-2]] + [(Q, 7)], [(P, k) for k in ks[-2:]]]
     got = linear_combinations(toy, sums)
     assert isinstance(toy._bases[P], list) and toy._bases[Q] == 2
     assert [as_tuple(point) for point in got] == [reference_sum(toy, t) for t in sums]
@@ -630,6 +688,7 @@ def test_linear_combinations_shape_is_independent_of_the_scalars(monkeypatch):
     untabled = shape()
     with_table(secp, P)
     tabled = shape()
+    assert len(secp._bases[P]) == 52
     windows = secp._glv.windows
     # two sums of 4 * (windows - 1) doublings each, and one per row built (P, Q)
     assert untabled[1] == 2 * 4 * (windows - 1) + 2

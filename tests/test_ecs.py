@@ -1,10 +1,13 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eccs import codec
+from eccs import ecs as ecs_mod
 from eccs.codec import chunk_capacity, encode_chunk
 from eccs.curve import IDENTITY, CurvePoint, count_ops, point_add, point_negate, scalar_mult
 from eccs.ecs import (
@@ -352,6 +355,35 @@ def test_decrypt_rejects_truncation_and_extension(secp):
         decrypt(priv, Ciphertext(ct.curve_id, ct.chunks + (ct.chunks[0],)))
     with pytest.raises(InvalidCiphertext):
         decrypt(priv, Ciphertext(ct.curve_id, ()))
+
+
+def test_decrypt_rejects_a_message_only_after_every_chunk(secp, monkeypatch):
+    """A forged first or last chunk costs the same core calls and decodes."""
+    rng = random.Random(1003)
+    priv, pub = keygen(secp, rng)
+    ct = encrypt(pub, bytes(range(90)), rng)
+    assert len(ct.chunks) == 3
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ecs_mod, "linear_combinations", counted("core", ecs_mod.linear_combinations))
+    monkeypatch.setattr(codec, "decode_chunk", counted("decode", codec.decode_chunk))
+    seen = []
+    for index in (0, 2):
+        chunks = list(ct.chunks)
+        u1, u2, e, v = chunks[index].u1, chunks[index].u2, chunks[index].e, chunks[index].v
+        chunks[index] = CiphertextChunk(u1, u2, e, point_negate(secp, v))
+        calls.clear()
+        with pytest.raises(InvalidCiphertext):
+            decrypt(priv, Ciphertext(ct.curve_id, tuple(chunks)))
+        seen.append(dict(calls))
+    assert seen == [{"core": 3, "decode": 3}] * 2
 
 
 @pytest.mark.parametrize("fields", [("u1",), ("u2",), ("u1", "u2")])
