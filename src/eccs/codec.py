@@ -4,7 +4,8 @@ A chunk of at most ``chunk_capacity`` bytes becomes the x coordinate of
 a curve point: a one-byte pad counter, a one-byte length, the data, and
 a zero fill.  The pad counter is bumped until the resulting x is both
 below p and the x of an actual curve point (about half of all x values
-are; 256 attempts fail with probability around 2**-256).
+are; 256 attempts fail with probability around 2**-256).  Each candidate
+x costs one square-root attempt, which doubles as the square test.
 
 The embedded length plus the zero-fill check make decoding strict: a
 point that did not come out of ``encode_chunk`` is overwhelmingly likely
@@ -40,9 +41,10 @@ def encode_chunk(params: CurveParams, data: bytes) -> CurvePoint:
         x = int.from_bytes(bytes([pad]) + body, "big")
         if x >= params.p:
             continue
-        rhs = field(params._rhs(x))
-        if rhs.is_square():
-            return CurvePoint(x, rhs.sqrt().value)
+        try:
+            return CurvePoint(x, field(params._rhs(x)).sqrt().value)
+        except ValueError:  # x^3 + b is not a square: try the next pad
+            continue
     raise ValueError("no curve point found for chunk (pad counter exhausted)")
 
 

@@ -37,6 +37,7 @@ import math
 import secrets
 import weakref
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Optional, Sequence
 
 from .errors import ParseError
@@ -88,7 +89,7 @@ class OpCounter:
         self.point_adds = self.scalar_mults = self.negations = self.hashes = 0
 
 
-_active_counter: Optional[OpCounter] = None
+_active_counter: ContextVar[Optional[OpCounter]] = ContextVar("eccs_op_counter", default=None)
 
 
 @contextmanager
@@ -98,21 +99,20 @@ def count_ops() -> Iterator[OpCounter]:
     Only calls to the public API are tallied; the additions inside a
     scalar multiplication do not count.  A ``linear_combinations`` sum
     of t terms counts as the t scalar multiplications and t - 1 point
-    additions it stands for.  The counter is module-global and not
-    thread-safe.
+    additions it stands for.  The active counter is context-local: each
+    thread (and each asyncio task) counts only its own operations, and
+    an inner block counts its operations instead of the outer one.
     """
-    global _active_counter
-    prev = _active_counter
     counter = OpCounter()
-    _active_counter = counter
+    token = _active_counter.set(counter)
     try:
         yield counter
     finally:
-        _active_counter = prev
+        _active_counter.reset(token)
 
 
 def _tally(op: str, count: int = 1) -> None:
-    counter = _active_counter
+    counter = _active_counter.get()
     if counter is not None:
         setattr(counter, op, getattr(counter, op) + count)
 
@@ -212,15 +212,18 @@ def _straus(add, dbl, p, rows, values, windows):
     """sum_j read(values[j]) * P_j, where rows[j] is the packed 8-entry row of P_j.
 
     One pass over the 4-bit windows, top first, with the doublings shared
-    by all rows (Straus).  It always makes windows * len(rows) additions
-    and 4 * (windows - 1) doublings, whatever the values.
+    by all rows (Straus).  The pass starts from the first row's top entry,
+    not from the identity, so it always makes windows * len(rows) - 1
+    additions and 4 * (windows - 1) doublings, whatever the values.
     """
-    X, Y, Z = 0, 1, 0
-    for shift in range(4 * windows - 4, -1, -4):
+    top = 4 * windows - 4
+    X, Y, Z = _select(rows[0], values[0] >> top & 15, p)
+    for row, v in zip(rows[1:], values[1:]):
+        X, Y, Z = add(X, Y, Z, *_select(row, v >> top & 15, p))
+    for shift in range(top - 4, -1, -4):
+        X, Y, Z = dbl(*dbl(*dbl(*dbl(X, Y, Z))))
         for row, v in zip(rows, values):
             X, Y, Z = add(X, Y, Z, *_select(row, v >> shift & 15, p))
-        if shift:
-            X, Y, Z = dbl(*dbl(*dbl(*dbl(X, Y, Z))))
     return X, Y, Z
 
 

@@ -15,13 +15,23 @@ ahead of the validity check, and a message is rejected only after all
 of its chunks have been decrypted.  Key generation and decryption hand
 their sums of products to the core in one call each, so they share
 rows, doublings and the final inversion.
+
+A whole message uses the CPUs the process may run on
+(``os.sched_getaffinity``; ``taskset`` limits them): ``encrypt`` and
+``decrypt`` cut its chunks into contiguous slices, one per CPU, compute
+the first slice themselves and each other slice in a forked child.  The
+chunks are independent work, each under its own r, so the result is the
+one a single process computes, byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import marshal
+import os
 import random
+import threading
 
 from . import codec
 from .curve import (
@@ -29,6 +39,7 @@ from .curve import (
     CurvePoint,
     _tally,
     compress,
+    count_ops,
     curve_by_id,
     is_on_curve,
     linear_combinations,
@@ -43,6 +54,12 @@ from .record import Record
 _HASH_LABEL = b"ECCS-v1-alpha"
 
 _SYSTEM_RNG = random.SystemRandom()
+
+# Fewest chunks a process of a fanned-out message computes.  A fork, its
+# pipe and its reaping took 1.8-3.6 ms in a 20 MiB process, against about
+# 5 ms per secp256k1 chunk, so a slice of one chunk saves little or
+# nothing; a message of 1 to 3 chunks stays in one process.
+_SLICE_AT_CHUNKS = 2
 
 
 class PrivateKey(Record):
@@ -189,15 +206,145 @@ def decrypt_chunk(
         raise InvalidCiphertext from None
 
 
+class _Drawn:
+    """An rng that replays one scalar drawn earlier: ``sample_scalar`` takes it as it is."""
+
+    __slots__ = ("r",)
+
+    def __init__(self, r: int) -> None:
+        self.r = r
+
+    def getrandbits(self, _bits: int) -> int:
+        return self.r
+
+
+def _slices(count: int) -> list[tuple[int, int]]:
+    """Contiguous [start, stop) slices of range(count), one per process.
+
+    One per CPU the process may run on, as long as every slice gets
+    ``_SLICE_AT_CHUNKS`` chunks.  One slice where ``fork`` or
+    ``sched_getaffinity`` is missing, and in a process with other
+    threads: a fork copies the locks they hold but not the threads that
+    would release them.  The cut depends only on the count and the CPU
+    set.
+    """
+    cpus = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        cpus = len(os.sched_getaffinity(0))
+    processes = max(1, min(cpus, count // _SLICE_AT_CHUNKS))
+    bounds = [count * i // processes for i in range(processes + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _fork(work, start: int, stop: int):
+    """(pid, read end) of a child that sends ``work(start, stop)``; None if fork fails.
+
+    The child inherits the key, the tables and the input; it writes its
+    result and its ``count_ops`` tally to the pipe as ``marshal`` data and
+    leaves by ``os._exit``, with status 0 only once all of it is written.
+    Whatever happens in it, even an interrupt, ends there: it prints
+    nothing and never returns into the caller's code.
+    """
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        with count_ops() as ops:
+            result = work(start, stop)
+        data = memoryview(marshal.dumps((result, vars(ops))))
+        while data:
+            data = data[os.write(write, data) :]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(child, size: int):
+    """The child's whole result, its tally added to the caller's; None otherwise."""
+    pid, read = child
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        return None
+    try:
+        result, tally = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if len(result) != size:
+        return None
+    for op, count in tally.items():
+        _tally(op, count)
+    return result
+
+
+def _fan_out(work, count: int) -> list:
+    """work(start, stop) over the slices of range(count), concatenated in order.
+
+    This process computes the first slice, and a forked child each
+    other.  A slice whose fork fails, or whose child ends without a
+    whole result, is computed here, so children only add speed.  Every
+    child is reaped before this returns or raises.
+    """
+    first, *rest = _slices(count)
+    children = []
+    try:
+        for start, stop in rest:
+            children.append((start, stop, _fork(work, start, stop)))
+        results = work(*first)
+        while children:
+            start, stop, child = children.pop(0)
+            got = None if child is None else _collect(child, stop - start)
+            results += work(start, stop) if got is None else got
+        return results
+    finally:
+        for _start, _stop, child in children:
+            if child is not None:
+                pid, read = child
+                os.close(read)
+                os.waitpid(pid, 0)
+
+
 def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
-    """Encrypt an arbitrary byte string as a sequence of bound chunks."""
+    """Encrypt an arbitrary byte string as a sequence of bound chunks.
+
+    Every r is drawn from rng in chunk order before any work is split,
+    so the ciphertext does not depend on the number of CPUs.
+    """
+    if rng is None:
+        rng = _SYSTEM_RNG
     params = curve_by_id(pub.curve_id)
     pieces = codec.split_message(params, message)
     total = len(pieces)
-    chunks = []
-    for index, piece in enumerate(pieces):
-        m_point = codec.encode_chunk(params, piece)
-        chunks.append(encrypt_chunk(pub, m_point, chunk_header(index, total), rng))
+    rs = [sample_scalar(params.n, rng) for _ in pieces]
+
+    def work(start: int, stop: int) -> list:
+        out = []
+        for index in range(start, stop):
+            m_point = codec.encode_chunk(params, pieces[index])
+            chunk = encrypt_chunk(pub, m_point, chunk_header(index, total), _Drawn(rs[index]))
+            points = (chunk.u1, chunk.u2, chunk.e, chunk.v)
+            out.append(tuple((point.x, point.y) for point in points))
+        return out
+
+    chunks = (
+        CiphertextChunk(*(CurvePoint(x, y) for x, y in points))
+        for points in _fan_out(work, total)
+    )
     return Ciphertext(params.curve_id, tuple(chunks))
 
 
@@ -213,23 +360,30 @@ def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
         if ciphertext.curve_id != priv.curve_id:
             raise InvalidCiphertext
         params = curve_by_id(priv.curve_id)
-        total = len(ciphertext.chunks)
+        chunks = ciphertext.chunks
+        total = len(chunks)
         if total == 0:
             raise InvalidCiphertext
-        failed = False
-        pieces = []
-        for index, chunk in enumerate(ciphertext.chunks):
-            try:
-                point = decrypt_chunk(priv, chunk, chunk_header(index, total))
-            except InvalidCiphertext:
-                failed, point = True, chunk.e
-            try:
-                pieces.append(codec.decode_chunk(params, point))
-            except ValueError:
-                failed = True
-        if failed:
+
+        def work(start: int, stop: int) -> list:
+            out = []
+            for index in range(start, stop):
+                chunk, ok = chunks[index], True
+                try:
+                    point = decrypt_chunk(priv, chunk, chunk_header(index, total))
+                except InvalidCiphertext:
+                    ok, point = False, chunk.e
+                try:
+                    piece = codec.decode_chunk(params, point)
+                except ValueError:
+                    ok, piece = False, b""
+                out.append((ok, piece))
+            return out
+
+        results = _fan_out(work, total)
+        if not all(ok for ok, _piece in results):
             raise InvalidCiphertext
-        return codec.join_message(pieces)
+        return codec.join_message([piece for _ok, piece in results])
     except InvalidCiphertext:
         raise
     except (ValueError, TypeError, AttributeError):

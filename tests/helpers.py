@@ -60,6 +60,26 @@ def as_tuple(point):
     return point.x, point.y
 
 
+def reference_encode(p: int, b: int, capacity: int, data: bytes):
+    """(x, y) of the try-and-increment chunk encoding on y^2 = x^3 + b, p % 4 == 3.
+
+    x is [pad][length][data][zero fill] for the smallest pad that puts x
+    below p with x^3 + b a square by Euler's criterion; y is the even one
+    of its two roots.  None when all 256 pads fail.
+    """
+    body = bytes([len(data)]) + data + bytes(capacity - len(data))
+    for pad in range(256):
+        x = int.from_bytes(bytes([pad]) + body, "big")
+        if x >= p:
+            continue
+        rhs = (x * x * x + b) % p
+        if rhs and pow(rhs, (p - 1) // 2, p) != 1:
+            continue
+        y = pow(rhs, (p + 1) // 4, p)
+        return x, y if y % 2 == 0 else p - y
+    return None
+
+
 class SeqRng:
     """rng stand-in that replays a fixed list of integers.
 

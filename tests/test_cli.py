@@ -212,6 +212,25 @@ def test_decrypt_flipped_byte_is_exit_4(keypair, sealed, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("chunk", ["first", "last"])
+def test_decrypt_of_a_tampered_4_kib_file_is_exit_4(keypair, tmp_path, chunk):
+    # 137 chunks: on a host with several CPUs the last one is a child's
+    pub, priv = keypair
+    msg, ct = tmp_path / "msg.bin", tmp_path / "ct.bin"
+    msg.write_bytes(os.urandom(4096))
+    assert run_cli("encrypt", "--pub", pub, "--in", msg, "--out", ct).returncode == 0
+    blob = bytearray(ct.read_bytes())
+    points = 4 * 137
+    offset = len(blob) - 33 * points + 33 * (3 if chunk == "first" else points - 1)
+    assert blob[offset] in (0x02, 0x03)
+    blob[offset] ^= 0x01  # negate the chunk's validity point v
+    bad, out = tmp_path / "bad.bin", tmp_path / "out.bin"
+    bad.write_bytes(bytes(blob))
+    result = run_cli("decrypt", "--priv", priv, "--in", bad, "--out", out)
+    assert (result.returncode, result.stdout, result.stderr) == (4, "", "error: invalid ciphertext\n")
+    assert not out.exists()
+
+
 def test_decrypt_garbage_file_is_exit_4(keypair, tmp_path):
     _, priv = keypair
     bad = tmp_path / "garbage"

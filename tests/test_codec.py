@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eccs import field as field_mod
 from eccs.codec import (
     chunk_capacity,
     decode_chunk,
@@ -13,7 +14,7 @@ from eccs.codec import (
 )
 from eccs.curve import CurvePoint, IDENTITY, compress, decompress, is_on_curve
 
-from helpers import byte_mutation
+from helpers import as_tuple, byte_mutation, reference_encode
 
 # secp256k1's chunk capacity, for strategies drawn before any fixture
 SECP_CAPACITY = 30
@@ -49,6 +50,45 @@ def test_roundtrip_various_lengths(secp):
 def test_roundtrip_edge_payloads(secp):
     for data in (b"", b"\x00", b"\x00" * 30, b"\xff" * 30, bytes(range(30))):
         assert decode_chunk(secp, encode_chunk(secp, data)) == data
+
+
+def test_encode_matches_a_reference_encoder(secp):
+    rng = random.Random(0xC0DE)
+    for length in range(SECP_CAPACITY + 1):
+        for data in (bytes(length), b"\xff" * length, rng.randbytes(length), rng.randbytes(length)):
+            want = reference_encode(secp.p, secp.b, SECP_CAPACITY, data)
+            assert as_tuple(encode_chunk(secp, data)) == want, data.hex()
+
+
+def test_encode_takes_one_square_root_per_candidate(secp, monkeypatch):
+    calls = []
+    original = field_mod.FieldElement.sqrt
+
+    def counted(self):
+        calls.append(self.value)
+        return original(self)
+
+    monkeypatch.setattr(field_mod.FieldElement, "sqrt", counted)
+    monkeypatch.setattr(field_mod.FieldElement, "is_square", None)  # never asked
+    rng = random.Random(0x5A17)
+    for _ in range(40):
+        data = rng.randbytes(rng.randrange(SECP_CAPACITY + 1))
+        calls.clear()
+        x, _ = as_tuple(encode_chunk(secp, data))
+        assert calls[-1] == secp._rhs(x) and len(calls) == (x >> 8 * SECP_CAPACITY + 8) + 1
+
+
+def test_encode_raises_when_every_pad_fails(secp, monkeypatch):
+    calls = []
+
+    def no_root(self):
+        calls.append(self.value)
+        raise ValueError("element is not a quadratic residue")
+
+    monkeypatch.setattr(field_mod.FieldElement, "sqrt", no_root)
+    with pytest.raises(ValueError, match="pad counter exhausted"):
+        encode_chunk(secp, b"no pad works")
+    assert len(calls) == 256
 
 
 def test_encode_rejects_oversized(secp):

@@ -2,6 +2,7 @@ import copy
 import math
 import random
 import re
+import threading
 from collections import Counter
 
 import pytest
@@ -690,11 +691,36 @@ def test_linear_combinations_shape_is_independent_of_the_scalars(monkeypatch):
     tabled = shape()
     assert len(secp._bases[P]) == 52
     windows = secp._glv.windows
+    # 7 additions per row of odd multiples built (P, Q), and each Straus
+    # pass starts from its first entry: one addition fewer than its entries
+    assert untabled[0] == 2 * 7 + (4 * windows - 1) + (2 * windows - 1) == 210
+    # P tabled: Q's row and pass, then 52 entries added to it; the
+    # table-only sum starts from its first entry
+    assert tabled[0] == 7 + (2 * windows - 1) + 52 + 51 == 175
     # two sums of 4 * (windows - 1) doublings each, and one per row built (P, Q)
     assert untabled[1] == 2 * 4 * (windows - 1) + 2
     # P tabled: only Q's row and Q's pass in the first sum double
     assert tabled[1] == 4 * (windows - 1) + 1
     assert tabled[2] == 2 * len(secp._bases[P]) + 2 * windows
+
+
+def test_untabled_scalar_mult_makes_72_additions(monkeypatch):
+    secp = fresh_curve("secp256k1")
+    adds = Counter()
+    original = secp._add
+
+    def counted(*args):
+        adds["add"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(secp, "_add", counted)
+    rng = random.Random(0x72)
+    for k in (1, secp.n - 1, rng.randrange(secp.n), rng.randrange(secp.n)):
+        secp._bases.pop(secp.g2, None)  # never a table
+        adds.clear()
+        assert as_tuple(scalar_mult(secp, secp.g2, k)) == reference_sum(secp, [(secp.g2, k)])
+        # 7 for the row of odd multiples, 2 * 33 - 1 for the GLV pass
+        assert adds["add"] == 72
 
 
 def test_cross_curve_points_rejected(toy, secp):
@@ -850,3 +876,32 @@ def test_count_ops_nests_and_restores(toy):
     assert outer.point_adds == 2  # inner block not double-counted
     # outside any block nothing is recorded (would raise otherwise)
     point_add(toy, toy.g1, toy.g1)
+
+
+def test_count_ops_counts_each_thread_apart(toy):
+    # both blocks are open at once, and the threads take turns between the
+    # barrier's phases: each counter sees only its own thread's operations
+    barrier = threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def count(name, op, times):
+        with count_ops() as ops:
+            barrier.wait()
+            for _ in range(times):
+                op()
+                barrier.wait()
+            barrier.wait()
+        seen[name] = vars(ops)
+
+    adds = threading.Thread(target=count, args=("adds", lambda: point_add(toy, toy.g1, toy.g2), 3))
+    mults = threading.Thread(target=count, args=("mults", lambda: scalar_mult(toy, toy.g1, 5), 3))
+    with count_ops() as main:
+        adds.start()
+        mults.start()
+        adds.join()
+        mults.join()
+    assert seen == {
+        "adds": {"point_adds": 3, "scalar_mults": 0, "negations": 0, "hashes": 0},
+        "mults": {"point_adds": 0, "scalar_mults": 3, "negations": 0, "hashes": 0},
+    }
+    assert vars(main) == {"point_adds": 0, "scalar_mults": 0, "negations": 0, "hashes": 0}

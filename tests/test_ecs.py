@@ -1,5 +1,8 @@
 import hashlib
+import marshal
+import os
 import random
+import threading
 from collections import Counter
 
 import pytest
@@ -525,3 +528,202 @@ def test_private_key_repr_withholds_the_scalars(secp):
         for s in scalars:
             for form in (str(s), f"{s:x}", f"{s:X}"):
                 assert form not in text
+
+
+# --- whole messages over the CPUs ------------------------------------------
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes the process see n CPUs; yields the list of fork results."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)))
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    set_cpus.forks = forks
+    yield set_cpus
+    assert no_child_left()
+
+
+@pytest.fixture(scope="module")
+def forty(secp):
+    """(private key, public key, 1,200-byte message): forty chunks."""
+    priv, pub = keygen(secp, random.Random(3000))
+    return priv, pub, random.Random(3001).randbytes(40 * chunk_capacity(secp))
+
+
+PER_ENC_CHUNK = {"point_adds": 2, "scalar_mults": 5, "negations": 0, "hashes": 1}
+PER_DEC_CHUNK = {"point_adds": 2, "scalar_mults": 3, "negations": 1, "hashes": 1}
+
+
+def per_chunk(ops, chunks):
+    return {name: count / chunks for name, count in vars(ops).items()}
+
+
+def test_slices_cover_the_chunks_in_order(cpus):
+    cpus(2)
+    assert ecs_mod._slices(1) == [(0, 1)]
+    assert ecs_mod._slices(3) == [(0, 3)]
+    assert ecs_mod._slices(4) == [(0, 2), (2, 4)]
+    assert ecs_mod._slices(9) == [(0, 4), (4, 9)]
+    assert ecs_mod._slices(137) == [(0, 68), (68, 137)]
+    cpus(8)
+    assert ecs_mod._slices(5) == [(0, 2), (2, 5)]
+    assert ecs_mod._slices(16) == [(2 * i, 2 * i + 2) for i in range(8)]
+    cpus(1)
+    assert ecs_mod._slices(137) == [(0, 137)]
+
+
+def test_fan_out_changes_no_byte_and_no_count(cpus, forty):
+    priv, pub, message = forty
+    blobs, counts = [], []
+    for n in (1, 2):
+        cpus(n)
+        with count_ops() as enc:
+            ct = encrypt(pub, message, random.Random(3002))
+        with count_ops() as dec:
+            assert decrypt(priv, ct) == message
+        blobs.append(serialize_ciphertext(ct))
+        counts.append((per_chunk(enc, 40), per_chunk(dec, 40)))
+    assert len(cpus.forks) == 2  # one child per call with two CPUs
+    assert blobs[0] == blobs[1]
+    assert counts == [(PER_ENC_CHUNK, PER_DEC_CHUNK)] * 2
+
+
+def test_fan_out_rejects_a_forged_chunk_in_any_slice(cpus, forty, secp):
+    cpus(2)
+    priv, pub, message = forty
+    ct = encrypt(pub, message, random.Random(3003))
+    seen = []
+    for index in (0, 39):  # the parent's slice, the child's slice
+        chunks = list(ct.chunks)
+        u1, u2, e, v = chunks[index].u1, chunks[index].u2, chunks[index].e, chunks[index].v
+        chunks[index] = CiphertextChunk(u1, u2, e, point_negate(secp, v))
+        with count_ops() as ops:
+            with pytest.raises(InvalidCiphertext):
+                decrypt(priv, Ciphertext(ct.curve_id, tuple(chunks)))
+        seen.append(vars(ops))
+    assert len(cpus.forks) == 3
+    assert seen == [{name: 40 * n for name, n in PER_DEC_CHUNK.items()}] * 2
+
+
+class FailingMarshal:
+    """marshal for the children: ``dumps`` raises, or returns all but its last bytes."""
+
+    loads = staticmethod(marshal.loads)
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def dumps(self, value):
+        if self.cut is None:
+            raise RuntimeError("child fails before it writes")
+        return marshal.dumps(value)[: -self.cut]
+
+
+def fork_fails():
+    raise OSError("no fork")
+
+
+@pytest.mark.parametrize("fault", ["fork", "raise", "truncate"])
+def test_a_failed_child_costs_time_not_results(cpus, forty, monkeypatch, fault):
+    priv, pub, message = forty
+    cpus(1)
+    ct = encrypt(pub, message, random.Random(3004))
+    cpus(2)
+    if fault == "fork":
+        monkeypatch.setattr(os, "fork", fork_fails)
+    else:
+        monkeypatch.setattr(ecs_mod, "marshal", FailingMarshal(None if fault == "raise" else 7))
+    with count_ops() as enc:
+        again = encrypt(pub, message, random.Random(3004))
+    with count_ops() as dec:
+        assert decrypt(priv, again) == message
+    assert serialize_ciphertext(again) == serialize_ciphertext(ct)
+    # a failed child's tally is dropped, and its slice is counted here instead
+    assert (per_chunk(enc, 40), per_chunk(dec, 40)) == (PER_ENC_CHUNK, PER_DEC_CHUNK)
+    assert len(cpus.forks) == (0 if fault == "fork" else 2)
+
+
+def test_an_error_in_the_parents_slice_reaps_the_children(cpus, forty, monkeypatch, secp):
+    cpus(2)
+    priv, pub, message = forty
+    ct = encrypt(pub, message, random.Random(3009))
+    broken = Ciphertext(ct.curve_id, (None,) + ct.chunks[1:])  # chunk 0 is no chunk
+    with pytest.raises(InvalidCiphertext):
+        decrypt(priv, broken)
+    first = message[: chunk_capacity(secp)]
+    real_encode = codec.encode_chunk
+
+    def encode(params, data):
+        if data == first:
+            raise ValueError("no curve point found for chunk (pad counter exhausted)")
+        return real_encode(params, data)
+
+    monkeypatch.setattr(codec, "encode_chunk", encode)
+    with pytest.raises(ValueError, match="pad counter exhausted"):
+        encrypt(pub, message, random.Random(3009))
+    assert len(cpus.forks) == 3
+
+
+def test_short_messages_never_fork(cpus, secp):
+    cpus(8)
+    priv, pub = keygen(secp, random.Random(3005))
+    rng = random.Random(3006)
+    capacity = chunk_capacity(secp)
+    for length in (0, 1, capacity, capacity + 1, 3 * capacity):
+        message = rng.randbytes(length)
+        assert decrypt(priv, encrypt(pub, message, rng)) == message
+    assert cpus.forks == []
+    message = rng.randbytes(3 * capacity + 1)  # four chunks: two slices of two
+    assert decrypt(priv, encrypt(pub, message, rng)) == message
+    assert len(cpus.forks) == 2
+
+
+def test_no_fork_beside_another_thread(cpus, secp):
+    cpus(2)
+    priv, pub = keygen(secp, random.Random(3007))
+    message = bytes(range(4 * chunk_capacity(secp)))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert decrypt(priv, encrypt(pub, message, random.Random(3008))) == message
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert cpus.forks == []
+    assert decrypt(priv, encrypt(pub, message, random.Random(3008))) == message
+    assert len(cpus.forks) == 2
+
+
+def test_the_pinned_encryption_fans_out_on_two_cpus(cpus, secp):
+    # test_seeded_encryption_bytes_are_pinned, through two processes
+    cpus(2)
+    rng = random.Random(0x5EED)
+    priv, pub = keygen(secp, rng)
+    ct = encrypt(pub, bytes(range(250)), rng)
+    assert hashlib.sha3_256(serialize_ciphertext(ct)).hexdigest() == (
+        "32b06ab1d705453f3f289064ca5e43e640906846c4662973bdd3445807893b4d"
+    )
+    assert decrypt(priv, ct) == bytes(range(250))
+    assert len(cpus.forks) == 2
