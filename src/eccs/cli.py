@@ -36,6 +36,7 @@ from .curve import (
 from .ecs import (
     Ciphertext,
     _SYSTEM_RNG,
+    _Drawn,
     chunk_header,
     decrypt,
     decrypt_chunk,
@@ -326,16 +327,6 @@ _SHA3_VECTORS = (
 )
 
 
-class _FixedBits:
-    """rng stub returning one predetermined in-range scalar."""
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def getrandbits(self, _nbits: int) -> int:
-        return self.value
-
-
 def run_selftest(stream) -> bool:
     """Execute the built-in verification suite; True iff everything passed.
 
@@ -411,7 +402,7 @@ def run_selftest(stream) -> bool:
             m_point = table.to_point(table.points[rng.randrange(1, table.order)])
             header = chunk_header(0, 1)
             for r in range(1, toy.n):
-                chunk = encrypt_chunk(pub, m_point, header, _FixedBits(r))
+                chunk = encrypt_chunk(pub, m_point, header, _Drawn(r))
                 if decrypt_chunk(priv, chunk, header) != m_point:
                     raise AssertionError(f"roundtrip failed at r={r}")
 

@@ -595,7 +595,10 @@ def _as_scalar(params: CurveParams, k: int) -> int:
 # table keeps every base within about 1.5 times the cost of the best
 # choice made knowing its use count.  Bases used fewer times (keygen's
 # three uses of g1 in a one-shot CLI process, a fresh key's one chunk)
-# never pay for a table.
+# never pay for a table.  A fanned-out message's children send back the
+# uses they made (``_add_base_uses``), so the count is the same as in one
+# process; a base whose count a child completes gets its table on its
+# next use in the parent, and a table built in a child dies with it.
 _TABLE_AT_USE = 12
 
 
@@ -624,6 +627,22 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
     table = [flat[i : i + 16] for i in range(0, len(flat), 16)]
     params._bases[point] = table
     return table
+
+
+def _base_uses(params: CurveParams) -> dict:
+    """{(x, y): uses} of the counted bases; a base with a table counts its break-even."""
+    return {
+        (point.x, point.y): uses if isinstance(uses, int) else _TABLE_AT_USE
+        for point, uses in list(params._bases.items())
+    }
+
+
+def _add_base_uses(params: CurveParams, used: dict) -> None:
+    """Add uses made in another process to the bases this one counts too."""
+    for point, uses in list(params._bases.items()):
+        more = used.get((point.x, point.y))
+        if more and isinstance(uses, int):
+            params._bases[point] = uses + more
 
 
 def _rows(params: CurveParams, x, y, glv: Optional[_Endomorphism]) -> list:

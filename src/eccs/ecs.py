@@ -31,12 +31,14 @@ import hmac
 import marshal
 import os
 import random
-import threading
+import sys
 
 from . import codec
 from .curve import (
     CurveParams,
     CurvePoint,
+    _add_base_uses,
+    _base_uses,
     _tally,
     compress,
     count_ops,
@@ -229,21 +231,24 @@ def _slices(count: int) -> list[tuple[int, int]]:
     set.
     """
     cpus = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        cpus = len(os.sched_getaffinity(0))
+    threading = sys.modules.get("threading")  # no Python thread runs unless it is loaded
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        if threading is None or threading.active_count() == 1:
+            cpus = len(os.sched_getaffinity(0))
     processes = max(1, min(cpus, count // _SLICE_AT_CHUNKS))
     bounds = [count * i // processes for i in range(processes + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
-def _fork(work, start: int, stop: int):
+def _fork(params: CurveParams, work, start: int, stop: int):
     """(pid, read end) of a child that sends ``work(start, stop)``; None if fork fails.
 
     The child inherits the key, the tables and the input; it writes its
-    result and its ``count_ops`` tally to the pipe as ``marshal`` data and
-    leaves by ``os._exit``, with status 0 only once all of it is written.
-    Whatever happens in it, even an interrupt, ends there: it prints
-    nothing and never returns into the caller's code.
+    result, its ``count_ops`` tally and the uses it made of each base to
+    the pipe as ``marshal`` data, and leaves by ``os._exit``, with status
+    0 only once all of it is written.  Whatever happens in it, even an
+    interrupt, ends there: it prints nothing and never returns into the
+    caller's code.
     """
     try:
         read, write = os.pipe()
@@ -261,9 +266,15 @@ def _fork(work, start: int, stop: int):
     status = 1
     try:
         os.close(read)
+        before = _base_uses(params)
         with count_ops() as ops:
             result = work(start, stop)
-        data = memoryview(marshal.dumps((result, vars(ops))))
+        used = {
+            base: uses - before.get(base, 0)
+            for base, uses in _base_uses(params).items()
+            if uses != before.get(base, 0)
+        }
+        data = memoryview(marshal.dumps((result, vars(ops), used)))
         while data:
             data = data[os.write(write, data) :]
         status = 0
@@ -271,28 +282,42 @@ def _fork(work, start: int, stop: int):
         os._exit(status)
 
 
-def _collect(child, size: int):
-    """The child's whole result, its tally added to the caller's; None otherwise."""
+def _reap(pid: int) -> int:
+    """The child's wait status, or 0 if the caller's SIGCHLD handling reaped it first.
+
+    A child reaped elsewhere (SIGCHLD ignored, or a handler that waits
+    for any child) is judged by its data alone, which it writes only
+    once its work is done.
+    """
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return 0
+
+
+def _collect(params: CurveParams, child, size: int):
+    """The child's whole result, its tally and base uses added to the caller's; None otherwise."""
     pid, read = child
     try:
         with open(read, "rb") as pipe:
             data = pipe.read()
     finally:
-        _, status = os.waitpid(pid, 0)
+        status = _reap(pid)
     if status:
         return None
     try:
-        result, tally = marshal.loads(data)
+        result, tally, used = marshal.loads(data)
     except (EOFError, ValueError, TypeError):
         return None
     if len(result) != size:
         return None
     for op, count in tally.items():
         _tally(op, count)
+    _add_base_uses(params, used)
     return result
 
 
-def _fan_out(work, count: int) -> list:
+def _fan_out(params: CurveParams, work, count: int) -> list:
     """work(start, stop) over the slices of range(count), concatenated in order.
 
     This process computes the first slice, and a forked child each
@@ -304,11 +329,11 @@ def _fan_out(work, count: int) -> list:
     children = []
     try:
         for start, stop in rest:
-            children.append((start, stop, _fork(work, start, stop)))
+            children.append((start, stop, _fork(params, work, start, stop)))
         results = work(*first)
         while children:
             start, stop, child = children.pop(0)
-            got = None if child is None else _collect(child, stop - start)
+            got = None if child is None else _collect(params, child, stop - start)
             results += work(start, stop) if got is None else got
         return results
     finally:
@@ -316,7 +341,7 @@ def _fan_out(work, count: int) -> list:
             if child is not None:
                 pid, read = child
                 os.close(read)
-                os.waitpid(pid, 0)
+                _reap(pid)
 
 
 def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
@@ -343,7 +368,7 @@ def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
 
     chunks = (
         CiphertextChunk(*(CurvePoint(x, y) for x, y in points))
-        for points in _fan_out(work, total)
+        for points in _fan_out(params, work, total)
     )
     return Ciphertext(params.curve_id, tuple(chunks))
 
@@ -380,7 +405,7 @@ def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
                 out.append((ok, piece))
             return out
 
-        results = _fan_out(work, total)
+        results = _fan_out(params, work, total)
         if not all(ok for ok, _piece in results):
             raise InvalidCiphertext
         return codec.join_message([piece for _ok, piece in results])

@@ -444,6 +444,20 @@ def test_cli_import_loads_no_dataclasses_inspect_or_oracle():
     assert result.stdout == "[]\n[]\n"
 
 
+def test_cli_import_loads_no_threading():
+    # the fan-out looks for other threads without importing threading;
+    # -S keeps site hooks from loading it first
+    code = (
+        "import sys\n"
+        "print('threading' in sys.modules)\n"
+        "import eccs.cli\n"
+        "print('threading' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\nFalse\n"
+
+
 def test_cli_import_leaves_bench_only_modules_unloaded():
     # a one-shot process does not pay for modules only `eccs bench` uses
     code = (

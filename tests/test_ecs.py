@@ -2,6 +2,7 @@ import hashlib
 import marshal
 import os
 import random
+import signal
 import threading
 from collections import Counter
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eccs import codec
+from eccs import curve as curve_mod
 from eccs import ecs as ecs_mod
 from eccs.codec import chunk_capacity, encode_chunk
 from eccs.curve import IDENTITY, CurvePoint, count_ops, point_add, point_negate, scalar_mult
@@ -727,3 +729,43 @@ def test_the_pinned_encryption_fans_out_on_two_cpus(cpus, secp):
     )
     assert decrypt(priv, ct) == bytes(range(250))
     assert len(cpus.forks) == 2
+
+
+def reap_any_child(_signum, _frame):
+    """A SIGCHLD handler that waits for any child, as daemons' handlers do."""
+    try:
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+    except ChildProcessError:
+        pass
+
+
+@pytest.mark.parametrize("handler", [signal.SIG_IGN, reap_any_child], ids=["ignored", "handled"])
+def test_fan_out_when_sigchld_reaps_the_children(cpus, forty, handler):
+    priv, pub, message = forty
+    cpus(1)
+    ct = encrypt(pub, message, random.Random(3010))
+    cpus(2)
+    previous = signal.signal(signal.SIGCHLD, handler)
+    try:
+        with count_ops() as enc:
+            again = encrypt(pub, message, random.Random(3010))
+        with count_ops() as dec:
+            assert decrypt(priv, again) == message
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert serialize_ciphertext(again) == serialize_ciphertext(ct)
+    assert (per_chunk(enc, 40), per_chunk(dec, 40)) == (PER_ENC_CHUNK, PER_DEC_CHUNK)
+    assert len(cpus.forks) == 2
+
+
+def test_a_childs_base_uses_count_towards_tables(cpus, secp):
+    # one use short of a table, made across two processes
+    cpus(2)
+    _, pub = keygen(secp, random.Random(3011))
+    chunks = curve_mod._TABLE_AT_USE - 1
+    encrypt(pub, bytes(chunks * chunk_capacity(secp)), random.Random(3012))
+    assert len(cpus.forks) == 1
+    assert [secp._bases.get(point) for point in (pub.h, pub.c, pub.d)] == [chunks] * 3
+    encrypt(pub, b"", random.Random(3013))
+    assert all(isinstance(secp._bases.get(point), list) for point in (pub.h, pub.c, pub.d))
