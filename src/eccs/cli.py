@@ -363,8 +363,10 @@ def run_selftest(stream) -> bool:
             CurveParams(**spec)
             if curve_mod._spec_digest(spec) != curve_mod._REGISTRY_DIGESTS[curve_id]:
                 raise AssertionError(f"{spec['name']} does not match its pinned digest")
+        # equality ignores beta and lam; lam follows from beta, g1 and the proof
         found = curve_mod.toy_curve_search()
-        if found != CurveParams(**curve_mod._REGISTRY_SPECS[curve_mod.TOY_ID]):
+        frozen = CurveParams(**curve_mod._REGISTRY_SPECS[curve_mod.TOY_ID])
+        if found != frozen or found._glv.beta != frozen._glv.beta:
             raise AssertionError("small-curve search no longer reproduces registry")
 
     # toy table is shared by three steps; built lazily inside the first

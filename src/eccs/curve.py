@@ -15,9 +15,10 @@ one call; ``scalar_mult`` is its one-term case.  Scalars are read as
 signed odd digits, one table entry added per digit.  A base used often
 gets a fixed-base table: a row of 16 odd multiples per 5-bit digit
 position, so it needs no doublings.  Any other base gets a row of its 8
-odd multiples per call, read with 4-bit digits, and, where the curve has
-the endomorphism (x, y) -> (beta*x, y) as both registry curves do, a GLV
-split into two half-length scalars.  The untabled terms of a sum share
+odd multiples and their images under the endomorphism
+(x, y) -> (beta*x, y) per call, read with 4-bit digits after a GLV split
+into two half-length scalars; every curve accepted here has that
+endomorphism and carries it.  The untabled terms of a sum share
 their doublings (Straus), a base's rows are built once per call, and all
 results of a call go to affine with one inversion.  Iteration counts
 depend only on the curve and on the shape of the sums, every table entry
@@ -168,8 +169,8 @@ def _group_law(b3, p):
 # Every digit is odd and nonzero, so a row of width c only holds the odd
 # multiples P, 3P, ..., (2**c - 1)P, none of them the identity when P has
 # prime order above 2**c.  Variable bases use c = 4 (rows of 8) and
-# fixed-base tables c = 5 (rows of 16).  Any scalar k is reached by halving
-# mod n: read((k + 2**(c*w) - 1) / 2 mod n) == k (mod n).
+# fixed-base tables c = 5 (rows of 16).  A table reaches any scalar k by
+# halving mod n: read((k + 2**(c*w) - 1) / 2 mod n) == k (mod n).
 
 
 def _odd_multiples(add, dbl, X, Y, Z, size=8):
@@ -256,20 +257,31 @@ def _normalize(points, p):
         yield X * scale % p, Y * scale % p, 1
 
 
-def _raw_has_order_n(p: int, b: int, n: int, x: int, y: int) -> bool:
-    """n * (x, y) == identity, computed on raw integers.
+def _raw_multiple(p: int, b: int, k: int, x: int, y: int):
+    """k * (x, y) as a projective triple, for odd k, computed on raw integers.
 
-    The multiple is exactly n: no halving mod n and no endomorphism
-    split, both of which presume the order this check is to establish.
+    The proof behind the order and endomorphism checks.  The multiple is
+    exactly k, over as many windows as k needs: no halving mod n and no
+    endomorphism split, both of which presume what those checks are to
+    establish.
     """
-    if n % 2 == 0:
-        raise ValueError("group order must be odd")
+    if k % 2 == 0:
+        raise ValueError("the multiple to prove must be odd")
     add, dbl = _group_law(3 * b % p, p)
-    windows = (n.bit_length() + 3) // 4
-    v = (n + (1 << 4 * windows) - 1) >> 1  # read(v) == n exactly
+    windows = (k.bit_length() + 3) // 4
+    v = (k + (1 << 4 * windows) - 1) >> 1  # read(v) == k exactly
     row = _pack(_odd_multiples(add, dbl, x, y, 1), p)
-    _, _, Z = _straus(add, dbl, p, [row], [v], windows)
-    return Z % p == 0
+    return _straus(add, dbl, p, [row], [v], windows)
+
+
+def _lam_acts_as_beta(p: int, b: int, n: int, beta: int, lam: int, x: int, y: int) -> bool:
+    """lam * (x, y) == (beta * x, y), for (x, y) of proved odd order n.
+
+    An even lam is read as lam + n, the same multiple of (x, y); both
+    secp256k1 roots are even.
+    """
+    X, Y, Z = _raw_multiple(p, b, lam if lam % 2 else lam + n, x, y)
+    return Z % p != 0 and (X - beta * x * Z) % p == 0 and (Y - y * Z) % p == 0
 
 
 def _short_basis(n: int, lam: int) -> tuple[int, int, int, int]:
@@ -337,11 +349,13 @@ class CurveParams:
     re-derives every claimed property: primality of p and n, b != 0 (a
     non-singular equation), both generators on the curve with exact
     order n, the Hasse bound, and cofactor 1 (forced by 2n exceeding the
-    upper Hasse limit).  With ``beta`` and ``lam`` given it also checks
-    that lam * g1 == (beta * x, y), computed without that endomorphism,
-    which scalar multiplication then uses.  A corrupted constant
-    therefore fails loudly at construction instead of mis-encrypting
-    later.
+    upper Hasse limit).  ``beta`` and ``lam`` are required: every curve
+    of this shape with prime order has p == 1 (mod 3), hence the
+    endomorphism (x, y) -> (beta*x, y) that scalar multiplication uses.
+    Construction checks that beta is a nontrivial cube root of 1 mod p
+    and proves lam * g1 == (beta * x, y) by an exact multiple of g1,
+    computed without that endomorphism.  A corrupted constant therefore
+    fails loudly at construction instead of mis-encrypting later.
 
     ``curve_by_id`` builds registry curves through ``_pinned`` instead,
     which skips the three proofs (primality, exact order n, lam * g1)
@@ -362,8 +376,6 @@ class CurveParams:
         "g2",
         "_add",
         "_dbl",
-        "_windows",
-        "_all_ones",
         "_table_windows",
         "_table_ones",
         "_inv2",
@@ -381,8 +393,8 @@ class CurveParams:
         n: int,
         g1: tuple[int, int],
         g2: tuple[int, int],
-        beta: Optional[int] = None,
-        lam: Optional[int] = None,
+        beta: int,
+        lam: int,
     ) -> None:
         self._setup(curve_id, name, p, a, b, n, g1, g2, beta, lam, proofs=True)
 
@@ -425,22 +437,18 @@ class CurveParams:
             # otherwise a cofactor >= 2 could hide inside the Hasse interval
             raise ValueError("order too small to force cofactor 1")
         self._add, self._dbl = _group_law(3 * b % p, p)
-        self._windows = (n.bit_length() + 3) // 4
-        self._all_ones = (1 << 4 * self._windows) - 1
         self._table_windows = (n.bit_length() + 4) // 5
         self._table_ones = (1 << 5 * self._table_windows) - 1
         self._inv2 = (n + 1) // 2
         self._bases = weakref.WeakKeyDictionary()
         self.g1 = self._checked_generator(g1, "g1", proofs)
         self.g2 = self._checked_generator(g2, "g2", proofs)
-        self._glv = None
-        if beta is not None or lam is not None:
-            self._glv = self._checked_endomorphism(beta, lam, proofs)
+        self._glv = self._checked_endomorphism(beta, lam, proofs)
 
     def _checked_generator(self, xy: tuple[int, int], label: str, proofs: bool) -> CurvePoint:
         x, y = xy
         point = self.point(x, y)
-        if proofs and not _raw_has_order_n(self.p, self.b, self.n, x, y):
+        if proofs and _raw_multiple(self.p, self.b, self.n, x, y)[2] % self.p:
             raise ValueError(f"{label} does not have order n")
         return point
 
@@ -454,16 +462,9 @@ class CurveParams:
             or pow(beta, 3, p) != 1
         ):
             raise ValueError("beta must be a cube root of unity mod p and 1 < lam < n")
-        if proofs:
-            x, y = self.g1.x, self.g1.y
-            X, Y, Z = _variable_base(self, x, y, lam, None)
-            if Z % p == 0 or (X - beta * x * Z) % p or (Y - y * Z) % p:
-                raise ValueError("lam * g1 is not (beta * x, y)")
+        if proofs and not _lam_acts_as_beta(p, self.b, n, beta, lam, self.g1.x, self.g1.y):
+            raise ValueError("lam * g1 is not (beta * x, y)")
         return _Endomorphism(n, beta, lam)
-
-    def _recode(self, k: int, ones: int) -> int:
-        """v with read(v) == k (mod n), for ones = 2**(c*w) - 1 over w c-bit windows."""
-        return (k + ones) * self._inv2 % self.n
 
     def point(self, x: int, y: int) -> CurvePoint:
         """Build an affine point from ints reduced mod p, verifying the curve equation."""
@@ -486,10 +487,6 @@ class CurveParams:
             and 0 <= y < p
             and y * y % p == self._rhs(x)
         )
-
-    @property
-    def identity(self) -> CurvePoint:
-        return IDENTITY
 
     @property
     def coord_bytes(self) -> int:
@@ -550,10 +547,6 @@ def _affine(params: CurveParams, triples) -> list[CurvePoint]:
     return out
 
 
-def _from_projective(params: CurveParams, X, Y, Z) -> CurvePoint:
-    return _affine(params, [(X, Y, Z)])[0]
-
-
 def point_add(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
     """Complete addition: any pair of group elements, identity included."""
     _tally("point_adds")
@@ -567,7 +560,7 @@ def point_add(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint
         X2, Y2, Z2 = 0, 1, 0
     else:
         X2, Y2, Z2 = p2.x, p2.y, 1
-    return _from_projective(params, *params._add(X1, Y1, Z1, X2, Y2, Z2))
+    return _affine(params, [params._add(X1, Y1, Z1, X2, Y2, Z2)])[0]
 
 
 def point_negate(params: CurveParams, point: CurvePoint) -> CurvePoint:
@@ -645,29 +638,14 @@ def _add_base_uses(params: CurveParams, used: dict) -> None:
             params._bases[point] = uses + more
 
 
-def _rows(params: CurveParams, x, y, glv: Optional[_Endomorphism]) -> list:
-    """Packed rows of (x, y) for one call: its odd multiples and, given glv, their images."""
-    add, dbl, p = params._add, params._dbl, params.p
-    row = _odd_multiples(add, dbl, x, y, 1)
-    if glv is None:
-        return [_pack(row, p)]
-    return [_pack(row, p), _pack([(glv.beta * X % p, Y, Z) for X, Y, Z in row], p)]
+def _rows(params: CurveParams, x, y) -> list:
+    """Packed rows of (x, y) for one call: its odd multiples and their images.
 
-
-def _digits(params: CurveParams, k: int, glv: Optional[_Endomorphism]):
-    """The values whose readings on the rows of ``_rows`` sum to k."""
-    return (params._recode(k, params._all_ones),) if glv is None else glv.split(k)
-
-
-def _variable_base(params: CurveParams, x, y, k: int, glv: Optional[_Endomorphism]):
-    """k * (x, y) from rows built for this call, split by ``glv`` if given.
-
-    The untabled pass of ``linear_combinations`` for a single term; the
-    lam * g1 check at construction uses it before any base is counted.
+    The values of ``params._glv.split(k)`` read on these two rows sum to k.
     """
-    windows = params._windows if glv is None else glv.windows
-    rows, values = _rows(params, x, y, glv), _digits(params, k, glv)
-    return _straus(params._add, params._dbl, params.p, rows, values, windows)
+    add, dbl, p, beta = params._add, params._dbl, params.p, params._glv.beta
+    row = _odd_multiples(add, dbl, x, y, 1)
+    return [_pack(row, p), _pack([(beta * X % p, Y, Z) for X, Y, Z in row], p)]
 
 
 def linear_combinations(
@@ -680,26 +658,25 @@ def linear_combinations(
     multiplications and t - 1 point additions.  In each sum a term whose
     base has a fixed-base table adds one entry per table row, read from
     its scalar's 5-bit signed odd digits (no doublings).  The other terms
-    take one Straus pass with shared doublings over their rows, read with
-    4-bit digits and split where the curve has the endomorphism; the
-    table entries are then added to its result.  A base's rows are built
-    and its membership checked once per call, however many terms use
-    it, and every result goes to affine with one inversion.  Each term
-    still counts as one use of its base towards a fixed-base table.  The
-    sequence of operations depends only on the curve and on the shape of
-    the sums (their sizes, and which bases are the identity or have a
-    table), never on the scalars.
+    are split by the curve's endomorphism into two half-length scalars
+    and take one Straus pass with shared doublings over their rows, read
+    with 4-bit digits; the table entries are then added to its result.
+    A base's rows are built and its membership checked once per call,
+    however many terms use it, and every result goes to affine with one
+    inversion.  Each term still counts as one use of its base towards a
+    fixed-base table.  The sequence of operations depends only on the
+    curve and on the shape of the sums (their sizes, and which bases are
+    the identity or have a table), never on the scalars.
     """
     glv = params._glv
     add, dbl, p = params._add, params._dbl, params.p
-    windows = params._windows if glv is None else glv.windows
     checked: set[int] = set()
     built: dict[int, list] = {}
     results = []
     for terms in sums:
         _tally("scalar_mults", len(terms))
         _tally("point_adds", max(len(terms) - 1, 0))
-        tab_rows, tab_digits, var_rows, var_values = [], [], [], []
+        tab_rows, tab_windows, var_rows, var_values = [], [], [], []
         for point, k in terms:
             k = _as_scalar(params, k)
             key = id(point)
@@ -710,18 +687,18 @@ def linear_combinations(
                 continue
             table = _fixed_table(params, point)
             if table is not None:
-                v = params._recode(k, params._table_ones)
+                v = (k + params._table_ones) * params._inv2 % params.n
                 tab_rows += table
-                tab_digits += [v >> shift & 31 for shift in range(0, 5 * len(table), 5)]
+                tab_windows += [v >> shift & 31 for shift in range(0, 5 * len(table), 5)]
                 continue
             rows = built.get(key)
             if rows is None:
-                rows = built[key] = _rows(params, point.x, point.y, glv)
+                rows = built[key] = _rows(params, point.x, point.y)
             var_rows += rows
-            var_values += _digits(params, k, glv)
-        entries = (_select(row, digit, p) for row, digit in zip(tab_rows, tab_digits))
+            var_values += glv.split(k)
+        entries = (_select(row, window, p) for row, window in zip(tab_rows, tab_windows))
         if var_rows:
-            total = _straus(add, dbl, p, var_rows, var_values, windows)
+            total = _straus(add, dbl, p, var_rows, var_values, glv.windows)
         else:  # start from the first table entry, not from the identity
             total = next(entries, (0, 1, 0))
         for entry in entries:
@@ -737,10 +714,10 @@ def scalar_mult(params: CurveParams, point: CurvePoint, k: int) -> CurvePoint:
     signed odd digits, and each digit adds one table entry, chosen by a
     masked scan of the whole row and negated by a mask.  A base used
     often gets a fixed-base table of 16-entry rows read with 5-bit digits
-    (no doublings); otherwise a row of its 8 odd multiples is built per
-    call and read with 4-bit digits and, on curves with the endomorphism,
-    the scalar is split into two half-length ones.  Iteration counts
-    depend only on the curve.
+    (no doublings); otherwise the scalar is split by the curve's
+    endomorphism into two half-length ones, read with 4-bit digits on a
+    row of the base's 8 odd multiples and a row of their images, both
+    built per call.  Iteration counts depend only on the curve.
     """
     return linear_combinations(params, [[(point, k)]])[0]
 
@@ -821,7 +798,7 @@ def derive_g2(
         y = rhs.sqrt().value
         if y == 0:
             continue
-        if _raw_has_order_n(p, b, n, x, y):
+        if _raw_multiple(p, b, n, x, y)[2] % p == 0:
             return x, y
     raise ValueError("no generator found in the counter range")
 
@@ -839,14 +816,26 @@ def _count_points(p: int, b: int) -> int:
     return total
 
 
+def _cube_roots_of_unity(m: int) -> list[int]:
+    """The two nontrivial cube roots of 1 modulo a prime m == 1 (mod 3), smaller first."""
+    g = 2
+    while pow(g, (m - 1) // 3, m) == 1:
+        g += 1
+    root = pow(g, (m - 1) // 3, m)
+    return sorted((root, root * root % m))
+
+
 def toy_curve_search(min_p: int = 1009) -> CurveParams:
     """Re-run the search that produced the registry's toy curve.
 
     Scans primes p >= min_p with p % 4 == 3 and the fixed equation
     y^2 = x^3 + 7 until the group order n is prime (cofactor 1 by
     construction) and differs from p.  g1 is the point with the smallest
-    x, canonical even y; g2 comes from ``derive_g2``.  The result must
-    equal the frozen registry entry, which the test suite asserts.
+    x, canonical even y; g2 comes from ``derive_g2``.  beta is the
+    smaller nontrivial cube root of 1 mod p, and lam the cube root of 1
+    mod n with lam * g1 == (beta * x, y); the same rule gives
+    secp256k1's pair.  The result, endomorphism included, must equal the
+    frozen registry entry, which the test suite asserts.
     """
     b = 7
     p = min_p
@@ -862,7 +851,10 @@ def toy_curve_search(min_p: int = 1009) -> CurveParams:
                         g1 = (x, rhs.sqrt().value)
                         break
                 g2 = derive_g2(TOY_ID, p, b, n)
-                return CurveParams(TOY_ID, "toy", p, 0, b, n, g1, g2)
+                beta = _cube_roots_of_unity(p)[0]
+                roots = _cube_roots_of_unity(n)
+                lam = next(r for r in roots if _lam_acts_as_beta(p, b, n, beta, r, *g1))
+                return CurveParams(TOY_ID, "toy", p, 0, b, n, g1, g2, beta, lam)
         p += 2 if p % 2 else 1
 
 
@@ -886,8 +878,8 @@ _REGISTRY_SPECS: dict[int, dict] = {
             0x9B87DF2B2083C5095C3BDAAEB321151E2BE89C5B772DBA9D711E2E86E5AD6076,
             0x08554BF431EFE0801349CEAF8498A33DF168280A7D7EEDE3736BCDD909684E22,
         ),
-        # cube roots of unity mod p and mod n with lam * g1 == (beta * x, y);
-        # re-derived by tests
+        # beta is the smaller nontrivial cube root of 1 mod p, lam the cube
+        # root of 1 mod n with lam * g1 == (beta * x, y); re-derived by tests
         beta=0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE,
         lam=0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72,
     ),

@@ -21,13 +21,15 @@ from eccs.curve import (
     IDENTITY,
     SECP256K1_ID,
     TOY_ID,
-    _from_projective,
+    _affine,
+    _count_points,
     _odd_multiples,
     _pack,
+    _raw_multiple,
+    _rows,
     _select,
     _spec_digest,
     _straus,
-    _variable_base,
     compress,
     compressed_size,
     count_ops,
@@ -44,7 +46,7 @@ from eccs.curve import (
 )
 from eccs.errors import ParseError
 
-from conftest import ALT_A, ALT_B, ALT_G1, ALT_G2, ALT_ID, ALT_N, ALT_P
+from conftest import ALT_BETA, ALT_G1, ALT_ID, ALT_LAM, ALT_N, ALT_P, alt_curve
 from helpers import aff_add, aff_mul, as_tuple
 
 SECP_P = 2**256 - 2**32 - 977
@@ -136,8 +138,7 @@ def _no_proofs(*_args, **_kwargs):
 
 def test_registry_load_runs_no_proofs(fresh_registry, monkeypatch, toy, secp):
     monkeypatch.setattr(field_mod, "is_probable_prime", _no_proofs)
-    monkeypatch.setattr(curve_mod, "_raw_has_order_n", _no_proofs)
-    monkeypatch.setattr(curve_mod, "_variable_base", _no_proofs)  # the lam * g1 check
+    monkeypatch.setattr(curve_mod, "_raw_multiple", _no_proofs)  # order and lam * g1
     assert curve_by_id(SECP256K1_ID) == secp
     assert curve_by_id(TOY_ID) == toy
     assert curve_mod._loaded[TOY_ID] is not toy
@@ -179,12 +180,33 @@ def test_corrupted_toy_parameters_rejected(mutation):
 
 def test_singular_curve_rejected():
     with pytest.raises(ValueError, match="singular"):
-        CurveParams(0x60, "bad", 1051, 0, 0, 1093, (3, 666), (5, 5))
+        CurveParams(0x60, "bad", 1051, 0, 0, 1093, (3, 666), (5, 5), 180, 941)
+
+
+def test_beta_and_lam_are_required():
+    spec = dict(_REGISTRY_SPECS[TOY_ID])
+    del spec["beta"], spec["lam"]
+    with pytest.raises(TypeError, match="beta"):
+        CurveParams(**spec)
+
+
+def test_even_lam_is_proved_as_lam_plus_n():
+    # both secp256k1 roots are even; the toy's odd ones are refused above
+    spec = _REGISTRY_SPECS[SECP256K1_ID]
+    p, n, beta, lam = spec["p"], spec["n"], spec["beta"], spec["lam"]
+    beta2, lam2 = beta * beta % p, lam * lam % n
+    assert lam % 2 == lam2 % 2 == 0
+    assert CurveParams(**{**spec, "beta": beta2, "lam": lam2})._glv.beta == beta2
+    for wrong in (dict(lam=lam2), dict(beta=beta2)):
+        with pytest.raises(ValueError, match=re.escape("lam * g1")):
+            CurveParams(**{**spec, **wrong})
+    with pytest.raises(ValueError, match="odd"):
+        _raw_multiple(p, 7, lam, *spec["g1"])  # read exactly, so only odd multiples
 
 
 def test_composite_field_rejected():
     with pytest.raises(ValueError):
-        CurveParams(0x60, "bad", 1053, 0, 7, 1093, (3, 666), (5, 5))
+        CurveParams(0x60, "bad", 1053, 0, 7, 1093, (3, 666), (5, 5), 180, 941)
 
 
 def test_hasse_bound_admits_its_limit(alt):
@@ -195,7 +217,7 @@ def test_hasse_bound_admits_its_limit(alt):
 def test_hasse_bound_enforced():
     # claimed order far outside p + 1 +- 2*sqrt(p)
     with pytest.raises(ValueError, match="Hasse"):
-        CurveParams(0x60, "bad", 1051, 0, 7, 1201, (3, 666), (1033, 592))
+        CurveParams(0x60, "bad", 1051, 0, 7, 1201, (3, 666), (1033, 592), 180, 941)
 
 
 # --- group law ------------------------------------------------------------
@@ -256,10 +278,10 @@ def test_general_coefficient_formulas():
     # square root they would need are gone, so construction refuses them
     with pytest.raises(ValueError, match=re.escape("a == 0")):
         # y^2 = x^3 + x + 1 over F_1033, prime order 1061
-        CurveParams(0x70, "p1033-a1", 1033, 1, 1, 1061, (0, 1032), (338, 48))
+        CurveParams(0x70, "p1033-a1", 1033, 1, 1, 1061, (0, 1032), (338, 48), 180, 941)
     with pytest.raises(ValueError, match=re.escape("p % 4 == 3")):
         # y^2 = x^3 + 11 over F_1009 (1009 % 4 == 1), prime order 967
-        CurveParams(0x60, "p1009-b11", 1009, 0, 11, 967, (1, 298), (676, 232))
+        CurveParams(0x60, "p1009-b11", 1009, 0, 11, 967, (1, 298), (676, 232), 180, 941)
 
 
 def test_negation(toy):
@@ -338,16 +360,11 @@ def fresh_curve(name):
     return CurveParams(**next(s for s in _REGISTRY_SPECS.values() if s["name"] == name))
 
 
-def unsplit(params, point, k):
-    """k * point through the variable-base path without the GLV split."""
-    x, y = point.x, point.y
-    return _from_projective(params, *_variable_base(params, x, y, k, None))
-
-
 def split(params, point, k):
-    """k * point through the variable-base path with the GLV split."""
-    x, y = point.x, point.y
-    return _from_projective(params, *_variable_base(params, x, y, k, params._glv))
+    """k * point through the variable-base path: the GLV split, on rows built here."""
+    glv, rows = params._glv, _rows(params, point.x, point.y)
+    total = _straus(params._add, params._dbl, params.p, rows, glv.split(k), glv.windows)
+    return _affine(params, [total])[0]
 
 
 def with_table(params, point):
@@ -366,7 +383,6 @@ def test_toy_every_scalar_on_every_path():
         want = [aff_mul(toy.p, toy.a, as_tuple(base), k) for k in range(toy.n)]
         for k in range(toy.n):
             assert as_tuple(split(toy, base, k)) == want[k]
-            assert as_tuple(unsplit(toy, base, k)) == want[k]
         # public calls: below the threshold the split path, then the table
         for k in range(toy.n):
             built = isinstance(toy._bases.get(base), list)
@@ -385,10 +401,9 @@ def glv_halves(params, k):
 def test_secp256k1_edge_scalars_on_every_path():
     secp = fresh_curve("secp256k1")
     n, lam = secp.n, _REGISTRY_SPECS[SECP256K1_ID]["lam"]
-    windows = secp._windows
-    full = (1 << 4 * windows) - 1
     scalars = [0, 1, 2, n - 1, lam, n - lam]
-    # recodings that are all-zero or all-ones windows: every digit -15 or +15
+    # scalars whose 4-bit recoding over 64 windows has every digit -15 or +15
+    full = (1 << 4 * 64) - 1
     scalars += [(0 - full) % n, full % n]
     # the same over the table's 52 5-bit windows: every digit -31 or +31
     full5 = (1 << 5 * 52) - 1
@@ -413,7 +428,6 @@ def test_secp256k1_edge_scalars_on_every_path():
     for k in scalars:
         want = aff_mul(secp.p, 0, gt, k)
         assert as_tuple(split(secp, secp.g1, k)) == want, hex(k)
-        assert as_tuple(unsplit(secp, secp.g1, k)) == want, hex(k)
         assert as_tuple(scalar_mult(secp, base, k)) == want, hex(k)
 
 
@@ -429,9 +443,8 @@ def test_straus_reads_extreme_windows(secp):
     gt = as_tuple(secp.g1)
     for v1 in (0, ones):
         for v2 in (0, ones):
-            got = _from_projective(
-                secp, *_straus(secp._add, secp._dbl, secp.p, rows, [v1, v2], windows)
-            )
+            total = _straus(secp._add, secp._dbl, secp.p, rows, [v1, v2], windows)
+            got = _affine(secp, [total])[0]
             multiple = (2 * v1 - ones) + 2 * (2 * v2 - ones)
             assert as_tuple(got) == aff_mul(secp.p, 0, gt, multiple % secp.n)
 
@@ -490,6 +503,22 @@ def test_glv_constants_rederived():
         }
         assert len(pairs) == 2
         assert (spec["beta"], spec["lam"]) in pairs
+        assert spec["beta"] == min(cube_roots_of_unity(p))  # the search's rule
+    # the alt fixture follows the same rule, and has one pairing for its beta
+    assert ALT_BETA == min(cube_roots_of_unity(ALT_P))
+    image = (ALT_BETA * ALT_G1[0] % ALT_P, ALT_G1[1])
+    lams = [lam for lam in cube_roots_of_unity(ALT_N) if aff_mul(ALT_P, 0, ALT_G1, lam) == image]
+    assert lams == [ALT_LAM]
+
+
+def test_curves_with_p_2_mod_3_have_p_plus_1_points():
+    # cubing permutes F_p for p == 2 (mod 3), so y^2 = x^3 + b has p + 1
+    # points, an even number: no prime-order curve lacks the endomorphism
+    primes = [p for p in range(1000, 1111) if p % 12 == 11 and field_mod.is_probable_prime(p)]
+    assert primes == [1019, 1031, 1091, 1103]
+    for p in primes:
+        for b in (1, 2, 3, 7):
+            assert _count_points(p, b) == p + 1, (p, b)
 
 
 def test_fixed_tables_wait_for_the_break_even_use():
@@ -532,10 +561,7 @@ def core_curves():
     with its fixed-base table."""
     curves = {}
     for name in ("toy", "alt", "secp256k1"):
-        if name == "alt":
-            params = CurveParams(ALT_ID, "p1063-b3", ALT_P, ALT_A, ALT_B, ALT_N, ALT_G1, ALT_G2)
-        else:
-            params = fresh_curve(name)
+        params = alt_curve() if name == "alt" else fresh_curve(name)
         g1t = as_tuple(params.g1)
         other = params.point(*aff_mul(params.p, params.a, g1t, 5))
         tabled = with_table(params, params.point(*aff_mul(params.p, params.a, g1t, 7)))
@@ -544,11 +570,9 @@ def core_curves():
 
 
 def edge_scalars(params):
-    """0, 1, n - 1 and, on curves with the endomorphism, lam and n - lam."""
+    """0, 1, n - 1, lam and n - lam."""
     n = params.n
-    if params._glv is None:
-        return [0, 1, n - 1]
-    lam = _REGISTRY_SPECS[params.curve_id]["lam"]
+    lam = ALT_LAM if params.curve_id == ALT_ID else _REGISTRY_SPECS[params.curve_id]["lam"]
     return [0, 1, n - 1, lam, n - lam]
 
 
@@ -582,7 +606,7 @@ def test_linear_combinations_match_the_affine_reference(core_curves, data):
 def test_linear_combinations_edge_shapes(core_curves, name):
     params, (g1, g2, other, tabled) = core_curves[name]
     n = params.n
-    lam = edge_scalars(params)[3] if params._glv else n - 2  # alt has no endomorphism
+    lam = edge_scalars(params)[3]
     sums = [
         [(g1, 0), (g1, n - 1), (g2, lam)],  # a base twice in one sum
         [(IDENTITY, 5), (g1, 1)],  # an identity base; g1 again, across sums
@@ -843,6 +867,10 @@ def test_toy_curve_search_reproduces_registry(toy):
     found = toy_curve_search()
     assert found == toy
     assert found.p == 1051 and found.n == 1093
+    # equality ignores beta and lam: the endomorphism must match too
+    proved = CurveParams(**_REGISTRY_SPECS[TOY_ID])
+    for attr in ("beta", "windows", "_basis", "_shift"):
+        assert getattr(found._glv, attr) == getattr(proved._glv, attr)
 
 
 # --- operation counting ---------------------------------------------------
