@@ -15,6 +15,7 @@ to be rejected rather than silently decoded to garbage.
 from __future__ import annotations
 
 from .curve import CurveParams, CurvePoint
+from .field import FieldElement
 
 # [pad][length] prefix ahead of the data inside the x coordinate
 _OVERHEAD = 2
@@ -36,13 +37,12 @@ def encode_chunk(params: CurveParams, data: bytes) -> CurvePoint:
     if len(data) > capacity:
         raise ValueError(f"chunk of {len(data)} bytes exceeds capacity {capacity}")
     body = bytes([len(data)]) + data + bytes(capacity - len(data))
-    field = params.field
     for pad in range(256):
         x = int.from_bytes(bytes([pad]) + body, "big")
         if x >= params.p:
             continue
         try:
-            return CurvePoint(x, field(params._rhs(x)).sqrt().value)
+            return CurvePoint(x, FieldElement(params._rhs(x), params.p).sqrt())
         except ValueError:  # x^3 + b is not a square: try the next pad
             continue
     raise ValueError("no curve point found for chunk (pad counter exhausted)")

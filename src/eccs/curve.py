@@ -42,7 +42,7 @@ from contextvars import ContextVar
 from typing import Iterator, Optional, Sequence
 
 from .errors import ParseError
-from .field import PrimeField, is_probable_prime
+from .field import FieldElement, is_probable_prime
 from .record import Record
 
 G2_DOMAIN_TAG = b"ECCS-G2-v1"
@@ -370,8 +370,8 @@ class CurveParams:
         "a",
         "b",
         "n",
-        "field",
-        "scalar_field",
+        "coord_bytes",
+        "scalar_bytes",
         "g1",
         "g2",
         "_add",
@@ -416,10 +416,16 @@ class CurveParams:
             raise ValueError("curve id must fit in one byte")
         self.curve_id = curve_id
         self.name = name
-        self.field = PrimeField(p, check_prime=proofs)
-        self.scalar_field = PrimeField(n, check_prime=proofs)
+        for label, modulus in (("p", p), ("n", n)):
+            if not isinstance(modulus, int) or modulus <= 3 or modulus % 2 == 0:
+                raise ValueError(f"{label} must be an odd prime > 3, got {modulus!r}")
+            if proofs and not is_probable_prime(modulus):
+                raise ValueError(f"{label} = {modulus:#x} failed the primality test")
         self.p = p
         self.n = n
+        # fixed big-endian widths of every serialized coordinate and scalar
+        self.coord_bytes = (p.bit_length() + 7) // 8
+        self.scalar_bytes = (n.bit_length() + 7) // 8
         if not 0 <= a < p or not 0 <= b < p:
             raise ValueError("coefficients must be reduced mod p")
         if a != 0:
@@ -487,14 +493,6 @@ class CurveParams:
             and 0 <= y < p
             and y * y % p == self._rhs(x)
         )
-
-    @property
-    def coord_bytes(self) -> int:
-        return self.field.width
-
-    @property
-    def scalar_bytes(self) -> int:
-        return self.scalar_field.width
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CurveParams):
@@ -748,12 +746,11 @@ def decompress(params: CurveParams, data: bytes) -> CurvePoint:
         raise ParseError(f"bad point prefix {prefix:#04x}")
     if len(data) != 1 + params.coord_bytes:
         raise ParseError("wrong compressed point length")
+    x = int.from_bytes(data[1:], "big")
+    if x >= params.p:
+        raise ParseError("encoded x is not reduced modulo p")
     try:
-        x = params.field.from_bytes(data[1:]).value
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    try:
-        y = params.field(params._rhs(x)).sqrt().value
+        y = FieldElement(params._rhs(x), params.p).sqrt()
     except ValueError:
         raise ParseError("x coordinate has no point on the curve") from None
     if prefix == 0x03:
@@ -788,14 +785,13 @@ def derive_g2(
     same point, and nobody learns a scalar relating it to g1.
     """
     tag = domain_tag + bytes([curve_id])
-    field = PrimeField(p)
     for counter in range(2**32):
         digest = hashlib.sha3_256(tag + counter.to_bytes(4, "big")).digest()
         x = int.from_bytes(digest, "big") % p
-        rhs = field((x * x % p * x + b) % p)
+        rhs = FieldElement(x * x % p * x + b, p)
         if not rhs.is_square():
             continue
-        y = rhs.sqrt().value
+        y = rhs.sqrt()
         if y == 0:
             continue
         if _raw_multiple(p, b, n, x, y)[2] % p == 0:
@@ -825,10 +821,10 @@ def _cube_roots_of_unity(m: int) -> list[int]:
     return sorted((root, root * root % m))
 
 
-def toy_curve_search(min_p: int = 1009) -> CurveParams:
+def toy_curve_search() -> CurveParams:
     """Re-run the search that produced the registry's toy curve.
 
-    Scans primes p >= min_p with p % 4 == 3 and the fixed equation
+    Scans primes p >= 1009 with p % 4 == 3 and the fixed equation
     y^2 = x^3 + 7 until the group order n is prime (cofactor 1 by
     construction) and differs from p.  g1 is the point with the smallest
     x, canonical even y; g2 comes from ``derive_g2``.  beta is the
@@ -838,24 +834,23 @@ def toy_curve_search(min_p: int = 1009) -> CurveParams:
     frozen registry entry, which the test suite asserts.
     """
     b = 7
-    p = min_p
+    p = 1009
     while True:
         if p % 4 == 3 and is_probable_prime(p):
             n = _count_points(p, b)
             if n != p and 2 * n > p + 1 + math.isqrt(4 * p) and is_probable_prime(n):
-                field = PrimeField(p)
                 g1 = None
                 for x in range(p):
-                    rhs = field((x * x % p * x + b) % p)
+                    rhs = FieldElement(x * x % p * x + b, p)
                     if rhs.value != 0 and rhs.is_square():
-                        g1 = (x, rhs.sqrt().value)
+                        g1 = (x, rhs.sqrt())
                         break
                 g2 = derive_g2(TOY_ID, p, b, n)
                 beta = _cube_roots_of_unity(p)[0]
                 roots = _cube_roots_of_unity(n)
                 lam = next(r for r in roots if _lam_acts_as_beta(p, b, n, beta, r, *g1))
                 return CurveParams(TOY_ID, "toy", p, 0, b, n, g1, g2, beta, lam)
-        p += 2 if p % 2 else 1
+        p += 2
 
 
 # ---------------------------------------------------------------------------

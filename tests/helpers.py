@@ -3,10 +3,13 @@
 The affine chord-and-tangent routines here deliberately share no code
 with the package: inversions use the extended Euclid algorithm and the
 group law is the textbook case split, so agreement with the projective
-formulas is meaningful.
+formulas is meaningful.  ``reference_keygen`` and ``reference_encrypt``
+build key and ciphertext bytes from these routines and ``hashlib`` alone.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from hypothesis import strategies as st
 
@@ -78,6 +81,65 @@ def reference_encode(p: int, b: int, capacity: int, data: bytes):
         y = pow(rhs, (p + 1) // 4, p)
         return x, y if y % 2 == 0 else p - y
     return None
+
+
+# The scheme restated from its description, for byte-level comparison.
+# Scalars are drawn by rejection like the package's sampler, so the same
+# seeded rng yields the same keys and ciphertexts.
+_ENVELOPE = b"ECS1\x01"  # magic and format version
+_HASH_LABEL = b"ECCS-v1-alpha"
+
+
+def _reference_scalar(n: int, rng) -> int:
+    while True:
+        k = rng.getrandbits(n.bit_length())
+        if 1 <= k < n:
+            return k
+
+
+def _reference_compress(p: int, point) -> bytes:
+    if point is None:
+        return b"\x00"
+    x, y = point
+    return bytes([2 + y % 2]) + x.to_bytes((p.bit_length() + 7) // 8, "big")
+
+
+def reference_keygen(spec: dict, rng):
+    """((c, d, h), public key bytes) for a registry spec, drawing x1, x2, y1, y2, z."""
+    p, n, g1, g2 = spec["p"], spec["n"], spec["g1"], spec["g2"]
+    x1, x2, y1, y2, z = (_reference_scalar(n, rng) for _ in range(5))
+    c = aff_add(p, 0, aff_mul(p, 0, g1, x1), aff_mul(p, 0, g2, x2))
+    d = aff_add(p, 0, aff_mul(p, 0, g1, y1), aff_mul(p, 0, g2, y2))
+    h = aff_mul(p, 0, g1, z)
+    body = b"".join(_reference_compress(p, point) for point in (c, d, h))
+    return (c, d, h), _ENVELOPE + bytes([0x01, spec["curve_id"]]) + body
+
+
+def reference_encrypt(spec: dict, public, message: bytes, rng) -> bytes:
+    """Ciphertext bytes of message under public = (c, d, h).
+
+    Every chunk's r is drawn, in chunk order, before any chunk is built;
+    alpha hashes the label, curve id, chunk index and count, and the
+    compressed u1, u2 and e.
+    """
+    p, b, n, g1, g2 = spec["p"], spec["b"], spec["n"], spec["g1"], spec["g2"]
+    c, d, h = public
+    capacity = (p.bit_length() - 16) // 8
+    pieces = [message[i : i + capacity] for i in range(0, len(message), capacity)] or [b""]
+    total = len(pieces)
+    rs = [_reference_scalar(n, rng) for _ in pieces]
+    body = [total.to_bytes(4, "big")]
+    for index, (piece, r) in enumerate(zip(pieces, rs)):
+        u1 = aff_mul(p, 0, g1, r)
+        u2 = aff_mul(p, 0, g2, r)
+        e = aff_add(p, 0, aff_mul(p, 0, h, r), reference_encode(p, b, capacity, piece))
+        points = [_reference_compress(p, point) for point in (u1, u2, e)]
+        header = bytes([spec["curve_id"]]) + index.to_bytes(4, "big") + total.to_bytes(4, "big")
+        digest = hashlib.sha3_256(_HASH_LABEL + header + b"".join(points)).digest()
+        alpha = int.from_bytes(digest, "big") % n
+        v = aff_add(p, 0, aff_mul(p, 0, c, r), aff_mul(p, 0, d, r * alpha % n))
+        body += points + [_reference_compress(p, v)]
+    return _ENVELOPE + bytes([0x03, spec["curve_id"]]) + b"".join(body)
 
 
 class SeqRng:

@@ -45,6 +45,7 @@ from eccs.curve import (
     toy_curve_search,
 )
 from eccs.errors import ParseError
+from eccs.field import FieldElement
 
 from conftest import ALT_BETA, ALT_G1, ALT_ID, ALT_LAM, ALT_N, ALT_P, alt_curve
 from helpers import aff_add, aff_mul, as_tuple
@@ -138,6 +139,7 @@ def _no_proofs(*_args, **_kwargs):
 
 def test_registry_load_runs_no_proofs(fresh_registry, monkeypatch, toy, secp):
     monkeypatch.setattr(field_mod, "is_probable_prime", _no_proofs)
+    monkeypatch.setattr(curve_mod, "is_probable_prime", _no_proofs)  # curve's own binding
     monkeypatch.setattr(curve_mod, "_raw_multiple", _no_proofs)  # order and lam * g1
     assert curve_by_id(SECP256K1_ID) == secp
     assert curve_by_id(TOY_ID) == toy
@@ -148,8 +150,8 @@ def test_registry_load_runs_no_proofs(fresh_registry, monkeypatch, toy, secp):
     "mutation",
     [
         dict(b=8),  # generators fall off the curve
-        dict(n=1091),  # wrong (composite) order
-        dict(n=1087),  # prime but not the group order
+        dict(n=1091),  # prime but not the group order
+        dict(n=1087),  # likewise
         dict(g1=(4, 666)),  # not on curve
         dict(a=1050, b=0),  # y^2 = x^3 - x ... singular? no: disc != 0, order check fails
         dict(p=1049),  # different prime, everything inconsistent
@@ -205,8 +207,11 @@ def test_even_lam_is_proved_as_lam_plus_n():
 
 
 def test_composite_field_rejected():
-    with pytest.raises(ValueError):
-        CurveParams(0x60, "bad", 1053, 0, 7, 1093, (3, 666), (5, 5), 180, 941)
+    # the proof's own message: 1053 (1 mod 4) would also fail the shape
+    # check, while 1023 = 3*11*31 and 1095 = 3*5*73 pass it
+    for p, n in ((1053, 1093), (1023, 1093), (1051, 1095)):
+        with pytest.raises(ValueError, match="primality"):
+            CurveParams(0x60, "bad", p, 0, 7, n, (3, 666), (5, 5), 180, 941)
 
 
 def test_hasse_bound_admits_its_limit(alt):
@@ -328,7 +333,7 @@ def test_scalar_mult_distributes_over_scalar_addition(toy):
 
 def test_scalar_mult_refuses_scalar_field_elements(toy):
     with pytest.raises(TypeError):
-        scalar_mult(toy, toy.g1, toy.scalar_field(77))
+        scalar_mult(toy, toy.g1, FieldElement(77, toy.n))
 
 
 def test_scalar_range_enforced(toy, secp):
@@ -337,7 +342,7 @@ def test_scalar_range_enforced(toy, secp):
     with pytest.raises(ValueError):
         scalar_mult(toy, toy.g1, toy.n)
     with pytest.raises(TypeError):
-        scalar_mult(toy, toy.g1, secp.scalar_field(5))  # not an int, whatever its field
+        scalar_mult(toy, toy.g1, FieldElement(5, secp.n))  # not an int, whatever its modulus
     with pytest.raises(TypeError):
         scalar_mult(toy, toy.g1, 1.5)
 
@@ -769,7 +774,7 @@ def test_off_curve_points_rejected(toy):
     assert not is_on_curve(toy, CurvePoint(3, 5))
     # members hold canonical ints only: no field elements, no unreduced values
     for fake in (
-        CurvePoint(toy.field(3), toy.field(385)),
+        CurvePoint(FieldElement(3, toy.p), FieldElement(385, toy.p)),
         CurvePoint(3 + toy.p, 385),
         CurvePoint(3, 385 - toy.p),
         CurvePoint(None, 385),

@@ -14,7 +14,16 @@ from eccs import codec
 from eccs import curve as curve_mod
 from eccs import ecs as ecs_mod
 from eccs.codec import chunk_capacity, encode_chunk
-from eccs.curve import IDENTITY, CurvePoint, count_ops, point_add, point_negate, scalar_mult
+from eccs.curve import (
+    _REGISTRY_SPECS,
+    IDENTITY,
+    SECP256K1_ID,
+    CurvePoint,
+    count_ops,
+    point_add,
+    point_negate,
+    scalar_mult,
+)
 from eccs.ecs import (
     Ciphertext,
     CiphertextChunk,
@@ -29,9 +38,10 @@ from eccs.ecs import (
     sample_scalar,
 )
 from eccs.errors import InvalidCiphertext, ParseError
+from eccs.field import FieldElement
 from eccs.wire import parse_ciphertext, serialize_ciphertext, serialize_public_key
 
-from helpers import SeqRng
+from helpers import SeqRng, reference_encrypt, reference_keygen
 
 
 def msg_point(params, k):
@@ -240,7 +250,7 @@ def test_non_canonical_point_rejected(toy):
         point = getattr(chunk, field)
         for twin in (
             CurvePoint(point.x + toy.p, point.y),
-            CurvePoint(toy.field(point.x), toy.field(point.y)),
+            CurvePoint(FieldElement(point.x, toy.p), FieldElement(point.y, toy.p)),
         ):
             broken = CiphertextChunk(
                 *(twin if name == field else getattr(chunk, name) for name in names)
@@ -338,6 +348,35 @@ def test_seeded_encryption_bytes_are_pinned(secp):
     assert decrypt(priv, ct) == bytes(range(250))
 
 
+def test_reference_reproduces_the_pinned_bytes():
+    # the digests of test_seeded_encryption_bytes_are_pinned, from code
+    # that shares nothing with the package but the registry constants
+    rng = random.Random(0x5EED)
+    spec = _REGISTRY_SPECS[SECP256K1_ID]
+    public, public_bytes = reference_keygen(spec, rng)
+    blob = reference_encrypt(spec, public, bytes(range(250)), rng)
+    assert hashlib.sha3_256(public_bytes).hexdigest() == (
+        "4b86a6af14a68d06b24803c2f5da2fae4c73d8e2ff68db716bca52d16b1c11c4"
+    )
+    assert hashlib.sha3_256(blob).hexdigest() == (
+        "32b06ab1d705453f3f289064ca5e43e640906846c4662973bdd3445807893b4d"
+    )
+
+
+@pytest.mark.parametrize("length", [0, 1, 30, 31, 250])
+def test_encryption_matches_the_reference_bytes(secp, length):
+    seed = 0x5EED + length
+    message = random.Random(0xD47A + length).randbytes(length)
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    spec = _REGISTRY_SPECS[SECP256K1_ID]
+    priv, pub = keygen(secp, rng)
+    public, public_bytes = reference_keygen(spec, reference_rng)
+    assert serialize_public_key(pub) == public_bytes
+    ct = encrypt(pub, message, rng)
+    assert serialize_ciphertext(ct) == reference_encrypt(spec, public, message, reference_rng)
+    assert decrypt(priv, ct) == message
+
+
 def test_decrypt_rejects_swapped_chunks(secp):
     rng = random.Random(1001)
     priv, pub = keygen(secp, rng)
@@ -347,6 +386,16 @@ def test_decrypt_rejects_swapped_chunks(secp):
     swapped = Ciphertext(ct.curve_id, (ct.chunks[1], ct.chunks[0]))
     with pytest.raises(InvalidCiphertext):
         decrypt(priv, swapped)
+
+
+def test_chunks_splice_between_ciphertexts_at_the_same_index(secp):
+    # the known gap README states: only (index, total) binds a chunk
+    rng = random.Random(1003)
+    priv, pub = keygen(secp, rng)
+    a, b = bytes(range(60)), bytes(range(100, 160))
+    ca, cb = encrypt(pub, a, rng), encrypt(pub, b, rng)
+    spliced = Ciphertext(ca.curve_id, (ca.chunks[0], cb.chunks[1]))
+    assert decrypt(priv, spliced) == a[:30] + b[30:]
 
 
 def test_decrypt_rejects_truncation_and_extension(secp):
