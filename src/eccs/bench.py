@@ -158,18 +158,15 @@ def _profile(name: str, fn, iterations: int) -> OpStats:
     )
 
 
-def run_suite(
-    curve: str = "secp256k1",
-    iterations: int = 25,
-    message: bytes = DEFAULT_MESSAGE,
-) -> BenchReport:
-    """Measure both schemes; at least 10 iterations for stable quantiles."""
+def run_suite(curve: str = "secp256k1", iterations: int = 25) -> BenchReport:
+    """Measure both schemes on DEFAULT_MESSAGE; at least 10 iterations for stable quantiles."""
     import platform  # here, not at the top: a one-shot CLI process never needs it
 
     if iterations < 10:
         raise ValueError("need at least 10 iterations")
     params = get_curve(curve)
     rng = _SYSTEM_RNG
+    message = DEFAULT_MESSAGE
 
     priv, pub = keygen(params, rng)
     ciphertext = encrypt(pub, message, rng)

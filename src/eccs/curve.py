@@ -586,10 +586,8 @@ def _as_scalar(params: CurveParams, k: int) -> int:
 # table keeps every base within about 1.5 times the cost of the best
 # choice made knowing its use count.  Bases used fewer times (keygen's
 # three uses of g1 in a one-shot CLI process, a fresh key's one chunk)
-# never pay for a table.  A fanned-out message's children send back the
-# uses they made (``_add_base_uses``), so the count is the same as in one
-# process; a base whose count a child completes gets its table on its
-# next use in the parent, and a table built in a child dies with it.
+# never pay for a table.  Each process counts the uses it makes itself: a
+# fanned-out message's child ends with its uses and any table it builds.
 _TABLE_AT_USE = 12
 
 
@@ -618,22 +616,6 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
     table = [flat[i : i + 16] for i in range(0, len(flat), 16)]
     params._bases[point] = table
     return table
-
-
-def _base_uses(params: CurveParams) -> dict:
-    """{(x, y): uses} of the counted bases; a base with a table counts its break-even."""
-    return {
-        (point.x, point.y): uses if isinstance(uses, int) else _TABLE_AT_USE
-        for point, uses in list(params._bases.items())
-    }
-
-
-def _add_base_uses(params: CurveParams, used: dict) -> None:
-    """Add uses made in another process to the bases this one counts too."""
-    for point, uses in list(params._bases.items()):
-        more = used.get((point.x, point.y))
-        if more and isinstance(uses, int):
-            params._bases[point] = uses + more
 
 
 def _rows(params: CurveParams, x, y) -> list:
@@ -769,22 +751,16 @@ def compressed_size(params: CurveParams) -> int:
 # second-generator derivation and the small-curve search
 
 
-def derive_g2(
-    curve_id: int,
-    p: int,
-    b: int,
-    n: int,
-    domain_tag: bytes = G2_DOMAIN_TAG,
-) -> tuple[int, int]:
+def derive_g2(curve_id: int, p: int, b: int, n: int) -> tuple[int, int]:
     """Deterministic second generator with no known discrete log to g1.
 
-    Hash-to-curve by try-and-increment: x is SHA3-256 of the domain tag,
-    curve id and a 32-bit counter, reduced mod p; the first x whose cubic
+    Hash-to-curve by try-and-increment: x is SHA3-256 of ``G2_DOMAIN_TAG``,
+    the curve id and a 32-bit counter, reduced mod p; the first x whose cubic
     has a square root yields the candidate (even root), which must then
     have exact order n.  Everyone re-deriving with the same tag gets the
     same point, and nobody learns a scalar relating it to g1.
     """
-    tag = domain_tag + bytes([curve_id])
+    tag = G2_DOMAIN_TAG + bytes([curve_id])
     for counter in range(2**32):
         digest = hashlib.sha3_256(tag + counter.to_bytes(4, "big")).digest()
         x = int.from_bytes(digest, "big") % p

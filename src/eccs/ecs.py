@@ -37,8 +37,6 @@ from . import codec
 from .curve import (
     CurveParams,
     CurvePoint,
-    _add_base_uses,
-    _base_uses,
     _tally,
     compress,
     count_ops,
@@ -240,15 +238,15 @@ def _slices(count: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _fork(params: CurveParams, work, start: int, stop: int):
+def _fork(work, start: int, stop: int):
     """(pid, read end) of a child that sends ``work(start, stop)``; None if fork fails.
 
     The child inherits the key, the tables and the input; it writes its
-    result, its ``count_ops`` tally and the uses it made of each base to
-    the pipe as ``marshal`` data, and leaves by ``os._exit``, with status
-    0 only once all of it is written.  Whatever happens in it, even an
-    interrupt, ends there: it prints nothing and never returns into the
-    caller's code.
+    result and its ``count_ops`` tally to the pipe as ``marshal`` data,
+    and leaves by ``os._exit``, with status 0 only once all of it is
+    written.  Whatever happens in it, even an interrupt, ends there: it
+    prints nothing and never returns into the caller's code.  The uses it
+    makes of each base, and any table it builds, end with it.
     """
     try:
         read, write = os.pipe()
@@ -266,15 +264,9 @@ def _fork(params: CurveParams, work, start: int, stop: int):
     status = 1
     try:
         os.close(read)
-        before = _base_uses(params)
         with count_ops() as ops:
             result = work(start, stop)
-        used = {
-            base: uses - before.get(base, 0)
-            for base, uses in _base_uses(params).items()
-            if uses != before.get(base, 0)
-        }
-        data = memoryview(marshal.dumps((result, vars(ops), used)))
+        data = memoryview(marshal.dumps((result, vars(ops))))
         while data:
             data = data[os.write(write, data) :]
         status = 0
@@ -295,8 +287,8 @@ def _reap(pid: int) -> int:
         return 0
 
 
-def _collect(params: CurveParams, child, size: int):
-    """The child's whole result, its tally and base uses added to the caller's; None otherwise."""
+def _collect(child, size: int):
+    """The child's whole result, its tally added to the caller's; None otherwise."""
     pid, read = child
     try:
         with open(read, "rb") as pipe:
@@ -306,18 +298,17 @@ def _collect(params: CurveParams, child, size: int):
     if status:
         return None
     try:
-        result, tally, used = marshal.loads(data)
+        result, tally = marshal.loads(data)
     except (EOFError, ValueError, TypeError):
         return None
     if len(result) != size:
         return None
     for op, count in tally.items():
         _tally(op, count)
-    _add_base_uses(params, used)
     return result
 
 
-def _fan_out(params: CurveParams, work, count: int) -> list:
+def _fan_out(work, count: int) -> list:
     """work(start, stop) over the slices of range(count), concatenated in order.
 
     This process computes the first slice, and a forked child each
@@ -329,11 +320,11 @@ def _fan_out(params: CurveParams, work, count: int) -> list:
     children = []
     try:
         for start, stop in rest:
-            children.append((start, stop, _fork(params, work, start, stop)))
+            children.append((start, stop, _fork(work, start, stop)))
         results = work(*first)
         while children:
             start, stop, child = children.pop(0)
-            got = None if child is None else _collect(params, child, stop - start)
+            got = None if child is None else _collect(child, stop - start)
             results += work(start, stop) if got is None else got
         return results
     finally:
@@ -368,7 +359,7 @@ def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
 
     chunks = (
         CiphertextChunk(*(CurvePoint(x, y) for x, y in points))
-        for points in _fan_out(params, work, total)
+        for points in _fan_out(work, total)
     )
     return Ciphertext(params.curve_id, tuple(chunks))
 
@@ -405,7 +396,7 @@ def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
                 out.append((ok, piece))
             return out
 
-        results = _fan_out(params, work, total)
+        results = _fan_out(work, total)
         if not all(ok for ok, _piece in results):
             raise InvalidCiphertext
         return codec.join_message([piece for _ok, piece in results])

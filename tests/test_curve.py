@@ -851,8 +851,9 @@ def test_derive_g2_reproduces_alt_fixture(alt):
     assert derive_g2(alt.curve_id, alt.p, alt.b, alt.n) == as_tuple(alt.g2)
 
 
-def test_derive_g2_depends_on_domain_tag(toy):
-    other = derive_g2(TOY_ID, toy.p, toy.b, toy.n, domain_tag=b"different-tag")
+def test_derive_g2_depends_on_domain_tag(toy, monkeypatch):
+    monkeypatch.setattr(curve_mod, "G2_DOMAIN_TAG", b"different-tag")
+    other = derive_g2(TOY_ID, toy.p, toy.b, toy.n)
     assert other != as_tuple(toy.g2)
     # still a valid order-n point
     P = toy.point(*other)

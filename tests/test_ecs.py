@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eccs import codec
-from eccs import curve as curve_mod
 from eccs import ecs as ecs_mod
 from eccs.codec import chunk_capacity, encode_chunk
 from eccs.curve import (
@@ -808,13 +807,26 @@ def test_fan_out_when_sigchld_reaps_the_children(cpus, forty, handler):
     assert len(cpus.forks) == 2
 
 
-def test_a_childs_base_uses_count_towards_tables(cpus, secp):
-    # one use short of a table, made across two processes
+def test_a_fanned_out_process_counts_only_its_own_slice(cpus, secp, monkeypatch):
+    # a child's uses of h, c and d end with it, and its result is used, not recomputed
     cpus(2)
-    _, pub = keygen(secp, random.Random(3011))
-    chunks = curve_mod._TABLE_AT_USE - 1
-    encrypt(pub, bytes(chunks * chunk_capacity(secp)), random.Random(3012))
-    assert len(cpus.forks) == 1
-    assert [secp._bases.get(point) for point in (pub.h, pub.c, pub.d)] == [chunks] * 3
-    encrypt(pub, b"", random.Random(3013))
+    assert ecs_mod._slices(11) == [(0, 5), (5, 11)]
+    priv, pub = keygen(secp, random.Random(3011))
+    message = bytes(11 * chunk_capacity(secp))
+    ct = encrypt(pub, message, random.Random(3012))
+    assert [secp._bases.get(point) for point in (pub.h, pub.c, pub.d)] == [5] * 3
+    calls = []
+    real_decrypt_chunk = ecs_mod.decrypt_chunk
+
+    def counted(*args):
+        calls.append(args)
+        return real_decrypt_chunk(*args)
+
+    monkeypatch.setattr(ecs_mod, "decrypt_chunk", counted)
+    assert decrypt(priv, ct) == message
+    assert len(calls) == 5
+    encrypt(pub, message, random.Random(3013))
+    assert [secp._bases.get(point) for point in (pub.h, pub.c, pub.d)] == [10] * 3
+    encrypt(pub, message, random.Random(3014))  # the 12th use builds the tables
     assert all(isinstance(secp._bases.get(point), list) for point in (pub.h, pub.c, pub.d))
+    assert len(cpus.forks) == 4
