@@ -18,10 +18,11 @@ rows, doublings and the final inversion.
 
 A whole message uses the CPUs the process may run on
 (``os.sched_getaffinity``; ``taskset`` limits them): ``encrypt`` and
-``decrypt`` cut its chunks into contiguous slices, one per CPU, compute
-the first slice themselves and each other slice in a forked child.  The
-chunks are independent work, each under its own r, so the result is the
-one a single process computes, byte for byte.
+``decrypt``, and ``wire.parse_ciphertext`` through ``_fan_out``, cut its
+chunks into contiguous slices, one per CPU, compute the first slice
+themselves and each other slice in a forked child.  The chunks are
+independent work, each under its own r, so the result is the one a
+single process computes, byte for byte.
 """
 
 from __future__ import annotations
@@ -241,12 +242,14 @@ def _slices(count: int) -> list[tuple[int, int]]:
 def _fork(work, start: int, stop: int):
     """(pid, read end) of a child that sends ``work(start, stop)``; None if fork fails.
 
-    The child inherits the key, the tables and the input; it writes its
-    result and its ``count_ops`` tally to the pipe as ``marshal`` data,
-    and leaves by ``os._exit``, with status 0 only once all of it is
-    written.  Whatever happens in it, even an interrupt, ends there: it
-    prints nothing and never returns into the caller's code.  The uses it
-    makes of each base, and any table it builds, end with it.
+    The child inherits the key, the tables and the input; a parsing
+    child's work uses no key and sends back the coordinates of public
+    points.  It writes its result and its ``count_ops`` tally to the pipe
+    as ``marshal`` data, and leaves by ``os._exit``, with status 0 only
+    once all of it is written.  Whatever happens in it, even an
+    interrupt, ends there: it prints nothing and never returns into the
+    caller's code.  The uses it makes of each base, and any table it
+    builds, end with it.
     """
     try:
         read, write = os.pipe()
@@ -335,6 +338,25 @@ def _fan_out(work, count: int) -> list:
                 _reap(pid)
 
 
+def _fan_out_chunks(chunk_points, count: int) -> tuple[CiphertextChunk, ...]:
+    """Chunks 0 .. count-1 from ``chunk_points(index)``, their four points, over the slices.
+
+    A slice sends back one entry per chunk, the (x, y) pairs of its four
+    points, so ``_collect`` takes a whole slice at its chunk count.
+    """
+
+    def work(start: int, stop: int) -> list:
+        return [
+            tuple((point.x, point.y) for point in chunk_points(index))
+            for index in range(start, stop)
+        ]
+
+    return tuple(
+        CiphertextChunk(*(CurvePoint(x, y) for x, y in points))
+        for points in _fan_out(work, count)
+    )
+
+
 def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
     """Encrypt an arbitrary byte string as a sequence of bound chunks.
 
@@ -348,20 +370,12 @@ def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
     total = len(pieces)
     rs = [sample_scalar(params.n, rng) for _ in pieces]
 
-    def work(start: int, stop: int) -> list:
-        out = []
-        for index in range(start, stop):
-            m_point = codec.encode_chunk(params, pieces[index])
-            chunk = encrypt_chunk(pub, m_point, chunk_header(index, total), _Drawn(rs[index]))
-            points = (chunk.u1, chunk.u2, chunk.e, chunk.v)
-            out.append(tuple((point.x, point.y) for point in points))
-        return out
+    def chunk_points(index: int) -> tuple:
+        m_point = codec.encode_chunk(params, pieces[index])
+        chunk = encrypt_chunk(pub, m_point, chunk_header(index, total), _Drawn(rs[index]))
+        return chunk.u1, chunk.u2, chunk.e, chunk.v
 
-    chunks = (
-        CiphertextChunk(*(CurvePoint(x, y) for x, y in points))
-        for points in _fan_out(work, total)
-    )
-    return Ciphertext(params.curve_id, tuple(chunks))
+    return Ciphertext(params.curve_id, _fan_out_chunks(chunk_points, total))
 
 
 def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:

@@ -6,6 +6,13 @@ points use the compressed encoding from :mod:`eccs.curve`; scalars are
 fixed-width big-endian.  Parsers are strict: exact lengths, canonical
 encodings, every declared invariant checked, and unknown or trailing
 bytes rejected with :class:`~eccs.errors.ParseError`.
+
+A ciphertext of four or more chunks has its points decompressed over
+the CPUs, in the slices ``ecs.encrypt`` and ``ecs.decrypt`` use; the
+structural checks stay in the calling process.  The result, or the
+first fault and its message, is the one a single pass computes, and a
+parser that raises returns nothing: the chunks are assembled only once
+every slice is whole.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import base64
 
 from .curve import CurveParams, CurvePoint, compress, curve_by_id, decompress
-from .ecs import Ciphertext, CiphertextChunk, PrivateKey, PublicKey
+from .ecs import Ciphertext, PrivateKey, PublicKey, _fan_out_chunks
 from .errors import ParseError
 from .record import Record
 
@@ -78,11 +85,16 @@ def parse_envelope(data: bytes) -> Envelope:
     return Envelope(kind, curve_id, data[7:])
 
 
-def _read_point(reader: _Reader, params: CurveParams) -> CurvePoint:
+def _take_point(reader: _Reader, params: CurveParams) -> bytes:
+    """A point's raw encoding, its length set by its prefix; not yet checked."""
     prefix = reader.take(1)
     if prefix == b"\x00":
-        return decompress(params, prefix)
-    return decompress(params, prefix + reader.take(params.coord_bytes))
+        return prefix
+    return prefix + reader.take(params.coord_bytes)
+
+
+def _read_point(reader: _Reader, params: CurveParams) -> CurvePoint:
+    return decompress(params, _take_point(reader, params))
 
 
 def _read_scalar(reader: _Reader, params: CurveParams) -> int:
@@ -158,18 +170,37 @@ def serialize_ciphertext(ct: Ciphertext) -> bytes:
 
 
 def parse_ciphertext(data: bytes) -> Ciphertext:
+    """The ciphertext in data; any fault raises ``ParseError``.
+
+    The whole structure is checked here first: header, chunk count,
+    every point's length and the end of the input.  That scan only
+    slices bytes.  The points are then decompressed, one square root
+    each, over the slices of ``ecs._fan_out``; a child that meets a bad
+    point sends nothing, so its slice is decompressed again here and
+    raises.  Either way the first fault in input order speaks: a
+    structural fault raises only after the points before it have been
+    decompressed.
+    """
     envelope = parse_envelope(data)
     params = _expect_kind(envelope, KIND_CIPHERTEXT)
     reader = _Reader(envelope.body)
     total = int.from_bytes(reader.take(4), "big")
     if total == 0:
         raise ParseError("ciphertext with zero chunks")
-    chunks = []
-    for _ in range(total):
-        points = [_read_point(reader, params) for _ in range(4)]
-        chunks.append(CiphertextChunk(*points))
-    reader.finish()
-    return Ciphertext(params.curve_id, tuple(chunks))
+    encodings = []
+    try:
+        for _ in range(4 * total):
+            encodings.append(_take_point(reader, params))
+        reader.finish()
+    except ParseError:
+        for encoding in encodings:
+            decompress(params, encoding)
+        raise
+
+    def chunk_points(index: int) -> list:
+        return [decompress(params, encoding) for encoding in encodings[4 * index : 4 * index + 4]]
+
+    return Ciphertext(params.curve_id, _fan_out_chunks(chunk_points, total))
 
 
 # --- ASCII armor ----------------------------------------------------------

@@ -7,11 +7,12 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eccs import codec
 from eccs import ecs as ecs_mod
+from eccs import wire as wire_mod
 from eccs.codec import chunk_capacity, encode_chunk
 from eccs.curve import (
     _REGISTRY_SPECS,
@@ -706,11 +707,13 @@ def test_a_failed_child_costs_time_not_results(cpus, forty, monkeypatch, fault):
     with count_ops() as enc:
         again = encrypt(pub, message, random.Random(3004))
     with count_ops() as dec:
-        assert decrypt(priv, again) == message
+        parsed = parse_ciphertext(serialize_ciphertext(again))
+        assert decrypt(priv, parsed) == message
     assert serialize_ciphertext(again) == serialize_ciphertext(ct)
+    assert parsed == ct
     # a failed child's tally is dropped, and its slice is counted here instead
     assert (per_chunk(enc, 40), per_chunk(dec, 40)) == (PER_ENC_CHUNK, PER_DEC_CHUNK)
-    assert len(cpus.forks) == (0 if fault == "fork" else 2)
+    assert len(cpus.forks) == (0 if fault == "fork" else 3)
 
 
 def test_an_error_in_the_parents_slice_reaps_the_children(cpus, forty, monkeypatch, secp):
@@ -741,11 +744,13 @@ def test_short_messages_never_fork(cpus, secp):
     capacity = chunk_capacity(secp)
     for length in (0, 1, capacity, capacity + 1, 3 * capacity):
         message = rng.randbytes(length)
-        assert decrypt(priv, encrypt(pub, message, rng)) == message
+        ct = parse_ciphertext(serialize_ciphertext(encrypt(pub, message, rng)))
+        assert decrypt(priv, ct) == message
     assert cpus.forks == []
     message = rng.randbytes(3 * capacity + 1)  # four chunks: two slices of two
-    assert decrypt(priv, encrypt(pub, message, rng)) == message
-    assert len(cpus.forks) == 2
+    ct = parse_ciphertext(serialize_ciphertext(encrypt(pub, message, rng)))
+    assert decrypt(priv, ct) == message
+    assert len(cpus.forks) == 3  # encrypt, parse and decrypt
 
 
 def test_no_fork_beside_another_thread(cpus, secp):
@@ -799,12 +804,14 @@ def test_fan_out_when_sigchld_reaps_the_children(cpus, forty, handler):
         with count_ops() as enc:
             again = encrypt(pub, message, random.Random(3010))
         with count_ops() as dec:
-            assert decrypt(priv, again) == message
+            parsed = parse_ciphertext(serialize_ciphertext(again))
+            assert decrypt(priv, parsed) == message
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert serialize_ciphertext(again) == serialize_ciphertext(ct)
+    assert parsed == ct
     assert (per_chunk(enc, 40), per_chunk(dec, 40)) == (PER_ENC_CHUNK, PER_DEC_CHUNK)
-    assert len(cpus.forks) == 2
+    assert len(cpus.forks) == 3
 
 
 def test_a_fanned_out_process_counts_only_its_own_slice(cpus, secp, monkeypatch):
@@ -830,3 +837,128 @@ def test_a_fanned_out_process_counts_only_its_own_slice(cpus, secp, monkeypatch)
     encrypt(pub, message, random.Random(3014))  # the 12th use builds the tables
     assert all(isinstance(secp._bases.get(point), list) for point in (pub.h, pub.c, pub.d))
     assert len(cpus.forks) == 4
+
+
+# --- parsing over the CPUs --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def six(secp):
+    """A six-chunk secp256k1 ciphertext's bytes: slices (0, 3) and (3, 6) on two CPUs."""
+    _, pub = keygen(secp, random.Random(3015))
+    message = random.Random(3016).randbytes(6 * chunk_capacity(secp))
+    return serialize_ciphertext(encrypt(pub, message, random.Random(3017)))
+
+
+def prefix_at(point):
+    """Offset of a point's prefix in a ciphertext with no identity point (secp256k1)."""
+    return 11 + 33 * point
+
+
+def serial_parse(blob):
+    """The one-pass parse: every point decompressed as soon as it is read."""
+    envelope = wire_mod.parse_envelope(blob)
+    params = wire_mod._expect_kind(envelope, wire_mod.KIND_CIPHERTEXT)
+    reader = wire_mod._Reader(envelope.body)
+    total = int.from_bytes(reader.take(4), "big")
+    if total == 0:
+        raise ParseError("ciphertext with zero chunks")
+    chunks = [
+        CiphertextChunk(*[wire_mod._read_point(reader, params) for _ in range(4)])
+        for _ in range(total)
+    ]
+    reader.finish()
+    return Ciphertext(params.curve_id, tuple(chunks))
+
+
+def outcome(parse, blob):
+    """parse(blob), or the message of its ParseError."""
+    try:
+        return parse(blob)
+    except ParseError as exc:
+        return str(exc)
+
+
+def parse_outcomes(cpus, blob):
+    """The outcomes of parse_ciphertext(blob) on 2 and on 1 CPU, and of serial_parse."""
+    outcomes = []
+    for n in (2, 1):
+        cpus(n)
+        outcomes.append(outcome(parse_ciphertext, blob))
+    return outcomes + [outcome(serial_parse, blob)]
+
+
+@st.composite
+def ciphertext_mutation(draw, blob):
+    """blob with up to three byte substitutions, then maybe cut short or extended.
+
+    Substitutions favour point prefixes and the bytes 0x00, 0x02, 0x03
+    and 0x05, which change how the scan reads the points after them.
+    """
+    mutated = bytearray(blob)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from(range(prefix_at(0), len(blob), 33)) | st.integers(0, len(blob) - 1))
+        mutated[at] = draw(st.sampled_from([0x00, 0x02, 0x03, 0x05]) | st.integers(0, 255))
+    end = draw(st.sampled_from(["keep", "truncate", "extend"]))
+    if end == "truncate":
+        del mutated[draw(st.integers(0, len(blob) - 1)) :]
+    elif end == "extend":
+        mutated += draw(st.binary(min_size=1, max_size=40))
+    return bytes(mutated)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_fanned_out_parse_equals_the_serial_one(cpus, six, data):
+    blob = data.draw(ciphertext_mutation(six))
+    fanned, one_cpu, serial = parse_outcomes(cpus, blob)
+    assert fanned == one_cpu == serial
+
+
+def with_point(blob, point, encoding):
+    at = prefix_at(point)
+    return blob[:at] + encoding + blob[at + len(encoding) :]
+
+
+BAD_PREFIX = (5, b"\x05", "bad point prefix 0x05")  # chunk 1's u2, in the caller's slice
+UNREDUCED_X = (18, b"\x02" + b"\xff" * 32, "encoded x is not reduced modulo p")  # chunk 4's e
+
+
+@pytest.mark.parametrize(
+    "bad, cut, expected, forks",
+    [
+        ([BAD_PREFIX], 0, BAD_PREFIX[2], 1),
+        ([UNREDUCED_X], 0, UNREDUCED_X[2], 1),
+        ([BAD_PREFIX, UNREDUCED_X], 0, BAD_PREFIX[2], 1),
+        ([UNREDUCED_X], 5, UNREDUCED_X[2], 0),  # the scan fails: no fork
+    ],
+    ids=["callers-slice", "childs-slice", "both-slices", "bad-point-then-truncated"],
+)
+def test_a_fanned_out_parse_reports_the_first_bad_point(cpus, six, bad, cut, expected, forks):
+    blob = six
+    for point, encoding, _message in bad:
+        blob = with_point(blob, point, encoding)
+    blob = blob[: len(blob) - cut]
+    assert parse_outcomes(cpus, blob) == [expected] * 3
+    assert len(cpus.forks) == forks
+
+
+def test_a_fanned_out_parse_uses_the_childs_slice(cpus, secp, monkeypatch):
+    # chunks 5-10 are decompressed only in the child, once
+    cpus(1)
+    _, pub = keygen(secp, random.Random(3018))
+    ct = encrypt(pub, bytes(11 * chunk_capacity(secp)), random.Random(3019))
+    blob = serialize_ciphertext(ct)
+    cpus(2)
+    assert ecs_mod._slices(11) == [(0, 5), (5, 11)]
+    calls = []
+    real_decompress = wire_mod.decompress
+
+    def counted(params, encoding):
+        calls.append(encoding)
+        return real_decompress(params, encoding)
+
+    monkeypatch.setattr(wire_mod, "decompress", counted)
+    assert parse_ciphertext(blob) == ct
+    assert calls == [blob[prefix_at(q) : prefix_at(q + 1)] for q in range(20)]
+    assert len(cpus.forks) == 1
