@@ -1,9 +1,13 @@
 """Command-line front end: keygen, encrypt, decrypt, inspect, selftest, bench.
 
-Exit codes are a stable contract:
+The grammar is ``eccs COMMAND [--opt VALUE | --opt=VALUE | --flag]...``, with
+options in any order, never abbreviated, the last of a repeated one winning;
+``-h``/``--help`` prints the usage.  Exit codes are a stable contract:
 
 * 0 - success
-* 2 - usage or parse problems (bad flags, malformed key material)
+* 2 - usage or parse problems: a usage error prints the usage line and
+  ``eccs: error: REASON`` before any file is touched; an output path that
+  names an input or key file, and malformed key material, print ``error: ...``
 * 3 - environment problems (unreadable/unwritable files, rng failure)
 * 4 - invalid ciphertext (exactly the line ``error: invalid ciphertext``)
 
@@ -15,7 +19,6 @@ so release installs always draw from the operating system's entropy.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import os
 import random
@@ -23,6 +26,7 @@ import secrets
 import stat
 import sys
 import time
+from types import SimpleNamespace
 
 from . import bench as bench_mod  # eager: perfbench's tests rely on `import eccs.cli` loading it
 from . import curve as curve_mod
@@ -162,7 +166,7 @@ def _preflight_writable(path: str) -> bool:
 # --- commands -------------------------------------------------------------
 
 
-def cmd_keygen(args: argparse.Namespace) -> int:
+def cmd_keygen(args: SimpleNamespace) -> int:
     if os.path.abspath(args.pub) == os.path.abspath(args.priv):
         _diag("--pub and --priv must be different paths")
         return 2
@@ -193,10 +197,11 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_encrypt(args: argparse.Namespace) -> int:
-    if os.path.abspath(args.infile) == os.path.abspath(args.out):
-        _diag("--in and --out must be different paths")
-        return 2
+def cmd_encrypt(args: SimpleNamespace) -> int:
+    for flag, path in (("--in", args.infile), ("--pub", args.pub)):
+        if os.path.abspath(path) == os.path.abspath(args.out):
+            _diag(f"{flag} and --out must be different paths")
+            return 2
     try:
         key_raw = _read_file(args.pub)
     except OSError as exc:
@@ -234,10 +239,11 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decrypt(args: argparse.Namespace) -> int:
-    if os.path.abspath(args.infile) == os.path.abspath(args.out):
-        _diag("--in and --out must be different paths")
-        return 2
+def cmd_decrypt(args: SimpleNamespace) -> int:
+    for flag, path in (("--in", args.infile), ("--priv", args.priv)):
+        if os.path.abspath(path) == os.path.abspath(args.out):
+            _diag(f"{flag} and --out must be different paths")
+            return 2
     try:
         key_raw = _read_file(args.priv)
     except OSError as exc:
@@ -268,7 +274,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inspect(args: argparse.Namespace) -> int:
+def cmd_inspect(args: SimpleNamespace) -> int:
     try:
         raw = _read_file(args.infile)
     except OSError as exc:
@@ -301,11 +307,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(_args: argparse.Namespace) -> int:
+def cmd_selftest(_args: SimpleNamespace) -> int:
     return 0 if run_selftest(sys.stdout) else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: SimpleNamespace) -> int:
     try:
         report = bench_mod.run_suite(curve=args.curve, iterations=args.iters)
     except ValueError as exc:
@@ -439,51 +445,75 @@ def run_selftest(stream) -> bool:
 
 # --- argument parsing -----------------------------------------------------
 
+# flag -> (destination, kind, default): a kind is str, int, bool (a flag, which
+# takes no value) or CURVE_NAMES, and a default of ... marks a required option
+_OPTIONS = {
+    "--curve": ("curve", CURVE_NAMES, "secp256k1"),
+    "--pub": ("pub", str, ...),
+    "--priv": ("priv", str, ...),
+    "--in": ("infile", str, ...),
+    "--out": ("out", str, ...),
+    "--armor": ("armor", bool, False),
+    "--seed": ("seed", int, None),
+    "--iters": ("iters", int, 25),
+}
+COMMANDS = {  # name -> (handler, help, options)
+    "keygen": (cmd_keygen, "generate a key pair", ("--curve", "--pub", "--priv", "--armor", "--seed")),
+    "encrypt": (cmd_encrypt, "encrypt a file", ("--pub", "--in", "--out", "--armor", "--seed")),
+    "decrypt": (cmd_decrypt, "decrypt a file", ("--priv", "--in", "--out")),
+    "inspect": (cmd_inspect, "describe a key or ciphertext file", ("--in",)),
+    "selftest": (cmd_selftest, "run the built-in verification suite", ()),
+    "bench": (cmd_bench, "measure scheme and baseline performance", ("--curve", "--iters")),
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eccs",
-        description="Cramer-Shoup public-key encryption on elliptic curves",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    kg = sub.add_parser("keygen", help="generate a key pair")
-    kg.add_argument("--curve", choices=CURVE_NAMES, default="secp256k1")
-    kg.add_argument("--pub", required=True, help="output path for the public key")
-    kg.add_argument("--priv", required=True, help="output path for the private key")
-    kg.add_argument("--armor", action="store_true", help="write ASCII-armored files")
-    kg.add_argument("--seed", type=int, help="deterministic rng seed (test builds only)")
-    kg.set_defaults(func=cmd_keygen)
+def _usage(name: str | None) -> str:
+    if name not in COMMANDS:
+        return "usage: eccs COMMAND [--opt VALUE | --opt=VALUE | --flag]..."
+    words = ["usage: eccs", name]
+    for flag in COMMANDS[name][2]:
+        dest, kind, default = _OPTIONS[flag]
+        value = "{" + ",".join(kind) + "}" if kind is CURVE_NAMES else dest.upper()
+        word = flag if kind is bool else f"{flag} {value}"
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words)
 
-    enc = sub.add_parser("encrypt", help="encrypt a file")
-    enc.add_argument("--pub", required=True, help="recipient public key file")
-    enc.add_argument("--in", dest="infile", required=True, help="plaintext input path")
-    enc.add_argument("--out", required=True, help="ciphertext output path")
-    enc.add_argument("--armor", action="store_true", help="write ASCII-armored output")
-    enc.add_argument("--seed", type=int, help="deterministic rng seed (test builds only)")
-    enc.set_defaults(func=cmd_encrypt)
 
-    dec = sub.add_parser("decrypt", help="decrypt a file")
-    dec.add_argument("--priv", required=True, help="private key file")
-    dec.add_argument("--in", dest="infile", required=True, help="ciphertext input path")
-    dec.add_argument("--out", required=True, help="plaintext output path")
-    dec.set_defaults(func=cmd_decrypt)
-
-    ins = sub.add_parser("inspect", help="describe a key or ciphertext file")
-    ins.add_argument("--in", dest="infile", required=True, help="file to inspect")
-    ins.set_defaults(func=cmd_inspect)
-
-    st = sub.add_parser("selftest", help="run the built-in verification suite")
-    st.set_defaults(func=cmd_selftest)
-
-    be = sub.add_parser("bench", help="measure scheme and baseline performance")
-    be.add_argument("--curve", choices=CURVE_NAMES, default="secp256k1")
-    be.add_argument("--iters", type=int, default=25, help="iterations per operation")
-    be.set_defaults(func=cmd_bench)
-
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """Fill a namespace from the tables above, or print the help and return None."""
+    name = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        for command in [name] if name in COMMANDS else COMMANDS:
+            print(_usage(command), f"    {COMMANDS[command][1]}", sep="\n")
+        return None
+    if name not in COMMANDS:
+        raise ValueError(f"unknown command {name!r}" if argv else "a command is required")
+    func, _, flags = COMMANDS[name]
+    args = SimpleNamespace(func=func, **{_OPTIONS[f][0]: _OPTIONS[f][2] for f in flags})
+    words = iter(argv[1:])
+    for word in words:
+        flag, joined, value = word.partition("=")
+        if flag not in flags:
+            raise ValueError(f"unrecognized argument {word!r}")
+        dest, kind, _ = _OPTIONS[flag]
+        if kind is not bool and not joined:
+            value = next(words, "--")
+            if value.startswith("--"):  # the next option, or the end
+                raise ValueError(f"{flag} expects a value")
+        if (kind is bool and joined or kind is int and not value.removeprefix("-").isdecimal()
+                or kind is CURVE_NAMES and value not in kind):
+            raise ValueError(f"{flag}: invalid value {value!r}")
+        setattr(args, dest, True if kind is bool else int(value) if kind is int else value)
+    if missing := [flag for flag in flags if getattr(args, _OPTIONS[flag][0]) is ...]:
+        raise ValueError("the following arguments are required: " + ", ".join(missing))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _parse(argv)
+    except ValueError as exc:  # a usage error, with its reason
+        print(_usage(argv[0] if argv else None), f"eccs: error: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    return 0 if args is None else args.func(args)

@@ -473,3 +473,105 @@ def test_cli_import_leaves_bench_only_modules_unloaded():
     assert first == "[]"
     assert rest.startswith("curve=secp256k1 message=28B iterations=10 host=")
     assert "eccs.decrypt.median_ms=" in rest
+
+
+# --- argument parsing -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], *([name, "--help"] for name in cli.COMMANDS)], ids=" ".join
+)
+def test_help_prints_every_option_and_exits_0(argv, capsys):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: eccs ") and err == ""
+    lines = {line.split()[2]: line for line in out.splitlines() if line.startswith("usage: ")}
+    assert list(lines) == ([argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS))
+    for name, line in lines.items():
+        assert set(cli.COMMANDS[name][2]) <= set(line.replace("[", " ").replace("]", " ").split())
+
+
+@pytest.mark.parametrize(
+    "words, reason",
+    [
+        (["frobnicate"], "unknown command 'frobnicate'"),
+        (["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out", "{out}", "--bogus", "x"],
+         "unrecognized argument '--bogus'"),
+        (["encrypt", "--pu", "{pk}", "--in", "{msg}", "--out", "{out}"], "unrecognized argument '--pu'"),
+        (["encrypt", "--pub", "{pk}", "--in", "{msg}"], "required: --out"),
+        (["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out"], "--out expects a value"),
+        (["encrypt", "--pub", "--in", "{msg}", "--out", "{out}"], "--pub expects a value"),
+        (["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out", "{out}", "--seed", "x"],
+         "--seed: invalid value 'x'"),
+        (["bench", "--iters", "x"], "--iters: invalid value 'x'"),
+        (["keygen", "--curve", "brainpool", "--pub", "{out}", "--priv", "{sk}"],
+         "--curve: invalid value 'brainpool'"),
+        (["keygen", "--armor=1", "--pub", "{out}", "--priv", "{sk}"], "--armor: invalid value '1'"),
+    ],
+    ids=["command", "option", "abbreviation", "required", "value-at-end", "value-is-option",
+         "seed", "iters", "curve", "flag-value"],
+)
+def test_usage_errors_are_exit_2_before_any_file(keypair, tmp_path, capsys, words, reason):
+    pub, _ = keypair
+    msg = tmp_path / "msg"
+    msg.write_bytes(b"m")
+    paths = {"pk": pub, "msg": msg, "out": tmp_path / "out", "sk": tmp_path / "sk"}
+    assert cli.main([w.format(**paths) for w in words]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: eccs ")
+    assert error.startswith("eccs: error: ") and reason in error
+    assert [p.name for p in tmp_path.iterdir()] == ["msg"]
+
+
+def test_option_spellings_and_order_give_the_same_bytes(tmp_path, monkeypatch):
+    # --opt VALUE and --opt=VALUE in any order; the last of a repeated option wins
+    monkeypatch.setenv(cli.TEST_BUILD_ENV, "1")
+    msg = tmp_path / "msg"
+    msg.write_bytes(b"one spelling or the other")
+    spellings = {
+        "space": (["--pub", "{d}/pk", "--priv", "{d}/sk", "--seed", "7"],
+                  ["--pub", "{d}/pk", "--in", "{m}", "--out", "{d}/ct", "--seed", "99"]),
+        "equals": (["--seed=7", "--priv={d}/sk", "--pub={d}/pk"],
+                   ["--out={d}/ct", "--seed=99", "--in={m}", "--pub={d}/pk"]),
+        "repeated": (["--seed", "1", "--pub", "{d}/pk", "--priv", "{d}/sk", "--seed=7"],
+                     ["--seed=1", "--in", "{m}", "--pub", "{d}/pk", "--out={d}/ct", "--seed", "99"]),
+    }
+    blobs = set()
+    for tag, (keygen_words, encrypt_words) in spellings.items():
+        d = tmp_path / tag
+        d.mkdir()
+        assert cli.main(["keygen", *(w.format(d=d) for w in keygen_words)]) == 0
+        assert cli.main(["encrypt", *(w.format(d=d, m=msg) for w in encrypt_words)]) == 0
+        blobs.add(tuple((d / name).read_bytes() for name in ("pk", "sk", "ct")))
+    assert len(blobs) == 1
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_output_onto_the_key_file_is_exit_2(keypair, sealed, tmp_path, command):
+    # the key is checked before anything is read: a missing --in still gives 2
+    pub, priv = keypair
+    msg, ct = sealed
+    key = tmp_path / "key"
+    key.write_bytes((pub if command == "encrypt" else priv).read_bytes())
+    flag = "--pub" if command == "encrypt" else "--priv"
+    for source in (msg if command == "encrypt" else ct, tmp_path / "missing"):
+        before = key.read_bytes()
+        result = run_cli(command, flag, key, "--in", source, "--out", key)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {flag} and --out must be different paths\n"
+        assert key.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["key"]
+
+
+def test_cli_import_loads_bench_but_no_argparse_or_gettext():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import eccs.cli\n"
+        "print(sorted({'argparse', 'gettext', 'eccs.bench'} & (set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['eccs.bench']\n"
