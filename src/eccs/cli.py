@@ -78,13 +78,17 @@ _LABEL_KINDS = {
 }
 
 
-def _diag(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+class _Fail(Exception):
+    """A command's failure, raised as ``_Fail(code, reason)``: ``main``
+    prints ``error: REASON`` to stderr and returns the exit code."""
 
 
-def _read_file(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
+def _read(path: str, what: str) -> bytes:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _Fail(3, f"cannot read {what}: {exc}")
 
 
 def _write_file(path: str, data: bytes, *, private: bool = False) -> None:
@@ -129,33 +133,63 @@ def _write_file(path: str, data: bytes, *, private: bool = False) -> None:
         raise
 
 
-def _sniff(raw: bytes) -> tuple[str | None, bytes]:
-    """Return (armor label or None, binary payload)."""
-    if raw.lstrip()[:11] == b"-----BEGIN ":
-        try:
-            text = raw.decode("ascii")
-        except UnicodeDecodeError:
-            raise ParseError("armored input is not ASCII") from None
-        return dearmor(text)
-    return None, raw
+def _write(path: str, data: bytes, *, private: bool = False) -> None:
+    try:
+        _write_file(path, data, private=private)
+    except OSError as exc:
+        raise _Fail(3, f"write failed: {exc}")
 
 
-def _load_material(raw: bytes, expected_kind: int) -> bytes:
-    """Dearmor if needed and verify the label matches the expected kind."""
-    label, data = _sniff(raw)
-    if label is not None and _LABEL_KINDS[label] != expected_kind:
-        raise ParseError(f"armor label {label!r} does not match expected content")
+def _unarmor(raw: bytes) -> bytes:
+    """The binary payload of raw, dearmored if it is armored.
+
+    An armor label must name the payload's own envelope kind; whether
+    that kind is the one the caller wants is the parser's check.
+    """
+    if raw.lstrip()[:11] != b"-----BEGIN ":
+        return raw
+    try:
+        label, data = dearmor(raw.decode("ascii"))
+    except UnicodeDecodeError:
+        raise ParseError("armored input is not ASCII") from None
+    if _LABEL_KINDS[label] != parse_envelope(data).kind:
+        raise ParseError(f"armor label {label!r} does not match the content")
     return data
+
+
+def _key(path: str, what: str, parse):
+    raw = _read(path, what)
+    try:
+        return parse(_unarmor(raw))
+    except ParseError as exc:
+        raise _Fail(2, f"bad {what}: {exc}")
 
 
 def _make_rng(seed: int | None):
     """rng selection; a pinned seed is a test-build-only facility."""
     if seed is None:
-        return _SYSTEM_RNG, 0
+        return _SYSTEM_RNG
     if os.environ.get(TEST_BUILD_ENV) != "1":
-        _diag("--seed is only available in test builds")
-        return None, 2
-    return random.Random(seed), 0
+        raise _Fail(2, "--seed is only available in test builds")
+    return random.Random(seed)
+
+
+def _distinct(out_flag: str, out: str, *others: tuple[str, str]) -> None:
+    """Refuse an output path that names the file of another (flag, path).
+
+    Two paths name one file when they are equal, when either is missing
+    and they resolve to the same path, or when both are one regular file,
+    as through a symlink or a hard link.  Two names of one terminal or
+    device, such as /dev/stdin and /dev/stdout, overwrite nothing.
+    """
+    for flag, path in others:
+        try:
+            found = os.stat(out)
+            same = stat.S_ISREG(found.st_mode) and os.path.samestat(found, os.stat(path))
+        except OSError:
+            same = os.path.realpath(path) == os.path.realpath(out)
+        if same or os.path.abspath(path) == os.path.abspath(out):
+            raise _Fail(2, f"{flag} and {out_flag} must be different paths")
 
 
 def _preflight_writable(path: str) -> bool:
@@ -167,124 +201,61 @@ def _preflight_writable(path: str) -> bool:
 
 
 def cmd_keygen(args: SimpleNamespace) -> int:
-    if os.path.abspath(args.pub) == os.path.abspath(args.priv):
-        _diag("--pub and --priv must be different paths")
-        return 2
+    _distinct("--priv", args.priv, ("--pub", args.pub))
     for path in (args.pub, args.priv):
         if not _preflight_writable(path):
-            _diag(f"cannot write to {path}")
-            return 2
-    rng, code = _make_rng(args.seed)
-    if code:
-        return code
-    params = get_curve(args.curve)
+            raise _Fail(2, f"cannot write to {path}")
+    rng = _make_rng(args.seed)
     try:
-        priv, pub = keygen(params, rng)
+        priv, pub = keygen(get_curve(args.curve), rng)
     except OSError:
-        _diag("randomness source failure")
-        return 3
+        raise _Fail(3, "randomness source failure")
     pub_blob = serialize_public_key(pub)
     priv_blob = serialize_private_key(priv)
     if args.armor:
         pub_blob = armor(pub_blob, LABEL_PUBLIC_KEY).encode("ascii")
         priv_blob = armor(priv_blob, LABEL_PRIVATE_KEY).encode("ascii")
-    try:
-        _write_file(args.pub, pub_blob)
-        _write_file(args.priv, priv_blob, private=True)
-    except OSError as exc:
-        _diag(f"write failed: {exc}")
-        return 3
+    _write(args.pub, pub_blob)
+    _write(args.priv, priv_blob, private=True)
     return 0
 
 
 def cmd_encrypt(args: SimpleNamespace) -> int:
-    for flag, path in (("--in", args.infile), ("--pub", args.pub)):
-        if os.path.abspath(path) == os.path.abspath(args.out):
-            _diag(f"{flag} and --out must be different paths")
-            return 2
-    try:
-        key_raw = _read_file(args.pub)
-    except OSError as exc:
-        _diag(f"cannot read public key: {exc}")
-        return 3
-    try:
-        pub = parse_public_key(_load_material(key_raw, KIND_PUBLIC_KEY))
-    except ParseError as exc:
-        _diag(f"bad public key: {exc}")
-        return 2
-    try:
-        message = _read_file(args.infile)
-    except OSError as exc:
-        _diag(f"cannot read message: {exc}")
-        return 3
-    rng, code = _make_rng(args.seed)
-    if code:
-        return code
+    _distinct("--out", args.out, ("--in", args.infile), ("--pub", args.pub))
+    pub = _key(args.pub, "public key", parse_public_key)
+    message = _read(args.infile, "message")
+    rng = _make_rng(args.seed)
     try:
         ciphertext = encrypt(pub, message, rng)
     except OSError:
-        _diag("randomness source failure")
-        return 3
+        raise _Fail(3, "randomness source failure")
     except ValueError as exc:
-        _diag(str(exc))
-        return 2
+        raise _Fail(2, str(exc))
     blob = serialize_ciphertext(ciphertext)
     if args.armor:
         blob = armor(blob, LABEL_CIPHERTEXT).encode("ascii")
-    try:
-        _write_file(args.out, blob)
-    except OSError as exc:
-        _diag(f"write failed: {exc}")
-        return 3
+    _write(args.out, blob)
     return 0
 
 
 def cmd_decrypt(args: SimpleNamespace) -> int:
-    for flag, path in (("--in", args.infile), ("--priv", args.priv)):
-        if os.path.abspath(path) == os.path.abspath(args.out):
-            _diag(f"{flag} and --out must be different paths")
-            return 2
-    try:
-        key_raw = _read_file(args.priv)
-    except OSError as exc:
-        _diag(f"cannot read private key: {exc}")
-        return 3
-    try:
-        priv = parse_private_key(_load_material(key_raw, KIND_PRIVATE_KEY))
-    except ParseError as exc:
-        _diag(f"bad private key: {exc}")
-        return 2
-    try:
-        ct_raw = _read_file(args.infile)
-    except OSError as exc:
-        _diag(f"cannot read ciphertext: {exc}")
-        return 3
+    _distinct("--out", args.out, ("--in", args.infile), ("--priv", args.priv))
+    priv = _key(args.priv, "private key", parse_private_key)
+    raw = _read(args.infile, "ciphertext")
     # From here on, every content failure is the same opaque error.
     try:
-        ciphertext = parse_ciphertext(_load_material(ct_raw, KIND_CIPHERTEXT))
-        message = decrypt(priv, ciphertext)
+        message = decrypt(priv, parse_ciphertext(_unarmor(raw)))
     except (ParseError, InvalidCiphertext):
-        _diag("invalid ciphertext")
-        return 4
-    try:
-        _write_file(args.out, message)
-    except OSError as exc:
-        _diag(f"write failed: {exc}")
-        return 3
+        raise _Fail(4, "invalid ciphertext")
+    _write(args.out, message)
     return 0
 
 
 def cmd_inspect(args: SimpleNamespace) -> int:
+    raw = _read(args.infile, "input")
     try:
-        raw = _read_file(args.infile)
-    except OSError as exc:
-        _diag(f"cannot read input: {exc}")
-        return 3
-    try:
-        label, data = _sniff(raw)
+        data = _unarmor(raw)
         envelope = parse_envelope(data)
-        if label is not None and _LABEL_KINDS[label] != envelope.kind:
-            raise ParseError("armor label does not match envelope kind")
         params = curve_by_id(envelope.curve_id)
         if envelope.kind == KIND_PUBLIC_KEY:
             parse_public_key(data)
@@ -301,8 +272,7 @@ def cmd_inspect(args: SimpleNamespace) -> int:
                 f"{count} chunk{plural}"
             )
     except ParseError as exc:
-        _diag(f"unrecognized input: {exc}")
-        return 2
+        raise _Fail(2, f"unrecognized input: {exc}")
     print(line)
     return 0
 
@@ -315,8 +285,7 @@ def cmd_bench(args: SimpleNamespace) -> int:
     try:
         report = bench_mod.run_suite(curve=args.curve, iterations=args.iters)
     except ValueError as exc:
-        _diag(str(exc))
-        return 2
+        raise _Fail(2, str(exc))
     print(bench_mod.format_report(report), end="")
     return 0
 
@@ -516,4 +485,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # a usage error, with its reason
         print(_usage(argv[0] if argv else None), f"eccs: error: {exc}", sep="\n", file=sys.stderr)
         return 2
-    return 0 if args is None else args.func(args)
+    if args is None:
+        return 0
+    try:
+        return args.func(args)
+    except _Fail as fail:
+        code, reason = fail.args
+        print(f"error: {reason}", file=sys.stderr)
+        return code

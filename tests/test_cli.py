@@ -11,7 +11,7 @@ import pytest
 
 from eccs import cli
 from eccs import curve as curve_mod
-from eccs.wire import parse_private_key
+from eccs.wire import LABEL_PRIVATE_KEY, LABEL_PUBLIC_KEY, armor, parse_private_key
 
 
 def run_cli(*args, env_extra=None):
@@ -575,3 +575,114 @@ def test_cli_import_loads_bench_but_no_argparse_or_gettext():
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "['eccs.bench']\n"
+
+
+# --- failures: one ``error: ...`` line and an exit code ---------------------
+
+
+def _raise_oserror(*_args):
+    raise OSError("injected entropy failure")
+
+
+@pytest.mark.parametrize(
+    "words, patched, code, prefix",
+    [
+        (["encrypt", "--pub", "{d}/nope", "--in", "{msg}", "--out", "{d}/o"], None, 3,
+         "cannot read public key: "),
+        (["decrypt", "--priv", "{d}/nope", "--in", "{ct}", "--out", "{d}/o"], None, 3,
+         "cannot read private key: "),
+        (["encrypt", "--pub", "{pk}", "--in", "{d}/nope", "--out", "{d}/o"], None, 3,
+         "cannot read message: "),
+        (["decrypt", "--priv", "{sk}", "--in", "{d}/nope", "--out", "{d}/o"], None, 3,
+         "cannot read ciphertext: "),
+        (["inspect", "--in", "{d}/nope"], None, 3, "cannot read input: "),
+        # a missing directory, not a read-only one: root may write anywhere
+        (["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out", "{d}/nope/o"], None, 3, "write failed: "),
+        (["decrypt", "--priv", "{sk}", "--in", "{ct}", "--out", "{d}/nope/o"], None, 3, "write failed: "),
+        (["keygen", "--pub", "{d}/p", "--priv", "{d}/s"], "keygen", 3, "randomness source failure"),
+        (["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out", "{d}/o"], "encrypt", 3,
+         "randomness source failure"),
+        (["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out", "{d}/o", "--seed", "7"], None, 2,
+         "--seed is only available in test builds"),
+    ],
+    ids=["read-pub", "read-priv", "read-message", "read-ciphertext", "read-inspect",
+         "write-encrypt", "write-decrypt", "rng-keygen", "rng-encrypt", "seed"],
+)
+def test_failures_are_one_error_line_and_an_exit_code(
+    keypair, sealed, tmp_path, capsys, monkeypatch, words, patched, code, prefix
+):
+    monkeypatch.delenv(cli.TEST_BUILD_ENV, raising=False)
+    if patched:
+        monkeypatch.setattr(cli, patched, _raise_oserror)
+    pub, priv = keypair
+    msg, ct = sealed
+    paths = {"d": tmp_path, "pk": pub, "sk": priv, "msg": msg, "ct": ct}
+    assert cli.main([w.format(**paths) for w in words]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {prefix}") and err.count("\n") == 1 and err.endswith("\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_armor_label_must_name_the_content(keypair, sealed, tmp_path, capsys):
+    # inspect refuses a mislabeled key with 2; decrypt gives a mislabeled
+    # ciphertext the same opaque 4 as any other bad ciphertext
+    pub, priv = keypair
+    _, ct = sealed
+    relabeled = tmp_path / "pk.txt"
+    relabeled.write_text(armor(pub.read_bytes(), LABEL_PRIVATE_KEY))
+    assert cli.main(["inspect", "--in", str(relabeled)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    relabeled = tmp_path / "ct.txt"
+    relabeled.write_text(armor(ct.read_bytes(), LABEL_PUBLIC_KEY))
+    target = tmp_path / "o"
+    assert cli.main(["decrypt", "--priv", str(priv), "--in", str(relabeled), "--out", str(target)]) == 4
+    assert capsys.readouterr() == ("", "error: invalid ciphertext\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("link", ["symlink", "hardlink"])
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_output_through_a_link_to_the_key_file_is_exit_2(
+    keypair, sealed, tmp_path, capsys, command, link
+):
+    pub, priv = keypair
+    msg, ct = sealed
+    key = tmp_path / "key"
+    key.write_bytes((pub if command == "encrypt" else priv).read_bytes())
+    before = key.read_bytes()
+    out = tmp_path / "out"
+    if link == "symlink":
+        out.symlink_to(key)
+    else:
+        out.hardlink_to(key)
+    flag = "--pub" if command == "encrypt" else "--priv"
+    source = msg if command == "encrypt" else ct
+    assert cli.main([command, flag, str(key), "--in", str(source), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} and --out must be different paths\n")
+    assert key.read_bytes() == before
+
+
+def test_keygen_pub_through_a_symlink_to_priv_is_exit_2(tmp_path, capsys):
+    priv = tmp_path / "sk"
+    priv.write_bytes(b"old key")
+    pub = tmp_path / "pk"
+    pub.symlink_to(priv)
+    assert cli.main(["keygen", "--pub", str(pub), "--priv", str(priv)]) == 2
+    assert capsys.readouterr() == ("", "error: --pub and --priv must be different paths\n")
+    assert priv.read_bytes() == b"old key"
+
+
+def test_two_names_of_one_device_are_allowed(keypair):
+    # /dev/stdin and /dev/stdout both lead to /dev/null here, as both lead to
+    # one pty on a terminal: no regular file is overwritten, so no refusal
+    pub, _ = keypair
+    result = subprocess.run(
+        [sys.executable, "-m", "eccs", "encrypt", "--pub", pub, "--in", "/dev/stdin", "--out", "/dev/stdout"],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
