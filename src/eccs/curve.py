@@ -12,11 +12,11 @@ prime (hence odd) order, which parameter validation enforces.
 All scalar multiplication goes through one multi-scalar core,
 ``linear_combinations``, which computes sums of products k1*P1 + ... in
 one call; ``scalar_mult`` is its one-term case.  Scalars are read as
-signed odd digits, one table entry added per digit.  A base used often
-gets a fixed-base table: a row of 16 odd multiples per 5-bit digit
-position, so it needs no doublings.  Any other base gets a row of its 8
-odd multiples and their images under the endomorphism
-(x, y) -> (beta*x, y) per call, read with 4-bit digits after a GLV split
+signed odd 5-bit digits, one table entry added per digit, and every row
+holds 16 odd multiples.  A base used often gets a fixed-base table: a
+row per digit position, so it needs no doublings.  Any other base gets
+a row of its odd multiples and one of their images under the
+endomorphism (x, y) -> (beta*x, y) per call, read after a GLV split
 into two half-length scalars; every curve accepted here has that
 endomorphism and carries it.  The untabled terms of a sum share
 their doublings (Straus), a base's rows are built once per call, and all
@@ -163,21 +163,20 @@ def _group_law(b3, p):
 # ---------------------------------------------------------------------------
 # constant-shape multi-scalar core
 #
-# A value v of c*w bits is read, in c-bit windows d_i, as the signed
+# A value v of 5*w bits is read, in 5-bit windows d_i, as the signed
 # odd-digit number
-#     read(v) = sum_{i<w} (2*d_i - (2**c - 1)) * 2**(c*i) = 2*v - (2**(c*w) - 1).
-# Every digit is odd and nonzero, so a row of width c only holds the odd
-# multiples P, 3P, ..., (2**c - 1)P, none of them the identity when P has
-# prime order above 2**c.  Variable bases use c = 4 (rows of 8) and
-# fixed-base tables c = 5 (rows of 16).  A table reaches any scalar k by
-# halving mod n: read((k + 2**(c*w) - 1) / 2 mod n) == k (mod n).
+#     read(v) = sum_{i<w} (2*d_i - 31) * 32**i = 2*v - (32**w - 1).
+# Every digit is odd and nonzero, so a row only holds the 16 odd
+# multiples P, 3P, ..., 31P, none of them the identity when P has prime
+# order above 31.  A table reaches any scalar k by halving mod n:
+# read((k + 32**w - 1) / 2 mod n) == k (mod n).
 
 
-def _odd_multiples(add, dbl, X, Y, Z, size=8):
-    """The row [P, 3P, 5P, ..., (2*size - 1)P] for P = (X : Y : Z)."""
+def _odd_multiples(add, dbl, X, Y, Z):
+    """The row [P, 3P, 5P, ..., 31P] for P = (X : Y : Z)."""
     twice = dbl(X, Y, Z)
     row = [(X, Y, Z)]
-    for _ in range(size - 1):
+    for _ in range(15):
         row.append(add(*row[-1], *twice))
     return row
 
@@ -189,16 +188,14 @@ def _pack(points, p):
 
 
 def _select(row, window, p):
-    """Entry for the digit 2*window - (2*len(row) - 1), by a masked scan.
+    """Entry for the digit 2*window - 31 of a 5-bit window, by a masked scan.
 
-    A row holds 8 or 16 entries, for 4- or 5-bit windows: digits 1, 3, ...
-    sit at indices 0, 1, ..., and every entry of the row is read.  A
-    negative digit takes the entry of its absolute value and negates y by
-    a mask.
+    A row holds 16 entries: digits 1, 3, ..., 31 sit at indices 0, 1, ...,
+    15, and every entry of the row is read.  A negative digit takes the
+    entry of its absolute value and negates y by a mask.
     """
-    half = len(row)
-    neg = (window - half) >> 4  # -1 below digit zero, else 0
-    index = (window ^ neg) & (half - 1)
+    neg = (window - 16) >> 5  # -1 below digit zero, else 0
+    index = (window ^ neg) & 15
     entry = 0
     for j, packed in enumerate(row):
         entry |= (((j ^ index) - 1) >> 4) & packed  # -1 & packed where j == index
@@ -210,21 +207,21 @@ def _select(row, window, p):
 
 
 def _straus(add, dbl, p, rows, values, windows):
-    """sum_j read(values[j]) * P_j, where rows[j] is the packed 8-entry row of P_j.
+    """sum_j read(values[j]) * P_j, where rows[j] is the packed row of P_j.
 
-    One pass over the 4-bit windows, top first, with the doublings shared
+    One pass over the 5-bit windows, top first, with the doublings shared
     by all rows (Straus).  The pass starts from the first row's top entry,
     not from the identity, so it always makes windows * len(rows) - 1
-    additions and 4 * (windows - 1) doublings, whatever the values.
+    additions and 5 * (windows - 1) doublings, whatever the values.
     """
-    top = 4 * windows - 4
-    X, Y, Z = _select(rows[0], values[0] >> top & 15, p)
+    top = 5 * windows - 5
+    X, Y, Z = _select(rows[0], values[0] >> top & 31, p)
     for row, v in zip(rows[1:], values[1:]):
-        X, Y, Z = add(X, Y, Z, *_select(row, v >> top & 15, p))
-    for shift in range(top - 4, -1, -4):
-        X, Y, Z = dbl(*dbl(*dbl(*dbl(X, Y, Z))))
+        X, Y, Z = add(X, Y, Z, *_select(row, v >> top & 31, p))
+    for shift in range(top - 5, -1, -5):
+        X, Y, Z = dbl(*dbl(*dbl(*dbl(*dbl(X, Y, Z)))))
         for row, v in zip(rows, values):
-            X, Y, Z = add(X, Y, Z, *_select(row, v >> shift & 15, p))
+            X, Y, Z = add(X, Y, Z, *_select(row, v >> shift & 31, p))
     return X, Y, Z
 
 
@@ -268,8 +265,8 @@ def _raw_multiple(p: int, b: int, k: int, x: int, y: int):
     if k % 2 == 0:
         raise ValueError("the multiple to prove must be odd")
     add, dbl = _group_law(3 * b % p, p)
-    windows = (k.bit_length() + 3) // 4
-    v = (k + (1 << 4 * windows) - 1) >> 1  # read(v) == k exactly
+    windows = (k.bit_length() + 4) // 5
+    v = (k + (1 << 5 * windows) - 1) >> 1  # read(v) == k exactly
     row = _pack(_odd_multiples(add, dbl, x, y, 1), p)
     return _straus(add, dbl, p, [row], [v], windows)
 
@@ -307,7 +304,7 @@ def _short_basis(n: int, lam: int) -> tuple[int, int, int, int]:
 class _Endomorphism:
     """(x, y) -> (beta*x, y), which acts on the group as multiplication by lam.
 
-    ``split`` turns a scalar k into two values v1, v2 of 4*windows bits
+    ``split`` turns a scalar k into two values v1, v2 of 5*windows bits
     with read(v1) + lam*read(v2) == k (mod n), each about half as long
     as n (Gallant, Lambert and Vanstone, CRYPTO 2001).
     """
@@ -319,12 +316,12 @@ class _Endomorphism:
         # rounding leaves |s1| <= (|a1| + |a2|) / 2 and |s2| <= (|b1| + |b2|) / 2
         bound = max(abs(a1) + abs(a2), abs(b1) + abs(b2)) // 2
         self.beta = beta
-        self.windows = (bound.bit_length() + 4) // 4  # one bit to spare for the sign
+        self.windows = (bound.bit_length() + 5) // 5  # one bit to spare for the sign
         self._n = n
         self._basis = (a1, b1, a2, b2)
         self._shift = (-1 - lam) % n
         self._inv2 = (n + 1) // 2
-        self._half = 1 << (4 * self.windows - 1)
+        self._half = 1 << (5 * self.windows - 1)
 
     def split(self, k: int) -> tuple[int, int]:
         n = self._n
@@ -609,7 +606,7 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
     points = []
     base = (point.x, point.y, 1)
     for _ in range(params._table_windows):
-        row = _odd_multiples(add, dbl, *base, 16)
+        row = _odd_multiples(add, dbl, *base)
         points += row
         base = add(*row[-1], *base)  # 31B + B
     flat = _pack(_normalize(points, params.p), params.p)
@@ -635,12 +632,13 @@ def linear_combinations(
     """sum_j k_j * P_j for each sum of (P_j, k_j) terms, sharing the work.
 
     A sum of t terms stands for, and is tallied as, t scalar
-    multiplications and t - 1 point additions.  In each sum a term whose
-    base has a fixed-base table adds one entry per table row, read from
-    its scalar's 5-bit signed odd digits (no doublings).  The other terms
-    are split by the curve's endomorphism into two half-length scalars
-    and take one Straus pass with shared doublings over their rows, read
-    with 4-bit digits; the table entries are then added to its result.
+    multiplications and t - 1 point additions.  Every scalar is read as
+    signed odd 5-bit digits over rows of 16 odd multiples.  In each sum a
+    term whose base has a fixed-base table adds one entry per table row
+    (no doublings).  The other terms are split by the curve's
+    endomorphism into two half-length scalars and take one Straus pass
+    with shared doublings over their rows; the table entries are then
+    added to its result.
     A base's rows are built and its membership checked once per call,
     however many terms use it, and every result goes to affine with one
     inversion.  Each term still counts as one use of its base towards a
@@ -691,13 +689,13 @@ def scalar_mult(params: CurveParams, point: CurvePoint, k: int) -> CurvePoint:
     """k * point, with a sequence of operations that does not depend on k.
 
     The one-term case of ``linear_combinations``: the scalar is read as
-    signed odd digits, and each digit adds one table entry, chosen by a
-    masked scan of the whole row and negated by a mask.  A base used
-    often gets a fixed-base table of 16-entry rows read with 5-bit digits
-    (no doublings); otherwise the scalar is split by the curve's
-    endomorphism into two half-length ones, read with 4-bit digits on a
-    row of the base's 8 odd multiples and a row of their images, both
-    built per call.  Iteration counts depend only on the curve.
+    signed odd 5-bit digits, and each digit adds one entry of a row of 16
+    odd multiples, chosen by a masked scan of the whole row and negated
+    by a mask.  A base used often gets a fixed-base table, one row per
+    digit (no doublings); otherwise the scalar is split by the curve's
+    endomorphism into two half-length ones, read on a row of the base's
+    odd multiples and a row of their images, both built per call.
+    Iteration counts depend only on the curve.
     """
     return linear_combinations(params, [[(point, k)]])[0]
 
@@ -778,13 +776,11 @@ def derive_g2(curve_id: int, p: int, b: int, n: int) -> tuple[int, int]:
 def _count_points(p: int, b: int) -> int:
     """#E(F_p) by summing Legendre symbols; only sensible for small p."""
     total = p + 1
-    exp = (p - 1) // 2
     for x in range(p):
         rhs = (x * x % p * x + b) % p
         if rhs == 0:
             continue
-        ls = pow(rhs, exp, p)
-        total += 1 if ls == 1 else -1
+        total += 1 if FieldElement(rhs, p).is_square() else -1
     return total
 
 

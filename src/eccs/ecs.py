@@ -10,11 +10,12 @@ plaintext is released.
 Secret-dependent work is confined to the curve's multi-scalar core,
 ``linear_combinations``, and its one-term case ``scalar_mult`` (a fixed
 sequence of operations with masked table scans), and to a constant-time
-comparison; there are no secret-indexed lookups and no early exits
-ahead of the validity check, and a message is rejected only after all
-of its chunks have been decrypted.  Key generation and decryption hand
-their sums of products to the core in one call each, so they share
-rows, doublings and the final inversion.
+comparison; there are no secret-indexed lookups, the only early exits
+ahead of the validity check are public pre-checks on the chunk's
+points, and a message is rejected only after all of its chunks have
+been decrypted.  Key generation and decryption hand their sums of
+products to the core in one call each, so they share rows, doublings
+and the final inversion.
 
 A whole message uses the CPUs the process may run on
 (``os.sched_getaffinity``; ``taskset`` limits them): ``encrypt`` and

@@ -39,24 +39,6 @@ def _egcd_inverse(value: int, p: int) -> int:
     return old_s % p
 
 
-def _affine_add(p: int, a: int, P, Q):
-    """Textbook chord-and-tangent addition on (x, y) tuples; None is identity."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2 and (y1 + y2) % p == 0:
-        return None
-    if P == Q:
-        slope = (3 * x1 * x1 + a) * _egcd_inverse(2 * y1, p) % p
-    else:
-        slope = (y2 - y1) * _egcd_inverse(x2 - x1, p) % p
-    x3 = (slope * slope - x1 - x2) % p
-    return x3, (slope * (x1 - x3) - y1) % p
-
-
 class GroupTable:
     """Fully materialized group: point list plus an n-by-n addition table.
 

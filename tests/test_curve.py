@@ -206,6 +206,39 @@ def test_even_lam_is_proved_as_lam_plus_n():
         _raw_multiple(p, 7, lam, *spec["g1"])  # read exactly, so only odd multiples
 
 
+@pytest.mark.parametrize("name", ["toy", "secp256k1"])
+def test_raw_multiple_matches_the_affine_reference(monkeypatch, name):
+    params = get_curve(name)
+    p, n = params.p, params.n
+    doublings = Counter()
+    group_law = curve_mod._group_law
+
+    def counted_law(b3, modulus):
+        add, dbl = group_law(b3, modulus)
+
+        def counted_dbl(*args):
+            doublings["dbl"] += 1
+            return dbl(*args)
+
+        return add, counted_dbl
+
+    monkeypatch.setattr(curve_mod, "_group_law", counted_law)
+    g1t = as_tuple(params.g1)
+    # one, two and three 5-bit windows at both ends of each count; n gives the identity
+    n_windows = {"toy": 3, "secp256k1": 52}[name]
+    for k, windows in ((1, 1), (31, 1), (33, 2), (1023, 2), (1025, 3), (n, n_windows)):
+        doublings.clear()
+        X, Y, Z = _raw_multiple(p, params.b, k, *g1t)
+        # one doubling for the row, five per window below the top one
+        assert doublings["dbl"] == 1 + 5 * (windows - 1), k
+        want = aff_mul(p, 0, g1t, k)
+        if want is None:
+            assert Z % p == 0, k
+        else:
+            zinv = pow(Z, -1, p)
+            assert (X * zinv % p, Y * zinv % p) == want, k
+
+
 def test_composite_field_rejected():
     # the proof's own message: 1053 (1 mod 4) would also fail the shape
     # check, while 1023 = 3*11*31 and 1095 = 3*5*73 pass it
@@ -399,7 +432,7 @@ def glv_halves(params, k):
     """The two signed half-length scalars of k's GLV split."""
     glv = params._glv
     v1, v2 = glv.split(k)
-    half = 1 << (4 * glv.windows - 1)
+    half = 1 << (5 * glv.windows - 1)
     return v1 - half, v2 - half
 
 
@@ -407,14 +440,13 @@ def test_secp256k1_edge_scalars_on_every_path():
     secp = fresh_curve("secp256k1")
     n, lam = secp.n, _REGISTRY_SPECS[SECP256K1_ID]["lam"]
     scalars = [0, 1, 2, n - 1, lam, n - lam]
-    # scalars whose 4-bit recoding over 64 windows has every digit -15 or +15
-    full = (1 << 4 * 64) - 1
+    # scalars whose recoding over the table's 52 windows has every digit -31 or +31
+    full = (1 << 5 * 52) - 1
     scalars += [(0 - full) % n, full % n]
-    # the same over the table's 52 5-bit windows: every digit -31 or +31
-    full5 = (1 << 5 * 52) - 1
-    scalars += [(0 - full5) % n, full5 % n]
+    # the same for both GLV halves over their 26 windows
     glv_windows = secp._glv.windows
-    ones = (1 << 4 * glv_windows) - 1
+    assert glv_windows == 26
+    ones = (1 << 5 * glv_windows) - 1
     for v1 in (0, ones):
         for v2 in (0, ones):
             read1, read2 = 2 * v1 - ones, 2 * v2 - ones
@@ -437,14 +469,14 @@ def test_secp256k1_edge_scalars_on_every_path():
 
 
 def test_straus_reads_extreme_windows(secp):
-    # all-zero and all-ones values on both rows of one pass
+    # all-zero and all-ones values on both rows of one pass: every digit -31 or +31
     x, y = secp.g1.x, secp.g1.y
     rows = [
         _pack(_odd_multiples(secp._add, secp._dbl, x, y, 1), secp.p),
         _pack(_odd_multiples(secp._add, secp._dbl, *secp._dbl(x, y, 1)), secp.p),
     ]
     windows = 5
-    ones = (1 << 4 * windows) - 1
+    ones = (1 << 5 * windows) - 1
     gt = as_tuple(secp.g1)
     for v1 in (0, ones):
         for v2 in (0, ones):
@@ -461,12 +493,12 @@ def plain_select(row, window):
     return (X, Y, Z) if digit > 0 else (X, -Y, Z)
 
 
-@pytest.mark.parametrize("size", [8, 16])
-def test_select_matches_a_plain_lookup_for_every_window(secp, size):
+def test_select_matches_a_plain_lookup_for_every_window(secp):
     p = secp.p
-    row = _odd_multiples(secp._add, secp._dbl, secp.g1.x, secp.g1.y, 1, size)
+    row = _odd_multiples(secp._add, secp._dbl, secp.g1.x, secp.g1.y, 1)
+    assert len(row) == 16
     packed = _pack(row, p)
-    for window in range(2 * size):
+    for window in range(32):
         X, Y, Z = _select(packed, window, p)
         want = plain_select(row, window)
         assert (X, Y % p, Z) == (want[0], want[1] % p, want[2]), window
@@ -720,20 +752,24 @@ def test_linear_combinations_shape_is_independent_of_the_scalars(monkeypatch):
     tabled = shape()
     assert len(secp._bases[P]) == 52
     windows = secp._glv.windows
-    # 7 additions per row of odd multiples built (P, Q), and each Straus
+    assert windows == 26
+    # 15 additions per row of odd multiples built (P, Q), and each Straus
     # pass starts from its first entry: one addition fewer than its entries
-    assert untabled[0] == 2 * 7 + (4 * windows - 1) + (2 * windows - 1) == 210
+    assert untabled[0] == 2 * 15 + (4 * windows - 1) + (2 * windows - 1) == 184
     # P tabled: Q's row and pass, then 52 entries added to it; the
     # table-only sum starts from its first entry
-    assert tabled[0] == 7 + (2 * windows - 1) + 52 + 51 == 175
-    # two sums of 4 * (windows - 1) doublings each, and one per row built (P, Q)
-    assert untabled[1] == 2 * 4 * (windows - 1) + 2
+    assert tabled[0] == 15 + (2 * windows - 1) + 52 + 51 == 169
+    # two sums of 5 * (windows - 1) doublings each, and one per row built (P, Q)
+    assert untabled[1] == 2 * 5 * (windows - 1) + 2 == 252
     # P tabled: only Q's row and Q's pass in the first sum double
-    assert tabled[1] == 4 * (windows - 1) + 1
-    assert tabled[2] == 2 * len(secp._bases[P]) + 2 * windows
+    assert tabled[1] == 5 * (windows - 1) + 1 == 126
+    # one scan per window of each GLV half: four in the first sum, two in the second
+    assert untabled[2] == 6 * windows == 156
+    # P tabled: one scan per table row in each sum, and Q's two halves
+    assert tabled[2] == 2 * len(secp._bases[P]) + 2 * windows == 156
 
 
-def test_untabled_scalar_mult_makes_72_additions(monkeypatch):
+def test_untabled_scalar_mult_makes_66_additions(monkeypatch):
     secp = fresh_curve("secp256k1")
     adds = Counter()
     original = secp._add
@@ -748,8 +784,8 @@ def test_untabled_scalar_mult_makes_72_additions(monkeypatch):
         secp._bases.pop(secp.g2, None)  # never a table
         adds.clear()
         assert as_tuple(scalar_mult(secp, secp.g2, k)) == reference_sum(secp, [(secp.g2, k)])
-        # 7 for the row of odd multiples, 2 * 33 - 1 for the GLV pass
-        assert adds["add"] == 72
+        # 15 for the row of odd multiples, 2 * 26 - 1 for the GLV pass
+        assert adds["add"] == 15 + 2 * secp._glv.windows - 1 == 66
 
 
 def test_cross_curve_points_rejected(toy, secp):

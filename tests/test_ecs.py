@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eccs import codec
+from eccs import curve as curve_mod
 from eccs import ecs as ecs_mod
 from eccs import wire as wire_mod
 from eccs.codec import chunk_capacity, encode_chunk
@@ -476,6 +477,55 @@ def two_chunks(secp):
     priv, pub = keygen(secp, rng)
     message = bytes(range(40, 100))
     return priv, message, serialize_ciphertext(encrypt(pub, message, rng))
+
+
+def test_rejection_work_does_not_depend_on_where_a_forgery_diverges(secp, two_chunks, monkeypatch):
+    """A negated u1, u2, e or v in either chunk, or a wrong key, costs the
+    group work of a valid decryption; an identity u1 is refused earlier."""
+    priv, message, blob = two_chunks
+    wrong, _ = keygen(secp, random.Random(1008))
+    monkeypatch.setattr(curve_mod, "_loaded", {})
+    params = curve_mod.curve_by_id(SECP256K1_ID)  # this test's own: no use or table of any base
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(params, "_add", counted("add", params._add))
+    monkeypatch.setattr(params, "_dbl", counted("dbl", params._dbl))
+    monkeypatch.setattr(curve_mod, "_select", counted("select", curve_mod._select))
+    monkeypatch.setattr(curve_mod, "_blinded_inverse", counted("inverse", curve_mod._blinded_inverse))
+
+    def work(key, data):
+        """(count_ops tally, primitive counts) of one decryption of data."""
+        params._bases.clear()
+        ct = parse_ciphertext(data)
+        calls.clear()
+        with count_ops() as ops:
+            try:
+                accepted = decrypt(key, ct) == message
+            except InvalidCiphertext:
+                accepted = False
+        return accepted, vars(ops), dict(calls)
+
+    accepted, *valid = work(priv, blob)
+    assert accepted and set(valid[1]) == {"add", "dbl", "select", "inverse"}
+    assert valid[0] == {"point_adds": 4, "scalar_mults": 6, "negations": 2, "hashes": 2}
+    # envelope (7 B) and chunk count (4 B), then u1, u2, e, v of each chunk, 33 B each
+    for at in (11 + 33 * j for j in range(8)):
+        flipped = blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :]  # 0x02 <-> 0x03: the negation
+        assert work(priv, flipped) == (False, *valid), at
+    assert work(wrong, blob) == (False, *valid)
+    # identity u1 in chunk 1: refused before its hash and core call, so with less work
+    at = 11 + 33 * 4
+    accepted, ops, prims = work(priv, blob[:at] + b"\x00" + blob[at + 33 :])
+    assert not accepted
+    assert ops == {"point_adds": 2, "scalar_mults": 3, "negations": 1, "hashes": 1}
+    assert all(prims.get(name, 0) < count for name, count in valid[1].items()), prims
 
 
 @st.composite
