@@ -307,10 +307,11 @@ def run_selftest(stream) -> bool:
 
     Covers the hash primitive (standard known-answer vectors), a fresh
     re-validation of the registry constants with every proof, a check of
-    their pinned digests and a re-run of the small-curve search, the
-    brute-force group table against the group law, the correctness
-    identity for every ephemeral scalar on the small curve, and a
-    ciphertext bit-flip sweep.
+    their pinned digests, a rebuild of the shipped generator tables
+    checked against their files and digests, a re-run of the small-curve
+    search, the brute-force group table against the group law, the
+    correctness identity for every ephemeral scalar on the small curve,
+    and a ciphertext bit-flip sweep.
     """
     started = time.perf_counter()
     passed = True
@@ -333,11 +334,18 @@ def run_selftest(stream) -> bool:
 
     def check_registry() -> None:
         # construct from the frozen constants, re-running all validation,
-        # and check that each still matches the digest loading compares
+        # and check that each still matches the digest loading compares;
+        # rebuild the shipped generator tables from the proved curve and
+        # check them against their file and pinned digest
         for curve_id, spec in curve_mod._REGISTRY_SPECS.items():
-            CurveParams(**spec)
+            params = CurveParams(**spec)
             if curve_mod._spec_digest(spec) != curve_mod._REGISTRY_DIGESTS[curve_id]:
                 raise AssertionError(f"{spec['name']} does not match its pinned digest")
+            tables = curve_mod._generator_table_bytes(params)
+            digest = hashlib.sha3_256(tables).hexdigest()
+            shipped = curve_mod._shipped_table_bytes(curve_id)
+            if shipped != tables or digest != curve_mod._TABLE_DIGESTS[curve_id]:
+                raise AssertionError(f"{spec['name']} generator tables do not match their build")
         # equality ignores beta and lam; lam follows from beta, g1 and the proof
         found = curve_mod.toy_curve_search()
         frozen = CurveParams(**curve_mod._REGISTRY_SPECS[curve_mod.TOY_ID])

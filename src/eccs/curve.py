@@ -14,10 +14,12 @@ All scalar multiplication goes through one multi-scalar core,
 one call; ``scalar_mult`` is its one-term case.  Scalars are read as
 signed odd 5-bit digits, one table entry added per digit, and every row
 holds 16 odd multiples.  A base used often gets a fixed-base table: a
-row per digit position, so it needs no doublings.  Any other base gets
-a row of its odd multiples and one of their images under the
-endomorphism (x, y) -> (beta*x, y) per call, read after a GLV split
-into two half-length scalars; every curve accepted here has that
+row per digit position, so it needs no doublings.  The registry curves'
+g1 and g2 have theirs from their first use: the tables ship with the
+package as data files, checked against a pinned digest when first read.
+Any other base gets a row of its odd multiples and one of their images
+under the endomorphism (x, y) -> (beta*x, y) per call, read after a GLV
+split into two half-length scalars; every curve accepted here has that
 endomorphism and carries it.  The untabled terms of a sum share
 their doublings (Straus), a base's rows are built once per call, and all
 results of a call go to affine with one inversion.  Iteration counts
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import secrets
 import weakref
 from contextlib import contextmanager
@@ -378,6 +381,7 @@ class CurveParams:
         "_inv2",
         "_glv",
         "_bases",
+        "_ships_tables",
     )
 
     def __init__(
@@ -444,6 +448,9 @@ class CurveParams:
         self._table_ones = (1 << 5 * self._table_windows) - 1
         self._inv2 = (n + 1) // 2
         self._bases = weakref.WeakKeyDictionary()
+        # a registry curve under its pinned digest takes g1's and g2's
+        # tables from the package; a proved curve builds its own
+        self._ships_tables = not proofs
         self.g1 = self._checked_generator(g1, "g1", proofs)
         self.g2 = self._checked_generator(g2, "g2", proofs)
         self._glv = self._checked_endomorphism(beta, lam, proofs)
@@ -581,27 +588,22 @@ def _as_scalar(params: CurveParams, k: int) -> int:
 # 1.5-2.3 ms.  Within one run the build costs what 11.0-11.1 uses save.
 # Building it once the untabled uses have cost about as much extra as the
 # table keeps every base within about 1.5 times the cost of the best
-# choice made knowing its use count.  Bases used fewer times (keygen's
-# three uses of g1 in a one-shot CLI process, a fresh key's one chunk)
-# never pay for a table.  Each process counts the uses it makes itself: a
-# fanned-out message's child ends with its uses and any table it builds.
+# choice made knowing its use count.  Bases used fewer times (a fresh
+# key's h, c and d in its one chunk, a ciphertext's u1 and u2) never pay
+# for a table.  The registry curves' g1 and g2 are not counted: their
+# tables ship with the package (``_load_generator_tables``).  Each process
+# counts the uses it makes itself: a fanned-out message's child ends with
+# its uses and any table it builds.
 _TABLE_AT_USE = 12
 
 
-def _fixed_table(params: CurveParams, point: CurvePoint):
-    """The base's fixed-base table from its ``_TABLE_AT_USE``-th use on.
+def _table_rows(params: CurveParams, point: CurvePoint) -> list:
+    """The fixed-base table of a base: row i holds the packed 16 odd
+    multiples of 32**i * point with Z = 1, one row per 5-bit window.
 
-    Row i holds the 16 odd multiples of 32**i * point with Z = 1, one row
-    per 5-bit window, so k * point is one entry per row and no doublings.
-    Uses are counted per point in a weak mapping, so the count and the
-    table go when the object that first recorded them does.
+    The one build of a table: at a base's ``_TABLE_AT_USE``-th use, and
+    for the shipped generator tables (``_generator_table_bytes``).
     """
-    uses = params._bases.get(point, 0)
-    if not isinstance(uses, int):
-        return uses
-    if uses + 1 < _TABLE_AT_USE:
-        params._bases[point] = uses + 1
-        return None
     add, dbl = params._add, params._dbl
     points = []
     base = (point.x, point.y, 1)
@@ -610,7 +612,77 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
         points += row
         base = add(*row[-1], *base)  # 31B + B
     flat = _pack(_normalize(points, params.p), params.p)
-    table = [flat[i : i + 16] for i in range(0, len(flat), 16)]
+    return [flat[i : i + 16] for i in range(0, len(flat), 16)]
+
+
+def _generator_table_bytes(params: CurveParams) -> bytes:
+    """g1's table rows, then g2's, each entry as big-endian x then y.
+
+    The content of a registry curve's shipped table file, built by
+    ``_table_rows`` from ``params``; the tests and ``eccs selftest``
+    build it from curves with every proof and compare.
+    """
+    width, s = params.coord_bytes, params.p.bit_length()
+    mask = (1 << s) - 1
+    out = bytearray()
+    for base in (params.g1, params.g2):
+        for row in _table_rows(params, base):
+            for entry in row:
+                out += (entry & mask).to_bytes(width, "big")
+                out += (entry >> s & mask).to_bytes(width, "big")
+    return bytes(out)
+
+
+def _shipped_table_bytes(curve_id: int) -> bytes:
+    """The content of a registry curve's table file; ``ValueError`` if unreadable."""
+    try:
+        with open(_TABLE_FILE.format(curve_id), "rb") as f:
+            return f.read()
+    except OSError as exc:  # the CLI would report an OSError as an entropy failure
+        raise ValueError(f"cannot read generator tables: {exc}") from None
+
+
+def _load_generator_tables(params: CurveParams) -> None:
+    """Put the shipped tables of g1 and g2 into ``params._bases``.
+
+    The file must match its pinned digest, else ``ValueError``; the
+    digest stands for the build the tests compared it with, so no entry
+    is checked here.
+    """
+    data = _shipped_table_bytes(params.curve_id)
+    if hashlib.sha3_256(data).hexdigest() != _TABLE_DIGESTS[params.curve_id]:
+        raise ValueError(f"generator tables {params.curve_id:#04x} do not match their pinned digest")
+    width, s = params.coord_bytes, params.p.bit_length()
+    low = (1 << 8 * width) - 1
+    one = 1 << 2 * s  # Z == 1, packed as ``_pack`` packs it
+    flat = []
+    for i in range(0, len(data), 2 * width):
+        xy = int.from_bytes(data[i : i + 2 * width], "big")  # x << 8*width | y
+        flat.append(xy >> 8 * width | (xy & low) << s | one)
+    rows = [flat[i : i + 16] for i in range(0, len(flat), 16)]
+    params._bases[params.g1] = rows[: params._table_windows]
+    params._bases[params.g2] = rows[params._table_windows :]
+
+
+def _fixed_table(params: CurveParams, point: CurvePoint):
+    """The base's fixed-base table (see ``_table_rows``), or None.
+
+    On a registry curve loaded through ``curve_by_id``, a base equal to
+    g1 or g2 takes the shipped table from its first use.  Any other base
+    gets its table built on its ``_TABLE_AT_USE``-th use.  Uses are
+    counted per point in a weak mapping, so the count and the table go
+    when the object that first recorded them does.
+    """
+    uses = params._bases.get(point, 0)
+    if not isinstance(uses, int):
+        return uses
+    if params._ships_tables and (point == params.g1 or point == params.g2):
+        _load_generator_tables(params)
+        return params._bases[point]
+    if uses + 1 < _TABLE_AT_USE:
+        params._bases[point] = uses + 1
+        return None
+    table = _table_rows(params, point)
     params._bases[point] = table
     return table
 
@@ -642,9 +714,11 @@ def linear_combinations(
     A base's rows are built and its membership checked once per call,
     however many terms use it, and every result goes to affine with one
     inversion.  Each term still counts as one use of its base towards a
-    fixed-base table.  The sequence of operations depends only on the
-    curve and on the shape of the sums (their sizes, and which bases are
-    the identity or have a table), never on the scalars.
+    fixed-base table; a registry curve's g1 and g2 take their shipped
+    tables at their first use instead.  The sequence of operations
+    depends only on the curve and on the shape of the sums (their sizes,
+    and which bases are the identity or have a table), never on the
+    scalars.
     """
     glv = params._glv
     add, dbl, p = params._add, params._dbl, params.p
@@ -691,8 +765,9 @@ def scalar_mult(params: CurveParams, point: CurvePoint, k: int) -> CurvePoint:
     The one-term case of ``linear_combinations``: the scalar is read as
     signed odd 5-bit digits, and each digit adds one entry of a row of 16
     odd multiples, chosen by a masked scan of the whole row and negated
-    by a mask.  A base used often gets a fixed-base table, one row per
-    digit (no doublings); otherwise the scalar is split by the curve's
+    by a mask.  A base used often, and a registry curve's g1 or g2 from
+    its first use, has a fixed-base table, one row per digit (no
+    doublings); otherwise the scalar is split by the curve's
     endomorphism into two half-length ones, read on a row of the base's
     odd multiples and a row of their images, both built per call.
     Iteration counts depend only on the curve.
@@ -897,6 +972,18 @@ _REGISTRY_DIGESTS: dict[int, str] = {
     SECP256K1_ID: "6361b86f6859cdfb37f7a7a2b2d670358d88daf61a8daee08f1b56fec70ce735",
     TOY_ID: "866a2edb018cf7c643fb22ed9c9740dc57992a3cdf789a1932682bc27f974a34",
 }
+
+# SHA3-256 of each registry curve's shipped table file (g1's and g2's
+# fixed-base tables, ``_generator_table_bytes``), taken when the tests and
+# ``eccs selftest`` had rebuilt it from the curve with every proof; a test
+# rebuilds both files, so a changed constant needs new files and digests.
+# A file is written as _generator_table_bytes(CurveParams(**spec)).
+_TABLE_DIGESTS: dict[int, str] = {
+    SECP256K1_ID: "0e16d02cf2d27ccdb871a60a257bfeb4f1906a6e8d028f7f02df5ef40e8927f6",
+    TOY_ID: "991b4f5e2ff926bc6c0640e872d54bf2a4ab4101a4705dc0aa757f3bfa6d6227",
+}
+
+_TABLE_FILE = os.path.join(os.path.dirname(__file__), "gtables-{:02x}.bin")
 
 _loaded: dict[int, CurveParams] = {}
 

@@ -430,6 +430,27 @@ def test_selftest_catches_corrupted_digest(monkeypatch):
     assert "selftest: FAIL" in report
 
 
+@pytest.mark.parametrize("corruption", ["digest", "file"])
+def test_selftest_catches_corrupted_generator_tables(monkeypatch, tmp_path, corruption):
+    # negative control: intact specs, but a shipped table or its digest changed
+    if corruption == "digest":
+        digests = dict(curve_mod._TABLE_DIGESTS)
+        digests[curve_mod.TOY_ID] = "00" * 32
+        monkeypatch.setattr(curve_mod, "_TABLE_DIGESTS", digests)
+    else:
+        for curve_id in curve_mod._REGISTRY_SPECS:
+            data = bytearray(curve_mod._shipped_table_bytes(curve_id))
+            if curve_id == curve_mod.TOY_ID:
+                data[-1] ^= 1
+            (tmp_path / f"gtables-{curve_id:02x}.bin").write_bytes(data)
+        monkeypatch.setattr(curve_mod, "_TABLE_FILE", str(tmp_path / "gtables-{:02x}.bin"))
+    out = io.StringIO()
+    assert cli.run_selftest(out) is False
+    report = out.getvalue()
+    assert "registry parameter validation: FAIL (toy generator tables" in report
+    assert "selftest: FAIL" in report
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_oracle():
     # records are plain slotted classes, and only `eccs selftest` uses the oracle
     code = (

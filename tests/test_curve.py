@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import math
 import random
 import re
 import threading
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from eccs.curve import (
     _REGISTRY_DIGESTS,
     _REGISTRY_SPECS,
     _TABLE_AT_USE,
+    _TABLE_DIGESTS,
     CurveParams,
     CurvePoint,
     IDENTITY,
@@ -23,6 +26,7 @@ from eccs.curve import (
     TOY_ID,
     _affine,
     _count_points,
+    _generator_table_bytes,
     _odd_multiples,
     _pack,
     _raw_multiple,
@@ -30,6 +34,7 @@ from eccs.curve import (
     _select,
     _spec_digest,
     _straus,
+    _table_rows,
     compress,
     compressed_size,
     count_ops,
@@ -505,18 +510,26 @@ def test_select_matches_a_plain_lookup_for_every_window(secp):
 
 
 @pytest.mark.parametrize("name", ["toy", "secp256k1"])
-def test_fixed_tables_hold_16_odd_multiples_per_5_bit_window(name):
-    params = fresh_curve(name)
-    table = params._bases[with_table(params, params.g1)]
-    assert len(table) == {"toy": 3, "secp256k1": 52}[name]
-    assert 5 * len(table) >= params.n.bit_length() > 5 * (len(table) - 1)
-    s = params.p.bit_length()
-    g1t = as_tuple(params.g1)
-    for i in (0, 1, len(table) - 1):
-        assert len(table[i]) == 16
-        for j in (0, 1, 15):
-            want = aff_mul(params.p, 0, g1t, (2 * j + 1) * 32**i % params.n)
-            assert table[i][j] == want[0] | want[1] << s | 1 << 2 * s  # Z == 1
+def test_fixed_tables_hold_16_odd_multiples_per_5_bit_window(fresh_registry, name):
+    """A table built on a proved curve, and the shipped tables that a fresh
+    registry load gives g1 and g2 on the first use of a copy of g1."""
+    proved = fresh_curve(name)
+    tables = [(proved.g1, proved._bases[with_table(proved, proved.g1)])]
+    loaded = get_curve(name)
+    scalar_mult(loaded, CurvePoint(loaded.g1.x, loaded.g1.y), 1)
+    tables += [(base, loaded._bases[base]) for base in (loaded.g1, loaded.g2)]
+    windows = {"toy": 3, "secp256k1": 52}[name]
+    assert 5 * windows >= proved.n.bit_length() > 5 * (windows - 1)
+    if name == "toy":
+        spots = [(i, j) for i in range(windows) for j in range(16)]  # every entry
+    else:
+        spots = [(i, j) for i in (0, 1, 25, windows - 1) for j in (0, 1, 8, 15)]
+    s = proved.p.bit_length()
+    for base, table in tables:
+        assert [len(row) for row in table] == [16] * windows
+        for i, j in spots:
+            want = aff_mul(proved.p, 0, as_tuple(base), (2 * j + 1) * 32**i % proved.n)
+            assert table[i][j] == want[0] | want[1] << s | 1 << 2 * s, (base, i, j)  # Z == 1
 
 
 def cube_roots_of_unity(m):
@@ -570,23 +583,130 @@ def test_fixed_tables_wait_for_the_break_even_use():
     assert len(secp._bases) == 0
 
 
-def test_one_shot_processes_build_no_table(fresh_registry):
-    """A one-shot CLI process loads its own curve: keygen uses g1 three
-    times, encrypting one chunk uses g1, g2, c, d and h once each, and
-    decrypting it uses u1 twice.  None of them reaches a table."""
+def generator_tables(name):
+    """{g1: table, g2: table} of a registry curve, built on it with every proof."""
+    proved = fresh_curve(name)
+    return {base: _table_rows(proved, base) for base in (proved.g1, proved.g2)}
+
+
+def test_one_shot_processes_load_only_the_generator_tables(fresh_registry):
+    """A one-shot CLI process loads its own curve: keygen takes the shipped
+    tables of g1 and g2, encrypting one chunk uses them and c, d and h
+    once each, and decrypting it uses u1 twice and u2 once.  No other base
+    reaches a table, and decryption loads none."""
     assert _TABLE_AT_USE >= 4
+    tables = generator_tables("secp256k1")
     rng = random.Random(0x1CE)
     secp = curve_by_id(SECP256K1_ID)
     priv, pub = ecs.keygen(secp, rng)
-    assert dict(secp._bases) == {secp.g1: 3, secp.g2: 2}
+    assert dict(secp._bases) == tables
     curve_mod._loaded.clear()
     secp = curve_by_id(SECP256K1_ID)
     ct = ecs.encrypt(pub, b"one chunk", rng)
-    assert list(secp._bases.values()) == [1] * 5
+    assert dict(secp._bases) == {**tables, pub.h: 1, pub.c: 1, pub.d: 1}
     curve_mod._loaded.clear()
     secp = curve_by_id(SECP256K1_ID)
     assert ecs.decrypt(priv, ct) == b"one chunk"
-    assert sorted(secp._bases.values()) == [1, 2]
+    (chunk,) = ct.chunks
+    assert dict(secp._bases) == {chunk.u1: 2, chunk.u2: 1}
+
+
+# --- shipped generator tables ---------------------------------------------
+
+
+@pytest.mark.parametrize("name, size", [("toy", 384), ("secp256k1", 106_496)])
+def test_shipped_tables_are_rebuilt_from_proved_curves(name, size):
+    params = fresh_curve(name)
+    built = _generator_table_bytes(params)
+    assert curve_mod._shipped_table_bytes(params.curve_id) == built
+    assert len(built) == size
+    assert hashlib.sha3_256(built).hexdigest() == _TABLE_DIGESTS[params.curve_id]
+
+
+@pytest.mark.parametrize("damage, error", [("flipped", "pinned digest"), ("missing", "cannot read")])
+@pytest.mark.parametrize("curve_id", [TOY_ID, SECP256K1_ID])
+def test_a_damaged_table_file_fails_the_first_use_of_g1(
+    fresh_registry, monkeypatch, tmp_path, curve_id, damage, error
+):
+    if damage == "flipped":
+        data = bytearray(curve_mod._shipped_table_bytes(curve_id))
+        data[len(data) // 2] ^= 1
+        (tmp_path / f"gtables-{curve_id:02x}.bin").write_bytes(data)
+    monkeypatch.setattr(curve_mod, "_TABLE_FILE", str(tmp_path / "gtables-{:02x}.bin"))
+    params = curve_by_id(curve_id)  # the load itself reads no table
+    got = []
+    with pytest.raises(ValueError, match=error):
+        got.append(scalar_mult(params, params.g1, 5))
+    assert got == [] and len(params._bases) == 0
+    with pytest.raises(ValueError, match=error):
+        ecs.keygen(params, random.Random(1))
+    # a curve built with every proof reads no file: it counts uses of g1
+    proved = fresh_curve(params.name)
+    got = scalar_mult(proved, proved.g1, 5)
+    assert as_tuple(got) == aff_mul(proved.p, 0, as_tuple(proved.g1), 5)
+    assert dict(proved._bases) == {proved.g1: 1}
+
+
+def test_registry_keygen_is_fully_tabled(fresh_registry, monkeypatch):
+    """Every one of keygen's five terms is a shipped-table term: one row
+    scan per table row, and no doublings, not even to build a row."""
+    secp = curve_by_id(SECP256K1_ID)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(secp, "_add", counted("add", secp._add))
+    monkeypatch.setattr(secp, "_dbl", counted("dbl", secp._dbl))
+    monkeypatch.setattr(curve_mod, "_select", counted("select", curve_mod._select))
+    priv, pub = ecs.keygen(secp, random.Random(0x7AB))
+    assert calls["dbl"] == 0
+    assert calls["select"] == 5 * 52 == 260
+    # each sum starts from its first entry: 2 * 52 - 1, 2 * 52 - 1 and 52 - 1
+    assert calls["add"] == 103 + 103 + 51
+    assert as_tuple(pub.h) == aff_mul(secp.p, 0, as_tuple(secp.g1), priv.z)
+
+
+def test_the_built_in_inverse_only_sees_blinded_products(fresh_registry, monkeypatch):
+    """The built-in inverse only ever sees v*r mod p, where v is the
+    product ``_normalize`` inverts and r a fresh value from ``secrets``,
+    through keygen, encryption, decryption and point addition."""
+    secp = curve_by_id(SECP256K1_ID)
+    rng = random.Random(0xB11D)
+    events = []
+    real_blinded_inverse = curve_mod._blinded_inverse
+
+    def recorded_product(v, p):
+        events.append(("v", v))
+        return real_blinded_inverse(v, p)
+
+    def randbelow(bound):
+        value = rng.randrange(1, bound)  # r = 1 + value is never 1
+        events.append(("r", 1 + value))
+        return value
+
+    def spied_pow(base, exp, mod=None):
+        if exp == -1:
+            events.append(("x", base))
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(curve_mod, "_blinded_inverse", recorded_product)
+    monkeypatch.setattr(curve_mod, "secrets", SimpleNamespace(randbelow=randbelow))
+    monkeypatch.setattr(curve_mod, "pow", spied_pow, raising=False)  # shadows the built-in
+    priv, pub = ecs.keygen(secp, random.Random(0x1E))
+    ct = ecs.encrypt(pub, b"one chunk", random.Random(0x2E))
+    assert ecs.decrypt(priv, ct) == b"one chunk"
+    point_add(secp, pub.c, pub.d)
+    calls = [events[i : i + 3] for i in range(0, len(events), 3)]
+    # keygen 1, encryption 5 products and 2 additions, decryption 1 and 1, point_add 1
+    assert len(calls) == 11
+    for (v_kind, v), (r_kind, r), (x_kind, x) in calls:
+        assert (v_kind, r_kind, x_kind) == ("v", "r", "x")
+        assert x == v * r % secp.p and x != v
 
 
 # --- multi-scalar core ----------------------------------------------------
