@@ -29,7 +29,7 @@ from .curve import (
     point_negate,
     scalar_mult,
 )
-from .ecs import _SYSTEM_RNG, decrypt, encrypt, keygen, sample_scalar
+from .ecs import decrypt, encrypt, keygen, sample_scalar
 from .record import Record
 from .wire import serialize_private_key, serialize_public_key
 
@@ -44,8 +44,6 @@ _WARMUP_ITERS = 3
 
 def elgamal_keygen(params: CurveParams, rng=None) -> tuple[int, CurvePoint]:
     """Secret scalar z and public point h = z * g1."""
-    if rng is None:
-        rng = _SYSTEM_RNG
     z = sample_scalar(params.n, rng)
     return z, scalar_mult(params, params.g1, z)
 
@@ -54,8 +52,6 @@ def elgamal_encrypt(
     params: CurveParams, h: CurvePoint, m_point: CurvePoint, rng=None
 ) -> tuple[CurvePoint, CurvePoint]:
     """(u, e) = (r * g1, r * h + m); malleable, no integrity binding."""
-    if rng is None:
-        rng = _SYSTEM_RNG
     r = sample_scalar(params.n, rng)
     u = scalar_mult(params, params.g1, r)
     e = point_add(params, scalar_mult(params, h, r), m_point)
@@ -165,34 +161,33 @@ def run_suite(curve: str = "secp256k1", iterations: int = 25) -> BenchReport:
     if iterations < 10:
         raise ValueError("need at least 10 iterations")
     params = get_curve(curve)
-    rng = _SYSTEM_RNG
     message = DEFAULT_MESSAGE
 
-    priv, pub = keygen(params, rng)
-    ciphertext = encrypt(pub, message, rng)
+    priv, pub = keygen(params)
+    ciphertext = encrypt(pub, message)
     ours = AlgorithmReport(
         "eccs",
         len(serialize_public_key(pub)),
         len(serialize_private_key(priv)),
         (
-            _profile("keygen", lambda: keygen(params, rng), iterations),
-            _profile("encrypt", lambda: encrypt(pub, message, rng), iterations),
+            _profile("keygen", lambda: keygen(params), iterations),
+            _profile("encrypt", lambda: encrypt(pub, message), iterations),
             _profile("decrypt", lambda: decrypt(priv, ciphertext), iterations),
         ),
         "",
     )
 
-    z, h = elgamal_keygen(params, rng)
-    pairs = elgamal_encrypt_message(params, h, message, rng)
+    z, h = elgamal_keygen(params)
+    pairs = elgamal_encrypt_message(params, h, message)
     baseline = AlgorithmReport(
         "ec-elgamal",
         len(compress(params, h)),
         params.scalar_bytes,
         (
-            _profile("keygen", lambda: elgamal_keygen(params, rng), iterations),
+            _profile("keygen", lambda: elgamal_keygen(params), iterations),
             _profile(
                 "encrypt",
-                lambda: elgamal_encrypt_message(params, h, message, rng),
+                lambda: elgamal_encrypt_message(params, h, message),
                 iterations,
             ),
             _profile("decrypt", lambda: elgamal_decrypt_message(params, z, pairs), iterations),

@@ -8,7 +8,8 @@ options in any order, never abbreviated, the last of a repeated one winning;
 * 2 - usage or parse problems: a usage error prints the usage line and
   ``eccs: error: REASON`` before any file is touched; an output path that
   names an input or key file, and malformed key material, print ``error: ...``
-* 3 - environment problems (unreadable/unwritable files, rng failure)
+* 3 - environment problems (unreadable/unwritable files, rng failure, and
+  the package's own registry spec or table file failing its check)
 * 4 - invalid ciphertext (exactly the line ``error: invalid ciphertext``)
 
 Message and key I/O is raw bytes; diagnostics go to stderr; nothing
@@ -30,7 +31,6 @@ from types import SimpleNamespace
 
 from . import bench as bench_mod  # eager: perfbench's tests rely on `import eccs.cli` loading it
 from . import curve as curve_mod
-from .codec import chunk_capacity
 from .curve import (
     CURVE_NAMES,
     CurveParams,
@@ -39,7 +39,6 @@ from .curve import (
 )
 from .ecs import (
     Ciphertext,
-    _SYSTEM_RNG,
     _Drawn,
     chunk_header,
     decrypt,
@@ -48,7 +47,7 @@ from .ecs import (
     encrypt_chunk,
     keygen,
 )
-from .errors import InvalidCiphertext, ParseError
+from .errors import InvalidCiphertext, PackageDataError, ParseError
 from .wire import (
     KIND_CIPHERTEXT,
     KIND_PRIVATE_KEY,
@@ -166,9 +165,10 @@ def _key(path: str, what: str, parse):
 
 
 def _make_rng(seed: int | None):
-    """rng selection; a pinned seed is a test-build-only facility."""
+    """rng selection, None for the system's entropy; a pinned seed is a
+    test-build-only facility."""
     if seed is None:
-        return _SYSTEM_RNG
+        return None
     if os.environ.get(TEST_BUILD_ENV) != "1":
         raise _Fail(2, "--seed is only available in test builds")
     return random.Random(seed)
@@ -229,6 +229,8 @@ def cmd_encrypt(args: SimpleNamespace) -> int:
         ciphertext = encrypt(pub, message, rng)
     except OSError:
         raise _Fail(3, "randomness source failure")
+    except PackageDataError:
+        raise
     except ValueError as exc:
         raise _Fail(2, str(exc))
     blob = serialize_ciphertext(ciphertext)
@@ -284,6 +286,8 @@ def cmd_selftest(_args: SimpleNamespace) -> int:
 def cmd_bench(args: SimpleNamespace) -> int:
     try:
         report = bench_mod.run_suite(curve=args.curve, iterations=args.iters)
+    except PackageDataError:
+        raise
     except ValueError as exc:
         raise _Fail(2, str(exc))
     print(bench_mod.format_report(report), end="")
@@ -499,5 +503,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _Fail as fail:
         code, reason = fail.args
-        print(f"error: {reason}", file=sys.stderr)
-        return code
+    except PackageDataError as exc:  # a damaged install, whichever command met it
+        code, reason = 3, str(exc)
+    print(f"error: {reason}", file=sys.stderr)
+    return code

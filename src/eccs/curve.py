@@ -11,24 +11,23 @@ prime (hence odd) order, which parameter validation enforces.
 
 All scalar multiplication goes through one multi-scalar core,
 ``linear_combinations``, which computes sums of products k1*P1 + ... in
-one call; ``scalar_mult`` is its one-term case.  Scalars are read as
-signed odd 5-bit digits, one table entry added per digit, and every row
-holds 16 odd multiples.  A base used often gets a fixed-base table: a
-row per digit position, so it needs no doublings.  The registry curves'
-g1 and g2 have theirs from their first use: the tables ship with the
-package as data files, checked against a pinned digest when first read.
-Any other base gets a row of its odd multiples and one of their images
-under the endomorphism (x, y) -> (beta*x, y) per call, read after a GLV
-split into two half-length scalars; every curve accepted here has that
-endomorphism and carries it.  The untabled terms of a sum share
-their doublings (Straus), a base's rows are built once per call, and all
+one call; ``scalar_mult`` is its one-term case.  Every scalar is read
+one way: a GLV split by the endomorphism (x, y) -> (beta*x, y), which
+every curve accepted here has and carries, gives two half-length
+values, read as signed odd 5-bit digits, one entry added per digit, over
+a row of the base's 16 odd multiples and a row of their images.  Most
+bases get the two rows per call, and the terms of a sum share their
+doublings (Straus).  A base used often has a fixed-base table, the two
+rows at every window, so it needs no doublings; the registry curves' g1
+and g2 have theirs from their first use, shipped with the package as
+data files checked against a pinned digest when first read.  All
 results of a call go to affine with one inversion.  Iteration counts
 depend only on the curve and on the shape of the sums, every table entry
 is chosen by a masked scan of its whole row, and signs are applied by a
 mask, so the sequence of arithmetic operations does not depend on the
-scalars.  Python integers
-are not a hard side-channel boundary, but the structure keeps the usual
-leak classes (branches, table indices) out of the scalar path.
+scalars.  Python integers are not a hard side-channel boundary, but the
+structure keeps the usual leak classes (branches, table indices) out of
+the scalar path.
 Converting results back to affine uses the built-in inverse on a
 randomly blinded input.
 """
@@ -44,7 +43,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Optional, Sequence
 
-from .errors import ParseError
+from .errors import PackageDataError, ParseError
 from .field import FieldElement, is_probable_prime
 from .record import Record
 
@@ -171,8 +170,8 @@ def _group_law(b3, p):
 #     read(v) = sum_{i<w} (2*d_i - 31) * 32**i = 2*v - (32**w - 1).
 # Every digit is odd and nonzero, so a row only holds the 16 odd
 # multiples P, 3P, ..., 31P, none of them the identity when P has prime
-# order above 31.  A table reaches any scalar k by halving mod n:
-# read((k + 32**w - 1) / 2 mod n) == k (mod n).
+# order above 31.  The GLV split (``_Endomorphism.split``) turns a scalar
+# k into two such values with read(v1) + lam*read(v2) == k (mod n).
 
 
 def _odd_multiples(add, dbl, X, Y, Z):
@@ -261,9 +260,8 @@ def _raw_multiple(p: int, b: int, k: int, x: int, y: int):
     """k * (x, y) as a projective triple, for odd k, computed on raw integers.
 
     The proof behind the order and endomorphism checks.  The multiple is
-    exactly k, over as many windows as k needs: no halving mod n and no
-    endomorphism split, both of which presume what those checks are to
-    establish.
+    exactly k, over as many windows as k needs, with no endomorphism
+    split: the split presumes what those checks are to establish.
     """
     if k % 2 == 0:
         raise ValueError("the multiple to prove must be odd")
@@ -376,9 +374,6 @@ class CurveParams:
         "g2",
         "_add",
         "_dbl",
-        "_table_windows",
-        "_table_ones",
-        "_inv2",
         "_glv",
         "_bases",
         "_ships_tables",
@@ -444,9 +439,6 @@ class CurveParams:
             # otherwise a cofactor >= 2 could hide inside the Hasse interval
             raise ValueError("order too small to force cofactor 1")
         self._add, self._dbl = _group_law(3 * b % p, p)
-        self._table_windows = (n.bit_length() + 4) // 5
-        self._table_ones = (1 << 5 * self._table_windows) - 1
-        self._inv2 = (n + 1) // 2
         self._bases = weakref.WeakKeyDictionary()
         # a registry curve under its pinned digest takes g1's and g2's
         # tables from the package; a proved curve builds its own
@@ -583,9 +575,9 @@ def _as_scalar(params: CurveParams, k: int) -> int:
 
 # The break-even count: a base gets its fixed-base table on this use.  On
 # secp256k1 (CPython 3.11, a 2-vCPU Xeon VM whose speed drifts; medians of
-# 40-60 rounds) building the 52-row table takes 10-15 ms, and each use of
-# it takes 0.58-0.93 ms where a variable-base multiplication takes
-# 1.5-2.3 ms.  Within one run the build costs what 11.0-11.1 uses save.
+# 10 rounds, three runs) building the 52-row table takes 4.1-4.5 ms, and
+# each use of it takes 0.46-0.50 ms where a variable-base multiplication
+# takes 1.08-1.16 ms.  Within one run the build costs what 6.3-6.9 uses save.
 # Building it once the untabled uses have cost about as much extra as the
 # table keeps every base within about 1.5 times the cost of the best
 # choice made knowing its use count.  Bases used fewer times (a fresh
@@ -594,24 +586,28 @@ def _as_scalar(params: CurveParams, k: int) -> int:
 # tables ship with the package (``_load_generator_tables``).  Each process
 # counts the uses it makes itself: a fanned-out message's child ends with
 # its uses and any table it builds.
-_TABLE_AT_USE = 12
+_TABLE_AT_USE = 7
 
 
 def _table_rows(params: CurveParams, point: CurvePoint) -> list:
-    """The fixed-base table of a base: row i holds the packed 16 odd
-    multiples of 32**i * point with Z = 1, one row per 5-bit window.
+    """The fixed-base table of a base: ``_rows``'s two rows at every window.
 
-    The one build of a table: at a base's ``_TABLE_AT_USE``-th use, and
-    for the shipped generator tables (``_generator_table_bytes``).
+    For w = ``params._glv.windows``, row i < w holds the packed 16 odd
+    multiples of 32**i * point with Z = 1, from a chain of doublings and
+    one inversion, and row w + i their images, lam times them, at one
+    multiplication by beta each.  The one build of a table: at a base's
+    ``_TABLE_AT_USE``-th use, and for the shipped generator tables
+    (``_generator_table_bytes``).
     """
-    add, dbl = params._add, params._dbl
+    add, dbl, p, beta = params._add, params._dbl, params.p, params._glv.beta
     points = []
     base = (point.x, point.y, 1)
-    for _ in range(params._table_windows):
+    for _ in range(params._glv.windows):
         row = _odd_multiples(add, dbl, *base)
         points += row
         base = add(*row[-1], *base)  # 31B + B
-    flat = _pack(_normalize(points, params.p), params.p)
+    points = list(_normalize(points, p))
+    flat = _pack(points + [(beta * X % p, Y, Z) for X, Y, Z in points], p)
     return [flat[i : i + 16] for i in range(0, len(flat), 16)]
 
 
@@ -634,24 +630,24 @@ def _generator_table_bytes(params: CurveParams) -> bytes:
 
 
 def _shipped_table_bytes(curve_id: int) -> bytes:
-    """The content of a registry curve's table file; ``ValueError`` if unreadable."""
+    """The content of a registry curve's table file; ``PackageDataError`` if unreadable."""
     try:
         with open(_TABLE_FILE.format(curve_id), "rb") as f:
             return f.read()
     except OSError as exc:  # the CLI would report an OSError as an entropy failure
-        raise ValueError(f"cannot read generator tables: {exc}") from None
+        raise PackageDataError(f"cannot read generator tables: {exc}") from None
 
 
 def _load_generator_tables(params: CurveParams) -> None:
     """Put the shipped tables of g1 and g2 into ``params._bases``.
 
-    The file must match its pinned digest, else ``ValueError``; the
+    The file must match its pinned digest, else ``PackageDataError``; the
     digest stands for the build the tests compared it with, so no entry
     is checked here.
     """
     data = _shipped_table_bytes(params.curve_id)
     if hashlib.sha3_256(data).hexdigest() != _TABLE_DIGESTS[params.curve_id]:
-        raise ValueError(f"generator tables {params.curve_id:#04x} do not match their pinned digest")
+        raise PackageDataError(f"generator tables {params.curve_id:#04x} do not match their pinned digest")
     width, s = params.coord_bytes, params.p.bit_length()
     low = (1 << 8 * width) - 1
     one = 1 << 2 * s  # Z == 1, packed as ``_pack`` packs it
@@ -660,8 +656,8 @@ def _load_generator_tables(params: CurveParams) -> None:
         xy = int.from_bytes(data[i : i + 2 * width], "big")  # x << 8*width | y
         flat.append(xy >> 8 * width | (xy & low) << s | one)
     rows = [flat[i : i + 16] for i in range(0, len(flat), 16)]
-    params._bases[params.g1] = rows[: params._table_windows]
-    params._bases[params.g2] = rows[params._table_windows :]
+    params._bases[params.g1] = rows[: 2 * params._glv.windows]
+    params._bases[params.g2] = rows[2 * params._glv.windows :]
 
 
 def _fixed_table(params: CurveParams, point: CurvePoint):
@@ -704,13 +700,14 @@ def linear_combinations(
     """sum_j k_j * P_j for each sum of (P_j, k_j) terms, sharing the work.
 
     A sum of t terms stands for, and is tallied as, t scalar
-    multiplications and t - 1 point additions.  Every scalar is read as
-    signed odd 5-bit digits over rows of 16 odd multiples.  In each sum a
-    term whose base has a fixed-base table adds one entry per table row
-    (no doublings).  The other terms are split by the curve's
-    endomorphism into two half-length scalars and take one Straus pass
-    with shared doublings over their rows; the table entries are then
-    added to its result.
+    multiplications and t - 1 point additions.  Every scalar is split
+    once by the curve's endomorphism into two half-length values, read
+    as signed odd 5-bit digits over a row of the base's 16 odd multiples
+    and a row of their images.  In each sum a term whose base has a
+    fixed-base table, which holds both rows at every window, adds one
+    entry per table row (no doublings).  The other terms take one
+    Straus pass with shared doublings over their two rows; the table
+    entries are then added to its result.
     A base's rows are built and its membership checked once per call,
     however many terms use it, and every result goes to affine with one
     inversion.  Each term still counts as one use of its base towards a
@@ -737,17 +734,17 @@ def linear_combinations(
                 checked.add(key)
             if point.is_identity:
                 continue
+            values = glv.split(k)
             table = _fixed_table(params, point)
             if table is not None:
-                v = (k + params._table_ones) * params._inv2 % params.n
                 tab_rows += table
-                tab_windows += [v >> shift & 31 for shift in range(0, 5 * len(table), 5)]
+                tab_windows += [v >> i & 31 for v in values for i in range(0, 5 * glv.windows, 5)]
                 continue
             rows = built.get(key)
             if rows is None:
                 rows = built[key] = _rows(params, point.x, point.y)
             var_rows += rows
-            var_values += glv.split(k)
+            var_values += values
         entries = (_select(row, window, p) for row, window in zip(tab_rows, tab_windows))
         if var_rows:
             total = _straus(add, dbl, p, var_rows, var_values, glv.windows)
@@ -762,15 +759,12 @@ def linear_combinations(
 def scalar_mult(params: CurveParams, point: CurvePoint, k: int) -> CurvePoint:
     """k * point, with a sequence of operations that does not depend on k.
 
-    The one-term case of ``linear_combinations``: the scalar is read as
-    signed odd 5-bit digits, and each digit adds one entry of a row of 16
-    odd multiples, chosen by a masked scan of the whole row and negated
-    by a mask.  A base used often, and a registry curve's g1 or g2 from
-    its first use, has a fixed-base table, one row per digit (no
-    doublings); otherwise the scalar is split by the curve's
-    endomorphism into two half-length ones, read on a row of the base's
-    odd multiples and a row of their images, both built per call.
-    Iteration counts depend only on the curve.
+    The one-term case of ``linear_combinations``, which says how the
+    scalar is read: split in two halves, each digit of which adds one
+    entry chosen by a masked scan of a whole row.  A base used often, and
+    a registry curve's g1 or g2 from its first use, has a fixed-base
+    table and needs no doublings.  Iteration counts depend only on the
+    curve.
     """
     return linear_combinations(params, [[(point, k)]])[0]
 
@@ -979,8 +973,8 @@ _REGISTRY_DIGESTS: dict[int, str] = {
 # rebuilds both files, so a changed constant needs new files and digests.
 # A file is written as _generator_table_bytes(CurveParams(**spec)).
 _TABLE_DIGESTS: dict[int, str] = {
-    SECP256K1_ID: "0e16d02cf2d27ccdb871a60a257bfeb4f1906a6e8d028f7f02df5ef40e8927f6",
-    TOY_ID: "991b4f5e2ff926bc6c0640e872d54bf2a4ab4101a4705dc0aa757f3bfa6d6227",
+    SECP256K1_ID: "241be390a9fd5da93c8f6ed7e029d8847c1731e73142398ac4037bae8975f6c8",
+    TOY_ID: "f11ba7ad2b907c4e3ddb334f64408a2a7029422402c89866f65ed82f405363ef",
 }
 
 _TABLE_FILE = os.path.join(os.path.dirname(__file__), "gtables-{:02x}.bin")
@@ -994,7 +988,7 @@ def curve_by_id(curve_id: int) -> CurveParams:
     On first use in a process the spec's digest is recomputed and compared
     with its pinned value, and the curve is built without re-running the
     proofs that digest stands for (see ``CurveParams``).  A spec that no
-    longer matches its digest raises ``ValueError``.
+    longer matches its digest raises ``PackageDataError``.
     """
     try:
         spec = _REGISTRY_SPECS[curve_id]
@@ -1003,7 +997,7 @@ def curve_by_id(curve_id: int) -> CurveParams:
     params = _loaded.get(curve_id)
     if params is None:
         if _spec_digest(spec) != _REGISTRY_DIGESTS[curve_id]:
-            raise ValueError(f"registry spec {curve_id:#04x} does not match its pinned digest")
+            raise PackageDataError(f"registry spec {curve_id:#04x} does not match its pinned digest")
         params = CurveParams._pinned(spec)
         _loaded[curve_id] = params
     return params

@@ -49,7 +49,7 @@ from .curve import (
     point_negate,
     scalar_mult,
 )
-from .errors import InvalidCiphertext
+from .errors import InvalidCiphertext, PackageDataError
 from .record import Record
 
 # Domain-separation label for the validity hash.
@@ -91,12 +91,16 @@ class Ciphertext(Record):
     __slots__ = ("curve_id", "chunks")
 
 
-def sample_scalar(n: int, rng) -> int:
+def sample_scalar(n: int, rng=None) -> int:
     """Uniform scalar in [1, n-1] by rejection sampling.
 
     Draws n.bit_length() bits and retries until the value lands in
-    range, so no modular folding bias; rng must expose getrandbits.
+    range, so no modular folding bias; rng must expose getrandbits.  The
+    one place that picks the default: None means the operating system's
+    entropy.
     """
+    if rng is None:
+        rng = _SYSTEM_RNG
     bits = n.bit_length()
     while True:
         k = rng.getrandbits(bits)
@@ -106,8 +110,6 @@ def sample_scalar(n: int, rng) -> int:
 
 def keygen(params: CurveParams, rng=None) -> tuple[PrivateKey, PublicKey]:
     """Fresh key pair; rng defaults to the operating system's entropy."""
-    if rng is None:
-        rng = _SYSTEM_RNG
     n = params.n
     x1, x2, y1, y2, z = (sample_scalar(n, rng) for _ in range(5))
     g1, g2 = params.g1, params.g2
@@ -154,8 +156,6 @@ def encrypt_chunk(
     pub: PublicKey, m_point: CurvePoint, header: bytes, rng=None
 ) -> CiphertextChunk:
     """Encrypt one message point under a fresh ephemeral scalar."""
-    if rng is None:
-        rng = _SYSTEM_RNG
     params = curve_by_id(pub.curve_id)
     r = sample_scalar(params.n, rng)
     u1 = scalar_mult(params, params.g1, r)
@@ -181,7 +181,8 @@ def decrypt_chunk(
     and the candidate plaintext are both computed before the comparison,
     and the comparison itself runs over compressed encodings via
     ``hmac.compare_digest``; nothing about the failure mode distinguishes
-    which part of the chunk was bad.
+    which part of the chunk was bad.  A ``PackageDataError`` (a damaged
+    install, not a bad chunk) passes through.
     """
     try:
         params = curve_by_id(priv.curve_id)
@@ -202,7 +203,7 @@ def decrypt_chunk(
         if not hmac.compare_digest(compress(params, expected_v), compress(params, v)):
             raise InvalidCiphertext
         return m_point
-    except InvalidCiphertext:
+    except (InvalidCiphertext, PackageDataError):
         raise
     except (ValueError, TypeError, AttributeError):
         raise InvalidCiphertext from None
@@ -364,8 +365,6 @@ def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
     Every r is drawn from rng in chunk order before any work is split,
     so the ciphertext does not depend on the number of CPUs.
     """
-    if rng is None:
-        rng = _SYSTEM_RNG
     params = curve_by_id(pub.curve_id)
     pieces = codec.split_message(params, message)
     total = len(pieces)
@@ -415,7 +414,7 @@ def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
         if not all(ok for ok, _piece in results):
             raise InvalidCiphertext
         return codec.join_message([piece for _ok, piece in results])
-    except InvalidCiphertext:
+    except (InvalidCiphertext, PackageDataError):
         raise
     except (ValueError, TypeError, AttributeError):
         raise InvalidCiphertext from None

@@ -5,6 +5,13 @@ class ParseError(ValueError):
     """Raised when serialized material (points, keys, envelopes) is malformed."""
 
 
+class PackageDataError(ValueError):
+    """Raised when the package's own data fails its check: a registry spec
+    off its pinned digest, or a shipped table file that is unreadable or
+    off its pinned digest.  The install is damaged; no input is at fault.
+    """
+
+
 class InvalidCiphertext(Exception):
     """Raised on any decryption failure.
 

@@ -160,6 +160,30 @@ def _compress_tuple(t, width: int) -> bytes:
     return bytes([0x02 + (y & 1)]) + x.to_bytes(width, "big")
 
 
+def _alpha(params: CurveParams, header: bytes, u1, u2, e) -> int:
+    """The binding hash of a chunk, from its points as tuples, with the
+    oracle's own point serialization."""
+    width = (params.p.bit_length() + 7) // 8
+    digest = hashlib.sha3_256(
+        _HASH_LABEL
+        + bytes([params.curve_id])
+        + header
+        + _compress_tuple(u1, width)
+        + _compress_tuple(u2, width)
+        + _compress_tuple(e, width)
+    ).digest()
+    return int.from_bytes(digest, "big") % params.n
+
+
+def _chunk_tuples(table: GroupTable, chunk) -> tuple:
+    """The chunk's u1, u2, e and v as tuples; ``ValueError`` for a point outside the group."""
+    points = tuple(_as_tuple(pt) for pt in (chunk.u1, chunk.u2, chunk.e, chunk.v))
+    for t in points:
+        if t is not None and t not in table.index:
+            raise ValueError("point outside the group")
+    return points
+
+
 def independent_decrypt(table: GroupTable, pub, chunk, header: bytes) -> CurvePoint:
     """Decrypt a chunk using only the public key and exhaustive search.
 
@@ -172,25 +196,13 @@ def independent_decrypt(table: GroupTable, pub, chunk, header: bytes) -> CurvePo
     params = table.params
     if pub.curve_id != params.curve_id:
         raise ValueError("public key curve does not match the table")
-    u1, u2, e, v = (_as_tuple(pt) for pt in (chunk.u1, chunk.u2, chunk.e, chunk.v))
-    for t in (u1, u2, e, v):
-        if t is not None and t not in table.index:
-            raise ValueError("point outside the group")
+    u1, u2, e, v = _chunk_tuples(table, chunk)
     r = brute_dlog(table, params.g1, chunk.u1)
     if r == 0:
         raise ValueError("u1 is the identity")
     if table.mult(params.g2, r) != table.to_point(u2):
         raise ValueError("u2 is not r * g2")
-    width = (params.p.bit_length() + 7) // 8
-    digest = hashlib.sha3_256(
-        _HASH_LABEL
-        + bytes([params.curve_id])
-        + header
-        + _compress_tuple(u1, width)
-        + _compress_tuple(u2, width)
-        + _compress_tuple(e, width)
-    ).digest()
-    alpha = int.from_bytes(digest, "big") % params.n
+    alpha = _alpha(params, header, u1, u2, e)
     expected_v = table.add(
         table.mult(table.to_point(_as_tuple(pub.c)), r),
         table.mult(table.to_point(_as_tuple(pub.d)), r * alpha % params.n),
@@ -200,3 +212,32 @@ def independent_decrypt(table: GroupTable, pub, chunk, header: bytes) -> CurvePo
     z = brute_dlog(table, params.g1, pub.h)
     mask = table.mult(chunk.u1, z)
     return table.add(chunk.e, table.negate(mask))
+
+
+def independent_decrypt_with_key(table: GroupTable, priv, chunk, header: bytes) -> CurvePoint:
+    """Decrypt a chunk with the private key, by table arithmetic.
+
+    The Cramer-Shoup check restated: refuse an identity u1 or u2, hash
+    with the oracle's own serialization, recompute
+    v' = (x1 + alpha*y1)*u1 + (x2 + alpha*y2)*u2 by repeated addition,
+    and unmask e - z*u1.  Unlike ``independent_decrypt``, which holds
+    only the public key and so refuses any u2 other than r*g2, it
+    accepts a chunk whose (u1, u2) is no Diffie-Hellman pair when v
+    matches by chance, as decryption does.  Raises ``ValueError`` on
+    any failure.
+    """
+    params = table.params
+    if priv.curve_id != params.curve_id:
+        raise ValueError("private key curve does not match the table")
+    u1, u2, e, v = _chunk_tuples(table, chunk)
+    if u1 is None or u2 is None:
+        raise ValueError("u1 or u2 is the identity")
+    n = params.n
+    alpha = _alpha(params, header, u1, u2, e)
+    expected_v = table.add(
+        table.mult(chunk.u1, (priv.x1 + alpha * priv.y1) % n),
+        table.mult(chunk.u2, (priv.x2 + alpha * priv.y2) % n),
+    )
+    if expected_v != table.to_point(v):
+        raise ValueError("validity point mismatch")
+    return table.add(chunk.e, table.negate(table.mult(chunk.u1, priv.z)))

@@ -11,7 +11,15 @@ import pytest
 
 from eccs import cli
 from eccs import curve as curve_mod
-from eccs.wire import LABEL_PRIVATE_KEY, LABEL_PUBLIC_KEY, armor, parse_private_key
+from eccs.ecs import Ciphertext, CiphertextChunk
+from eccs.wire import (
+    LABEL_PRIVATE_KEY,
+    LABEL_PUBLIC_KEY,
+    armor,
+    parse_ciphertext,
+    parse_private_key,
+    serialize_ciphertext,
+)
 
 
 def run_cli(*args, env_extra=None):
@@ -643,6 +651,83 @@ def test_failures_are_one_error_line_and_an_exit_code(
     assert out == ""
     assert err.startswith(f"error: {prefix}") and err.count("\n") == 1 and err.endswith("\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# Each command, as run against a damaged install: its output paths lie in {d}.
+_COMMAND_WORDS = {
+    "keygen": ["keygen", "--pub", "{d}/p", "--priv", "{d}/s"],
+    "encrypt": ["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out", "{d}/o"],
+    "decrypt": ["decrypt", "--priv", "{sk}", "--in", "{ct}", "--out", "{d}/o"],
+    "inspect": ["inspect", "--in", "{pk}"],
+    "bench": ["bench"],
+}
+
+
+def _main_on_a_damaged_install(keypair, sealed, tmp_path, capsys, command):
+    """(exit code, stderr) of ``command``; it must print nothing to stdout
+    and write no file."""
+    pub, priv = keypair
+    msg, ct = sealed
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    paths = {"d": out_dir, "pk": pub, "sk": priv, "msg": msg, "ct": ct}
+    code = cli.main([w.format(**paths) for w in _COMMAND_WORDS[command]])
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert list(out_dir.iterdir()) == []
+    return code, err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_WORDS))
+def test_a_registry_spec_off_its_digest_is_exit_3(
+    keypair, sealed, tmp_path, capsys, monkeypatch, command
+):
+    digests = dict(curve_mod._REGISTRY_DIGESTS)
+    digests[curve_mod.SECP256K1_ID] = "00" * 32
+    monkeypatch.setattr(curve_mod, "_REGISTRY_DIGESTS", digests)
+    monkeypatch.setattr(curve_mod, "_loaded", {})
+    code, err = _main_on_a_damaged_install(keypair, sealed, tmp_path, capsys, command)
+    assert code == 3
+    assert err == "error: registry spec 0x01 does not match its pinned digest\n"
+
+
+@pytest.mark.parametrize("damage", ["flipped", "missing"])
+@pytest.mark.parametrize("command", ["keygen", "encrypt"])
+def test_a_damaged_table_file_is_exit_3(
+    keypair, sealed, tmp_path, capsys, monkeypatch, command, damage
+):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    if damage == "flipped":
+        data = bytearray(curve_mod._shipped_table_bytes(curve_mod.SECP256K1_ID))
+        data[len(data) // 2] ^= 1
+        (tables / "gtables-01.bin").write_bytes(data)
+    monkeypatch.setattr(curve_mod, "_TABLE_FILE", str(tables / "gtables-{:02x}.bin"))
+    monkeypatch.setattr(curve_mod, "_loaded", {})
+    code, err = _main_on_a_damaged_install(keypair, sealed, tmp_path, capsys, command)
+    assert code == 3
+    if damage == "flipped":
+        assert err == "error: generator tables 0x01 do not match their pinned digest\n"
+    else:
+        assert err.startswith("error: cannot read generator tables: ") and err.count("\n") == 1
+
+
+def test_decrypt_meeting_a_missing_table_file_is_exit_3(keypair, sealed, tmp_path, capsys, monkeypatch):
+    # a forged u1 equal to g1 makes decryption load g1's shipped table
+    _, priv = keypair
+    _, ct = sealed
+    ciphertext = parse_ciphertext(ct.read_bytes())
+    first, *rest = ciphertext.chunks
+    secp = curve_mod.curve_by_id(ciphertext.curve_id)
+    forged = CiphertextChunk(secp.g1, first.u2, first.e, first.v)
+    (tmp_path / "forged").write_bytes(serialize_ciphertext(Ciphertext(ciphertext.curve_id, (forged, *rest))))
+    monkeypatch.setattr(curve_mod, "_TABLE_FILE", str(tmp_path / "gtables-{:02x}.bin"))
+    monkeypatch.setattr(curve_mod, "_loaded", {})
+    code = cli.main(["decrypt", "--priv", str(priv), "--in", str(tmp_path / "forged"), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read generator tables: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_armor_label_must_name_the_content(keypair, sealed, tmp_path, capsys):

@@ -445,7 +445,8 @@ def test_secp256k1_edge_scalars_on_every_path():
     secp = fresh_curve("secp256k1")
     n, lam = secp.n, _REGISTRY_SPECS[SECP256K1_ID]["lam"]
     scalars = [0, 1, 2, n - 1, lam, n - lam]
-    # scalars whose recoding over the table's 52 windows has every digit -31 or +31
+    # +-(2**260 - 1) mod n, two full-width scalars; both paths read the GLV
+    # halves, whose all -31 and all +31 values follow
     full = (1 << 5 * 52) - 1
     scalars += [(0 - full) % n, full % n]
     # the same for both GLV halves over their 26 windows
@@ -512,23 +513,27 @@ def test_select_matches_a_plain_lookup_for_every_window(secp):
 @pytest.mark.parametrize("name", ["toy", "secp256k1"])
 def test_fixed_tables_hold_16_odd_multiples_per_5_bit_window(fresh_registry, name):
     """A table built on a proved curve, and the shipped tables that a fresh
-    registry load gives g1 and g2 on the first use of a copy of g1."""
+    registry load gives g1 and g2 on the first use of a copy of g1: for
+    the w windows of a GLV half, row i holds (2j + 1) * 32**i * base and
+    row w + i lam times that."""
     proved = fresh_curve(name)
     tables = [(proved.g1, proved._bases[with_table(proved, proved.g1)])]
     loaded = get_curve(name)
     scalar_mult(loaded, CurvePoint(loaded.g1.x, loaded.g1.y), 1)
     tables += [(base, loaded._bases[base]) for base in (loaded.g1, loaded.g2)]
-    windows = {"toy": 3, "secp256k1": 52}[name]
-    assert 5 * windows >= proved.n.bit_length() > 5 * (windows - 1)
+    windows = {"toy": 2, "secp256k1": 26}[name]
+    assert proved._glv.windows == windows
+    lam = _REGISTRY_SPECS[proved.curve_id]["lam"]
     if name == "toy":
-        spots = [(i, j) for i in range(windows) for j in range(16)]  # every entry
+        spots = [(i, j) for i in range(2 * windows) for j in range(16)]  # every entry
     else:
-        spots = [(i, j) for i in (0, 1, 25, windows - 1) for j in (0, 1, 8, 15)]
+        spots = [(i, j) for i in (0, 1, 25, 26, 27, 51) for j in (0, 1, 8, 15)]
     s = proved.p.bit_length()
     for base, table in tables:
-        assert [len(row) for row in table] == [16] * windows
+        assert [len(row) for row in table] == [16] * 2 * windows
         for i, j in spots:
-            want = aff_mul(proved.p, 0, as_tuple(base), (2 * j + 1) * 32**i % proved.n)
+            multiple = (2 * j + 1) * 32 ** (i % windows) * (lam if i >= windows else 1)
+            want = aff_mul(proved.p, 0, as_tuple(base), multiple % proved.n)
             assert table[i][j] == want[0] | want[1] << s | 1 << 2 * s, (base, i, j)  # Z == 1
 
 
@@ -614,7 +619,7 @@ def test_one_shot_processes_load_only_the_generator_tables(fresh_registry):
 # --- shipped generator tables ---------------------------------------------
 
 
-@pytest.mark.parametrize("name, size", [("toy", 384), ("secp256k1", 106_496)])
+@pytest.mark.parametrize("name, size", [("toy", 512), ("secp256k1", 106_496)])
 def test_shipped_tables_are_rebuilt_from_proved_curves(name, size):
     params = fresh_curve(name)
     built = _generator_table_bytes(params)

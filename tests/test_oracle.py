@@ -17,7 +17,13 @@ from eccs.ecs import (
     keygen,
 )
 from eccs.errors import InvalidCiphertext
-from eccs.oracle import GroupTable, brute_dlog, enumerate_points, independent_decrypt
+from eccs.oracle import (
+    GroupTable,
+    brute_dlog,
+    enumerate_points,
+    independent_decrypt,
+    independent_decrypt_with_key,
+)
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +178,42 @@ def test_oracle_uses_no_group_ops_from_package(toy, table):
     assert ops.point_adds == 0
     assert ops.scalar_mults == 0
     assert ops.negations == 0
+
+
+def _verdict(decrypt, *args):
+    """The plaintext point, or None where ``decrypt`` refuses."""
+    try:
+        return decrypt(*args)
+    except (InvalidCiphertext, ValueError):
+        return None
+
+
+def test_every_substitution_gets_the_key_holding_oracles_verdict(toy, table):
+    """Every group element in turn at each of u1, u2, e and v of one
+    honest chunk: ``decrypt_chunk`` and the key-holding oracle give the
+    same verdict and plaintext, and the public-key oracle accepts a
+    subset of those."""
+    rng = random.Random(0x5B)
+    priv, pub = keygen(toy, rng)
+    header = chunk_header(0, 1)
+    m = scalar_mult(toy, toy.g1, 777)
+    honest = encrypt_chunk(pub, m, header, rng)
+    accepted = {}
+    for position in ("u1", "u2", "e", "v"):
+        accepted[position] = 0
+        for t in table.points:
+            point = table.to_point(t)
+            chunk = CiphertextChunk(
+                *(point if name == position else getattr(honest, name) for name in ("u1", "u2", "e", "v"))
+            )
+            got = _verdict(decrypt_chunk, priv, chunk, header)
+            assert got == _verdict(independent_decrypt_with_key, table, priv, chunk, header), (position, t)
+            public = _verdict(independent_decrypt, table, pub, chunk, header)
+            assert public is None or public == got, (position, t)
+            if got is not None:
+                accepted[position] += 1
+                if point == getattr(honest, position):
+                    assert got == m and public == m
+    # the honest chunk itself, plus chance acceptances at about 1 in 1093
+    assert all(1 <= count <= 6 for count in accepted.values()), accepted
+    assert accepted["v"] == 1  # v is compared, not hashed: only the honest v passes
