@@ -1,7 +1,7 @@
 """Curve groups y^2 = x^3 + b over F_p, p % 4 == 3, with a complete law.
 
 That is the one curve shape served here, and both registry curves
-(secp256k1 and toy) have it: a = 0 gives one pair of cheap complete
+(secp256k1 and toy) have it: no x term gives one pair of cheap complete
 formulas, and p % 4 == 3 gives square roots as a single power.  Points
 are affine; the identity is the distinguished ``IDENTITY`` value.
 Internally the group law runs on projective coordinates using complete
@@ -51,9 +51,6 @@ G2_DOMAIN_TAG = b"ECCS-G2-v1"
 
 SECP256K1_ID = 0x01
 TOY_ID = 0x7F
-
-CURVE_NAMES = ("secp256k1", "toy")
-
 
 # ---------------------------------------------------------------------------
 # points
@@ -128,8 +125,8 @@ def _group_law(b3, p):
     """Complete addition and doubling on (X : Y : Z) triples of y^2 = x^3 + b.
 
     b3 = 3*b mod p; (0 : 1 : 0) is the identity and results are reduced
-    mod p.  These are the a = 0 formulas (algorithms 7 and 9 there), the
-    only curve shape ``CurveParams`` accepts.
+    mod p.  These are the formulas for that shape (algorithms 7 and 9
+    there), the only one ``CurveParams`` accepts.
     """
 
     def add(X1, Y1, Z1, X2, Y2, Z2):
@@ -341,10 +338,11 @@ class _Endomorphism:
 class CurveParams:
     """Validated domain parameters for one curve y^2 = x^3 + b over F_p.
 
-    Only that shape is accepted: a must be 0 and p % 4 must be 3, else
-    construction raises ``ValueError``.  ``a`` stays a field because the
-    registry digest, equality and the oracle read it.  Construction
-    re-derives every claimed property: primality of p and n, b != 0 (a
+    The arguments are the registry spec's fields, in ``_SPEC_FIELDS``
+    order, and a curve is its spec: equality and the hash read every one
+    of them, name, beta and lam included.  Only p % 4 == 3 is accepted,
+    else construction raises ``ValueError``.  Construction re-derives
+    every claimed property: primality of p and n, b != 0 (a
     non-singular equation), both generators on the curve with exact
     order n, the Hasse bound, and cofactor 1 (forced by 2n exceeding the
     upper Hasse limit).  ``beta`` and ``lam`` are required: every curve
@@ -365,7 +363,6 @@ class CurveParams:
         "curve_id",
         "name",
         "p",
-        "a",
         "b",
         "n",
         "coord_bytes",
@@ -377,6 +374,7 @@ class CurveParams:
         "_glv",
         "_bases",
         "_ships_tables",
+        "_spec",
     )
 
     def __init__(
@@ -384,7 +382,6 @@ class CurveParams:
         curve_id: int,
         name: str,
         p: int,
-        a: int,
         b: int,
         n: int,
         g1: tuple[int, int],
@@ -392,22 +389,22 @@ class CurveParams:
         beta: int,
         lam: int,
     ) -> None:
-        self._setup(curve_id, name, p, a, b, n, g1, g2, beta, lam, proofs=True)
+        self._setup(curve_id, name, p, b, n, g1, g2, beta, lam, proofs=True)
 
     @classmethod
     def _pinned(cls, spec: dict) -> "CurveParams":
         """A registry curve whose spec matched its pinned digest.
 
         The digest stands for the proofs the tests ran on these exact
-        constants, so only the cheap checks run: coefficient range, curve
-        shape, b != 0, Hasse bound, cofactor and both generators on the
+        constants, so only the cheap checks run: b reduced and nonzero,
+        p % 4 == 3, Hasse bound, cofactor and both generators on the
         curve.
         """
         params = cls.__new__(cls)
         params._setup(*(spec[key] for key in _SPEC_FIELDS), proofs=False)
         return params
 
-    def _setup(self, curve_id, name, p, a, b, n, g1, g2, beta, lam, *, proofs) -> None:
+    def _setup(self, curve_id, name, p, b, n, g1, g2, beta, lam, *, proofs) -> None:
         if not 0 <= curve_id <= 0xFF:
             raise ValueError("curve id must fit in one byte")
         self.curve_id = curve_id
@@ -422,15 +419,12 @@ class CurveParams:
         # fixed big-endian widths of every serialized coordinate and scalar
         self.coord_bytes = (p.bit_length() + 7) // 8
         self.scalar_bytes = (n.bit_length() + 7) // 8
-        if not 0 <= a < p or not 0 <= b < p:
-            raise ValueError("coefficients must be reduced mod p")
-        if a != 0:
-            raise ValueError("only curves y^2 = x^3 + b (a == 0) are supported")
+        if not 0 <= b < p:
+            raise ValueError("b must be reduced mod p")
         if p % 4 != 3:
             raise ValueError("only fields with p % 4 == 3 are supported")
         if b == 0:
             raise ValueError("singular curve: b == 0")
-        self.a = a
         self.b = b
         two_sqrt = math.isqrt(4 * p)  # floor(2 * sqrt(p)); 2 * isqrt(p) may fall short
         if not (p + 1 - two_sqrt <= n <= p + 1 + two_sqrt):
@@ -446,6 +440,8 @@ class CurveParams:
         self.g1 = self._checked_generator(g1, "g1", proofs)
         self.g2 = self._checked_generator(g2, "g2", proofs)
         self._glv = self._checked_endomorphism(beta, lam, proofs)
+        g1, g2 = (self.g1.x, self.g1.y), (self.g2.x, self.g2.y)  # reduced mod p
+        self._spec = (curve_id, name, p, b, n, g1, g2, beta, lam)
 
     def _checked_generator(self, xy: tuple[int, int], label: str, proofs: bool) -> CurvePoint:
         x, y = xy
@@ -493,18 +489,10 @@ class CurveParams:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CurveParams):
             return NotImplemented
-        return (
-            self.curve_id == other.curve_id
-            and self.p == other.p
-            and self.a == other.a
-            and self.b == other.b
-            and self.n == other.n
-            and self.g1 == other.g1
-            and self.g2 == other.g2
-        )
+        return self._spec == other._spec
 
     def __hash__(self) -> int:
-        return hash((self.curve_id, self.p, self.a, self.b, self.n))
+        return hash(self._spec)
 
     def __repr__(self) -> str:
         return f"CurveParams({self.name!r}, id={self.curve_id:#04x})"
@@ -683,6 +671,21 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
     return table
 
 
+def _stand_in(params: CurveParams) -> CurvePoint:
+    """A new point at a random x from ``secrets``: never g1, g2 or a counted base.
+
+    So it has no fixed-base table, and a core call builds its rows as for
+    any fresh base.  ``decrypt_chunk`` puts one in place of an identity mask.
+    """
+    while True:
+        x = secrets.randbelow(params.p)
+        rhs = FieldElement(params._rhs(x), params.p)
+        if rhs.is_square():
+            point = CurvePoint(x, rhs.sqrt())
+            if point not in params._bases and point != params.g1 and point != params.g2:
+                return point
+
+
 def _rows(params: CurveParams, x, y) -> list:
     """Packed rows of (x, y) for one call: its odd multiples and their images.
 
@@ -802,9 +805,8 @@ def decompress(params: CurveParams, data: bytes) -> CurvePoint:
         y = FieldElement(params._rhs(x), params.p).sqrt()
     except ValueError:
         raise ParseError("x coordinate has no point on the curve") from None
+    # y != 0: the proofs and the cofactor check force odd prime order, so no (x, 0)
     if prefix == 0x03:
-        if y == 0:
-            raise ParseError("non-canonical encoding of a y == 0 point")
         y = params.p - y
     return CurvePoint(x, y)
 
@@ -883,14 +885,14 @@ def toy_curve_search() -> CurveParams:
                 g1 = None
                 for x in range(p):
                     rhs = FieldElement(x * x % p * x + b, p)
-                    if rhs.value != 0 and rhs.is_square():
+                    if rhs.is_square():
                         g1 = (x, rhs.sqrt())
                         break
                 g2 = derive_g2(TOY_ID, p, b, n)
                 beta = _cube_roots_of_unity(p)[0]
                 roots = _cube_roots_of_unity(n)
                 lam = next(r for r in roots if _lam_acts_as_beta(p, b, n, beta, r, *g1))
-                return CurveParams(TOY_ID, "toy", p, 0, b, n, g1, g2, beta, lam)
+                return CurveParams(TOY_ID, "toy", p, b, n, g1, g2, beta, lam)
         p += 2
 
 
@@ -902,7 +904,6 @@ _REGISTRY_SPECS: dict[int, dict] = {
         curve_id=SECP256K1_ID,
         name="secp256k1",
         p=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F,
-        a=0,
         b=7,
         n=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141,
         g1=(
@@ -923,7 +924,6 @@ _REGISTRY_SPECS: dict[int, dict] = {
         curve_id=TOY_ID,
         name="toy",
         p=1051,
-        a=0,
         b=7,
         n=1093,
         g1=(3, 666),
@@ -935,9 +935,11 @@ _REGISTRY_SPECS: dict[int, dict] = {
     ),
 }
 
-# The digest encoding's field order; ``CurveParams._pinned`` reads the
-# spec in this order, so nothing outside the digest reaches a curve.
-_SPEC_FIELDS = ("curve_id", "name", "p", "a", "b", "n", "g1", "g2", "beta", "lam")
+# The one definition of a curve: the digest's field order, ``CurveParams``'s
+# arguments and the spec its equality reads; ``_pinned`` reads only these.
+_SPEC_FIELDS = ("curve_id", "name", "p", "b", "n", "g1", "g2", "beta", "lam")
+
+CURVE_NAMES = tuple(spec["name"] for spec in _REGISTRY_SPECS.values())
 
 
 def _spec_digest(spec: dict) -> str:
@@ -963,8 +965,8 @@ def _spec_digest(spec: dict) -> str:
 # ``eccs selftest`` had proved every property of it with ``CurveParams``;
 # a test recomputes them, so a changed constant needs a new digest here.
 _REGISTRY_DIGESTS: dict[int, str] = {
-    SECP256K1_ID: "6361b86f6859cdfb37f7a7a2b2d670358d88daf61a8daee08f1b56fec70ce735",
-    TOY_ID: "866a2edb018cf7c643fb22ed9c9740dc57992a3cdf789a1932682bc27f974a34",
+    SECP256K1_ID: "8a5e2cfbe7379f428181f2396b39ef864e3cd0b108d435487ba0fddd9f0a8502",
+    TOY_ID: "16e18807e30fb7b037e620ef36bd0f152ca26bb8acf4962fb1701b3b368dfa7a",
 }
 
 # SHA3-256 of each registry curve's shipped table file (g1's and g2's

@@ -10,12 +10,16 @@ plaintext is released.
 Secret-dependent work is confined to the curve's multi-scalar core,
 ``linear_combinations``, and its one-term case ``scalar_mult`` (a fixed
 sequence of operations with masked table scans), and to a constant-time
-comparison; there are no secret-indexed lookups, the only early exits
-ahead of the validity check are public pre-checks on the chunk's
-points, and a message is rejected only after all of its chunks have
-been decrypted.  Key generation and decryption hand their sums of
-products to the core in one call each, so they share rows, doublings
-and the final inversion.
+comparison; there are no secret-indexed lookups, the only early exit
+ahead of the validity check is the public membership check on the
+chunk's points, and a message is rejected only after all of its chunks
+have been decrypted.  So every forgery that parses costs the work of a
+valid message, identity mask points included.  The exception is a mask
+point with a fixed-base table (a registry curve's g1 or g2, or a point
+used often), whose terms need no doublings; which points have one is
+public.  Key generation and decryption hand their sums of products to
+the core in one call each, so they share rows, doublings and the final
+inversion.
 
 A whole message uses the CPUs the process may run on
 (``os.sched_getaffinity``; ``taskset`` limits them): ``encrypt`` and
@@ -39,6 +43,7 @@ from . import codec
 from .curve import (
     CurveParams,
     CurvePoint,
+    _stand_in,
     _tally,
     compress,
     count_ops,
@@ -174,15 +179,18 @@ def decrypt_chunk(
 ) -> CurvePoint:
     """Recover the message point, or raise ``InvalidCiphertext``.
 
-    A chunk whose u1 or u2 is the identity is refused, a check on public
-    points only: honest encryption never makes one (r is in [1, n-1]),
-    and a chunk with u1 = u2 = v = identity would pass the validity check
-    and decrypt to its e under every key.  The expected validity point
-    and the candidate plaintext are both computed before the comparison,
-    and the comparison itself runs over compressed encodings via
-    ``hmac.compare_digest``; nothing about the failure mode distinguishes
-    which part of the chunk was bad.  A ``PackageDataError`` (a damaged
-    install, not a bad chunk) passes through.
+    A chunk whose u1 or u2 is the identity is refused: honest encryption
+    never makes one (r is in [1, n-1]), and a chunk with u1 = u2 = v =
+    identity would pass the validity check and decrypt to its e under
+    every key.  It is refused after the same work as any other chunk:
+    the chunk is hashed as it is, and the core call gets a fresh public
+    stand-in (``_stand_in``) for each identity mask point.  The expected
+    validity point and the candidate plaintext are both computed before
+    the comparison, and the comparison itself runs over compressed
+    encodings via ``hmac.compare_digest``; nothing about the failure
+    mode distinguishes which part of the chunk was bad.  A
+    ``PackageDataError`` (a damaged install, not a bad chunk) passes
+    through.
     """
     try:
         params = curve_by_id(priv.curve_id)
@@ -190,17 +198,18 @@ def decrypt_chunk(
         for point in (u1, u2, e, v):
             if not is_on_curve(params, point):
                 raise InvalidCiphertext
-        if u1.is_identity or u2.is_identity:
-            raise InvalidCiphertext
         n = params.n
         alpha = hash_to_scalar(params, header, u1, u2, e)
         s1 = (priv.x1 + alpha * priv.y1) % n
         s2 = (priv.x2 + alpha * priv.y2) % n
+        # one object per position: a base's rows are built once per object
+        b1, b2 = (_stand_in(params) if u.is_identity else u for u in (u1, u2))
         expected_v, mask = linear_combinations(
-            params, [[(u1, s1), (u2, s2)], [(u1, priv.z)]]
+            params, [[(b1, s1), (b2, s2)], [(b1, priv.z)]]
         )
         m_point = point_add(params, e, point_negate(params, mask))
-        if not hmac.compare_digest(compress(params, expected_v), compress(params, v)):
+        valid = hmac.compare_digest(compress(params, expected_v), compress(params, v))
+        if not valid or u1.is_identity or u2.is_identity:
             raise InvalidCiphertext
         return m_point
     except (InvalidCiphertext, PackageDataError):

@@ -99,13 +99,12 @@ def enumerate_points(params: CurveParams) -> GroupTable:
     p = params.p
     if p.bit_length() > _MAX_P_BITS:
         raise ValueError(f"refusing exhaustive enumeration for p >= 2**{_MAX_P_BITS}")
-    a, b = params.a, params.b
     roots: dict[int, list[int]] = {}
     for y in range(p):
         roots.setdefault(y * y % p, []).append(y)
     points: list = [None]
     for x in range(p):
-        rhs = (x * x % p * x + a * x + b) % p
+        rhs = (x * x % p * x + params.b) % p
         for y in roots.get(rhs, ()):
             points.append((x, y))
     order = len(points)
@@ -126,7 +125,7 @@ def enumerate_points(params: CurveParams) -> GroupTable:
         if x1 == x2:
             if (y1 + y2) % p == 0:
                 return None
-            slope = (3 * x1 * x1 + a) * inverses[2 * y1 % p] % p
+            slope = 3 * x1 * x1 * inverses[2 * y1 % p] % p
         else:
             slope = (y2 - y1) * inverses[(x2 - x1) % p] % p
         x3 = (slope * slope - x1 - x2) % p

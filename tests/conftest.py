@@ -9,7 +9,6 @@ from eccs.curve import CurveParams, get_curve
 # limit.
 ALT_ID = 0x70
 ALT_P = 1063
-ALT_A = 0
 ALT_B = 3
 ALT_N = 1129
 ALT_G1 = (1, 2)
@@ -31,7 +30,7 @@ def secp():
 def alt_curve():
     """A new CurveParams for the alt curve, with every proof."""
     return CurveParams(
-        ALT_ID, "p1063-b3", ALT_P, ALT_A, ALT_B, ALT_N, ALT_G1, ALT_G2, ALT_BETA, ALT_LAM
+        ALT_ID, "p1063-b3", ALT_P, ALT_B, ALT_N, ALT_G1, ALT_G2, ALT_BETA, ALT_LAM
     )
 
 

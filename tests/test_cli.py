@@ -438,6 +438,17 @@ def test_selftest_catches_corrupted_digest(monkeypatch):
     assert "selftest: FAIL" in report
 
 
+def test_selftest_catches_a_search_that_finds_the_other_pairing(monkeypatch):
+    # negative control: the toy spec with its other valid (beta, lam) pairing
+    spec = {**curve_mod._REGISTRY_SPECS[curve_mod.TOY_ID], "beta": 870, "lam": 151}
+    monkeypatch.setattr(curve_mod, "toy_curve_search", lambda: curve_mod.CurveParams(**spec))
+    out = io.StringIO()
+    assert cli.run_selftest(out) is False
+    report = out.getvalue()
+    assert "registry parameter validation: FAIL (small-curve search" in report
+    assert "selftest: FAIL" in report
+
+
 @pytest.mark.parametrize("corruption", ["digest", "file"])
 def test_selftest_catches_corrupted_generator_tables(monkeypatch, tmp_path, corruption):
     # negative control: intact specs, but a shipped table or its digest changed

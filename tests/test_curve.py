@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import math
 import random
 import re
@@ -17,8 +18,10 @@ from eccs import field as field_mod
 from eccs.curve import (
     _REGISTRY_DIGESTS,
     _REGISTRY_SPECS,
+    _SPEC_FIELDS,
     _TABLE_AT_USE,
     _TABLE_DIGESTS,
+    CURVE_NAMES,
     CurveParams,
     CurvePoint,
     IDENTITY,
@@ -69,13 +72,26 @@ def test_registry_lookup(toy, secp):
     assert secp.name == "secp256k1"
     assert secp.p == SECP_P
     assert secp.n == SECP_N
-    assert (secp.a, secp.b) == (0, 7)
+    assert secp.b == 7
     assert as_tuple(secp.g1) == (SECP_GX, SECP_GY)
     assert toy.curve_id == TOY_ID
-    assert (toy.p, toy.a, toy.b, toy.n) == (1051, 0, 7, 1093)
+    assert (toy.p, toy.b, toy.n) == (1051, 7, 1093)
     assert as_tuple(toy.g1) == (3, 666)
     assert curve_by_id(TOY_ID) is toy  # cached
     assert get_curve("toy") == toy
+    assert CURVE_NAMES == tuple(spec["name"] for spec in _REGISTRY_SPECS.values())
+
+
+def test_a_curve_is_its_spec(toy):
+    """The constructor takes exactly the spec fields, and equality reads all of them."""
+    assert tuple(inspect.signature(CurveParams).parameters) == _SPEC_FIELDS
+    spec = _REGISTRY_SPECS[TOY_ID]
+    proved = CurveParams(**spec)
+    assert proved == toy and hash(proved) == hash(toy)
+    # the other valid pairing, (870, 151), and another name make other curves
+    for change in (dict(beta=870, lam=151), dict(name="toy-renamed")):
+        other = CurveParams(**{**spec, **change})
+        assert other != toy, change
 
 
 def test_registry_rejects_unknown():
@@ -88,7 +104,8 @@ def test_registry_rejects_unknown():
 @pytest.mark.parametrize("curve_id", sorted(_REGISTRY_SPECS))
 def test_pinned_digests_match_fully_validated_specs(curve_id):
     spec = _REGISTRY_SPECS[curve_id]
-    assert _spec_digest(spec) == _REGISTRY_DIGESTS[curve_id]
+    digest = _spec_digest(spec)
+    assert digest == _REGISTRY_DIGESTS[curve_id], f"recomputed digest: {digest}"
     loaded, proved = curve_by_id(curve_id), CurveParams(**spec)
     assert loaded == proved
     for attr in ("beta", "windows", "_basis", "_shift"):
@@ -102,11 +119,13 @@ def test_pinned_digests_match_fully_validated_specs(curve_id):
 
 
 def _mutate(spec, key):
-    """The spec's value for key, changed: g1 in its y, g2 in its x."""
+    """The spec's value for key, changed: g1 in its y, g2 in its x, a name by a suffix."""
     value = spec[key]
     if key in ("g1", "g2"):
         x, y = value
         return (x + 1, y) if key == "g2" else (x, y + 1)
+    if isinstance(value, str):
+        return value + "x"
     return value + 1
 
 
@@ -121,7 +140,7 @@ def fresh_registry(monkeypatch):
     return specs, digests
 
 
-@pytest.mark.parametrize("key", ["p", "n", "b", "g1", "g2", "beta", "lam"])
+@pytest.mark.parametrize("key", _SPEC_FIELDS)
 @pytest.mark.parametrize("curve_id", sorted(_REGISTRY_SPECS))
 def test_registry_load_rejects_a_changed_constant(fresh_registry, curve_id, key):
     specs, _ = fresh_registry
@@ -158,13 +177,13 @@ def test_registry_load_runs_no_proofs(fresh_registry, monkeypatch, toy, secp):
         dict(n=1091),  # prime but not the group order
         dict(n=1087),  # likewise
         dict(g1=(4, 666)),  # not on curve
-        dict(a=1050, b=0),  # y^2 = x^3 - x ... singular? no: disc != 0, order check fails
         dict(p=1049),  # different prime, everything inconsistent
         dict(beta=870),  # the other cube root: pairs with lam = 151, not 941
         dict(lam=151),  # likewise
         dict(beta=181),  # not a cube root of unity
         dict(beta=1),  # trivial root
         dict(lam=None),  # beta without lam
+        dict(b=1058),  # b = 7 unreduced: only the range check refuses it
     ],
 )
 def test_corrupted_toy_parameters_rejected(mutation):
@@ -172,7 +191,6 @@ def test_corrupted_toy_parameters_rejected(mutation):
         curve_id=TOY_ID,
         name="toy",
         p=1051,
-        a=0,
         b=7,
         n=1093,
         g1=(3, 666),
@@ -187,7 +205,7 @@ def test_corrupted_toy_parameters_rejected(mutation):
 
 def test_singular_curve_rejected():
     with pytest.raises(ValueError, match="singular"):
-        CurveParams(0x60, "bad", 1051, 0, 0, 1093, (3, 666), (5, 5), 180, 941)
+        CurveParams(0x60, "bad", 1051, 0, 1093, (3, 666), (5, 5), 180, 941)
 
 
 def test_beta_and_lam_are_required():
@@ -249,7 +267,7 @@ def test_composite_field_rejected():
     # check, while 1023 = 3*11*31 and 1095 = 3*5*73 pass it
     for p, n in ((1053, 1093), (1023, 1093), (1051, 1095)):
         with pytest.raises(ValueError, match="primality"):
-            CurveParams(0x60, "bad", p, 0, 7, n, (3, 666), (5, 5), 180, 941)
+            CurveParams(0x60, "bad", p, 7, n, (3, 666), (5, 5), 180, 941)
 
 
 def test_hasse_bound_admits_its_limit(alt):
@@ -260,7 +278,7 @@ def test_hasse_bound_admits_its_limit(alt):
 def test_hasse_bound_enforced():
     # claimed order far outside p + 1 +- 2*sqrt(p)
     with pytest.raises(ValueError, match="Hasse"):
-        CurveParams(0x60, "bad", 1051, 0, 7, 1201, (3, 666), (1033, 592), 180, 941)
+        CurveParams(0x60, "bad", 1051, 7, 1201, (3, 666), (1033, 592), 180, 941)
 
 
 # --- group law ------------------------------------------------------------
@@ -295,13 +313,13 @@ def test_addition_matches_affine_reference(toy):
     for _ in range(2000):
         P = rng.choice(pts)
         Q = rng.choice(pts)
-        want = aff_add(toy.p, toy.a, as_tuple(P), as_tuple(Q))
+        want = aff_add(toy.p, 0, as_tuple(P), as_tuple(Q))
         assert as_tuple(point_add(toy, P, Q)) == want
 
 
 def test_doubling_matches_affine_reference(toy):
     for P in enumerate_group(toy):
-        want = aff_add(toy.p, toy.a, as_tuple(P), as_tuple(P))
+        want = aff_add(toy.p, 0, as_tuple(P), as_tuple(P))
         assert as_tuple(point_add(toy, P, P)) == want
 
 
@@ -316,15 +334,11 @@ def test_commutativity_and_associativity_sampled(toy):
         assert lhs == rhs
 
 
-def test_general_coefficient_formulas():
-    # valid prime-order curves of another shape: the formulas and the
-    # square root they would need are gone, so construction refuses them
-    with pytest.raises(ValueError, match=re.escape("a == 0")):
-        # y^2 = x^3 + x + 1 over F_1033, prime order 1061
-        CurveParams(0x70, "p1033-a1", 1033, 1, 1, 1061, (0, 1032), (338, 48), 180, 941)
+def test_a_field_with_p_1_mod_4_is_refused():
+    # a valid prime-order curve: the square root it would need is gone
     with pytest.raises(ValueError, match=re.escape("p % 4 == 3")):
         # y^2 = x^3 + 11 over F_1009 (1009 % 4 == 1), prime order 967
-        CurveParams(0x60, "p1009-b11", 1009, 0, 11, 967, (1, 298), (676, 232), 180, 941)
+        CurveParams(0x60, "p1009-b11", 1009, 11, 967, (1, 298), (676, 232), 180, 941)
 
 
 def test_negation(toy):
@@ -354,7 +368,7 @@ def test_scalar_mult_matches_repeated_addition(toy):
     g1t = as_tuple(toy.g1)
     for _ in range(300):
         k = rng.randrange(toy.n)
-        assert as_tuple(scalar_mult(toy, toy.g1, k)) == aff_mul(toy.p, toy.a, g1t, k)
+        assert as_tuple(scalar_mult(toy, toy.g1, k)) == aff_mul(toy.p, 0, g1t, k)
 
 
 def test_scalar_mult_distributes_over_scalar_addition(toy):
@@ -421,9 +435,9 @@ def with_table(params, point):
 def test_toy_every_scalar_on_every_path():
     toy = fresh_curve("toy")
     g1t = as_tuple(toy.g1)
-    others = [toy.point(*aff_mul(toy.p, toy.a, g1t, k)) for k in (2, 700)]
+    others = [toy.point(*aff_mul(toy.p, 0, g1t, k)) for k in (2, 700)]
     for base in [toy.g1, toy.g2] + others:
-        want = [aff_mul(toy.p, toy.a, as_tuple(base), k) for k in range(toy.n)]
+        want = [aff_mul(toy.p, 0, as_tuple(base), k) for k in range(toy.n)]
         for k in range(toy.n):
             assert as_tuple(split(toy, base, k)) == want[k]
         # public calls: below the threshold the split path, then the table
@@ -625,7 +639,8 @@ def test_shipped_tables_are_rebuilt_from_proved_curves(name, size):
     built = _generator_table_bytes(params)
     assert curve_mod._shipped_table_bytes(params.curve_id) == built
     assert len(built) == size
-    assert hashlib.sha3_256(built).hexdigest() == _TABLE_DIGESTS[params.curve_id]
+    digest = hashlib.sha3_256(built).hexdigest()
+    assert digest == _TABLE_DIGESTS[params.curve_id], f"recomputed digest: {digest}"
 
 
 @pytest.mark.parametrize("damage, error", [("flipped", "pinned digest"), ("missing", "cannot read")])
@@ -725,8 +740,8 @@ def core_curves():
     for name in ("toy", "alt", "secp256k1"):
         params = alt_curve() if name == "alt" else fresh_curve(name)
         g1t = as_tuple(params.g1)
-        other = params.point(*aff_mul(params.p, params.a, g1t, 5))
-        tabled = with_table(params, params.point(*aff_mul(params.p, params.a, g1t, 7)))
+        other = params.point(*aff_mul(params.p, 0, g1t, 5))
+        tabled = with_table(params, params.point(*aff_mul(params.p, 0, g1t, 7)))
         curves[name] = params, (params.g1, params.g2, other, tabled)
     return curves
 
@@ -742,7 +757,7 @@ def reference_sum(params, terms):
     """sum k * P over the terms, on the affine helpers."""
     total = None
     for point, k in terms:
-        total = aff_add(params.p, params.a, total, aff_mul(params.p, params.a, as_tuple(point), k))
+        total = aff_add(params.p, 0, total, aff_mul(params.p, 0, as_tuple(point), k))
     return total
 
 
@@ -995,6 +1010,14 @@ def test_decompress_rejects_nonresidue_x(toy):
         decompress(toy, b"\x02\x00\x00")
 
 
+def test_no_served_curve_has_a_point_with_y_zero(toy, alt, secp):
+    # decompress has no y == 0 case: such a point would have order 2
+    for params in (toy, alt):
+        assert all((x * x * x + params.b) % params.p for x in range(params.p)), params
+    p = secp.p
+    assert pow(p - 7, (p - 1) // 3, p) != 1  # -7 is no cube mod p, so x^3 + 7 never vanishes
+
+
 def test_compress_rejects_foreign_point(toy, secp):
     with pytest.raises(ValueError):
         compress(toy, secp.g1)
@@ -1034,10 +1057,6 @@ def test_toy_curve_search_reproduces_registry(toy):
     found = toy_curve_search()
     assert found == toy
     assert found.p == 1051 and found.n == 1093
-    # equality ignores beta and lam: the endomorphism must match too
-    proved = CurveParams(**_REGISTRY_SPECS[TOY_ID])
-    for attr in ("beta", "windows", "_basis", "_shift"):
-        assert getattr(found._glv, attr) == getattr(proved._glv, attr)
 
 
 # --- operation counting ---------------------------------------------------

@@ -13,7 +13,6 @@ TOY_ARGS = dict(
     curve_id=0x60,
     name="toy",
     p=1051,
-    a=0,
     b=7,
     n=1093,
     g1=(3, 666),
