@@ -229,8 +229,6 @@ def cmd_encrypt(args: SimpleNamespace) -> int:
         ciphertext = encrypt(pub, message, rng)
     except OSError:
         raise _Fail(3, "randomness source failure")
-    except PackageDataError:
-        raise
     except ValueError as exc:
         raise _Fail(2, str(exc))
     blob = serialize_ciphertext(ciphertext)
@@ -286,8 +284,6 @@ def cmd_selftest(_args: SimpleNamespace) -> int:
 def cmd_bench(args: SimpleNamespace) -> int:
     try:
         report = bench_mod.run_suite(curve=args.curve, iterations=args.iters)
-    except PackageDataError:
-        raise
     except ValueError as exc:
         raise _Fail(2, str(exc))
     print(bench_mod.format_report(report), end="")

@@ -235,8 +235,9 @@ def _blinded_inverse(v, p: int) -> int:
 
 
 def _normalize(points, p):
-    """Non-identity projective points scaled to Z = 1, with one inversion.
+    """Projective points (Z reduced mod p) scaled to Z = 1, with one inversion.
 
+    The identity, Z == 0, enters the product as 1 and leaves with Z = 0.
     A generator over a list: each point is scaled as it is taken, so a
     caller that packs the results holds no second list of triples.
     """
@@ -244,13 +245,13 @@ def _normalize(points, p):
     acc = 1
     for _, _, Z in points:
         zinv.append(acc)
-        acc = acc * Z % p
+        acc = acc * (Z or 1) % p
     inv = _blinded_inverse(acc, p)
     for i in range(len(points) - 1, -1, -1):
         zinv[i] = inv * zinv[i] % p
-        inv = inv * points[i][2] % p
-    for (X, Y, _), scale in zip(points, zinv):
-        yield X * scale % p, Y * scale % p, 1
+        inv = inv * (points[i][2] or 1) % p
+    for (X, Y, Z), scale in zip(points, zinv):
+        yield X * scale % p, Y * scale % p, Z and 1
 
 
 def _raw_multiple(p: int, b: int, k: int, x: int, y: int):
@@ -440,8 +441,7 @@ class CurveParams:
         self.g1 = self._checked_generator(g1, "g1", proofs)
         self.g2 = self._checked_generator(g2, "g2", proofs)
         self._glv = self._checked_endomorphism(beta, lam, proofs)
-        g1, g2 = (self.g1.x, self.g1.y), (self.g2.x, self.g2.y)  # reduced mod p
-        self._spec = (curve_id, name, p, b, n, g1, g2, beta, lam)
+        self._spec = (curve_id, name, p, b, n, tuple(g1), tuple(g2), beta, lam)
 
     def _checked_generator(self, xy: tuple[int, int], label: str, proofs: bool) -> CurvePoint:
         x, y = xy
@@ -465,8 +465,10 @@ class CurveParams:
         return _Endomorphism(n, beta, lam)
 
     def point(self, x: int, y: int) -> CurvePoint:
-        """Build an affine point from ints reduced mod p, verifying the curve equation."""
-        x, y = x % self.p, y % self.p
+        """The affine point (x, y), or ``ValueError`` unless ``_on_curve`` accepts it.
+
+        Nothing is reduced: x and y must already be ints in [0, p).
+        """
         if not self._on_curve(x, y):
             raise ValueError("point is not on the curve")
         return CurvePoint(x, y)
@@ -515,18 +517,12 @@ def is_on_curve(params: CurveParams, point: CurvePoint) -> bool:
 
 
 def _affine(params: CurveParams, triples) -> list[CurvePoint]:
-    """Affine points of projective triples with one blinded inversion.
+    """Affine points of the group law's triples, with one blinded inversion per call.
 
-    A triple with Z == 0 is the identity and takes no part in the
-    inversion; every other result is checked by ``params.point``.
+    A triple with Z == 0 becomes ``IDENTITY``; every other result is
+    checked by ``params.point``.
     """
-    p = params.p
-    live = [i for i, (_, _, Z) in enumerate(triples) if Z % p]
-    out = [IDENTITY] * len(triples)
-    if live:
-        for i, (X, Y, _) in zip(live, _normalize([triples[i] for i in live], p)):
-            out[i] = params.point(X, Y)
-    return out
+    return [params.point(X, Y) if Z else IDENTITY for X, Y, Z in _normalize(triples, params.p)]
 
 
 def point_add(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
@@ -534,15 +530,8 @@ def point_add(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint
     _tally("point_adds")
     _require_member(params, p1)
     _require_member(params, p2)
-    if p1.is_identity:
-        X1, Y1, Z1 = 0, 1, 0
-    else:
-        X1, Y1, Z1 = p1.x, p1.y, 1
-    if p2.is_identity:
-        X2, Y2, Z2 = 0, 1, 0
-    else:
-        X2, Y2, Z2 = p2.x, p2.y, 1
-    return _affine(params, [params._add(X1, Y1, Z1, X2, Y2, Z2)])[0]
+    t1, t2 = ((0, 1, 0) if P.is_identity else (P.x, P.y, 1) for P in (p1, p2))
+    return _affine(params, [params._add(*t1, *t2)])[0]
 
 
 def point_negate(params: CurveParams, point: CurvePoint) -> CurvePoint:
@@ -676,14 +665,17 @@ def _stand_in(params: CurveParams) -> CurvePoint:
 
     So it has no fixed-base table, and a core call builds its rows as for
     any fresh base.  ``decrypt_chunk`` puts one in place of an identity mask.
+    Each x drawn costs one square-root attempt, and about half of them
+    fail, so a stand-in takes about two on average.
     """
     while True:
         x = secrets.randbelow(params.p)
-        rhs = FieldElement(params._rhs(x), params.p)
-        if rhs.is_square():
-            point = CurvePoint(x, rhs.sqrt())
-            if point not in params._bases and point != params.g1 and point != params.g2:
-                return point
+        try:
+            point = CurvePoint(x, FieldElement(params._rhs(x), params.p).sqrt())
+        except ValueError:  # x^3 + b is not a square: draw again
+            continue
+        if point not in params._bases and point != params.g1 and point != params.g2:
+            return point
 
 
 def _rows(params: CurveParams, x, y) -> list:
@@ -824,20 +816,19 @@ def derive_g2(curve_id: int, p: int, b: int, n: int) -> tuple[int, int]:
     """Deterministic second generator with no known discrete log to g1.
 
     Hash-to-curve by try-and-increment: x is SHA3-256 of ``G2_DOMAIN_TAG``,
-    the curve id and a 32-bit counter, reduced mod p; the first x whose cubic
-    has a square root yields the candidate (even root), which must then
-    have exact order n.  Everyone re-deriving with the same tag gets the
-    same point, and nobody learns a scalar relating it to g1.
+    the curve id and a 32-bit counter, reduced mod p; each x takes one
+    square-root attempt, and the first that succeeds yields the candidate
+    (even root), which must then have exact order n.  Everyone
+    re-deriving with the same tag gets the same point, and nobody learns
+    a scalar relating it to g1.
     """
     tag = G2_DOMAIN_TAG + bytes([curve_id])
     for counter in range(2**32):
         digest = hashlib.sha3_256(tag + counter.to_bytes(4, "big")).digest()
         x = int.from_bytes(digest, "big") % p
-        rhs = FieldElement(x * x % p * x + b, p)
-        if not rhs.is_square():
-            continue
-        y = rhs.sqrt()
-        if y == 0:
+        try:
+            y = FieldElement(x * x % p * x + b, p).sqrt()
+        except ValueError:  # x^3 + b is not a square: next counter
             continue
         if _raw_multiple(p, b, n, x, y)[2] % p == 0:
             return x, y
@@ -882,12 +873,12 @@ def toy_curve_search() -> CurveParams:
         if p % 4 == 3 and is_probable_prime(p):
             n = _count_points(p, b)
             if n != p and 2 * n > p + 1 + math.isqrt(4 * p) and is_probable_prime(n):
-                g1 = None
                 for x in range(p):
-                    rhs = FieldElement(x * x % p * x + b, p)
-                    if rhs.is_square():
-                        g1 = (x, rhs.sqrt())
+                    try:
+                        g1 = x, FieldElement(x * x % p * x + b, p).sqrt()
                         break
+                    except ValueError:  # x^3 + b is not a square: next x
+                        pass
                 g2 = derive_g2(TOY_ID, p, b, n)
                 beta = _cube_roots_of_unity(p)[0]
                 roots = _cube_roots_of_unity(n)

@@ -54,7 +54,7 @@ from .curve import (
     point_negate,
     scalar_mult,
 )
-from .errors import InvalidCiphertext, PackageDataError
+from .errors import InvalidCiphertext
 from .record import Record
 
 # Domain-separation label for the validity hash.
@@ -182,15 +182,15 @@ def decrypt_chunk(
     A chunk whose u1 or u2 is the identity is refused: honest encryption
     never makes one (r is in [1, n-1]), and a chunk with u1 = u2 = v =
     identity would pass the validity check and decrypt to its e under
-    every key.  It is refused after the same work as any other chunk:
-    the chunk is hashed as it is, and the core call gets a fresh public
-    stand-in (``_stand_in``) for each identity mask point.  The expected
-    validity point and the candidate plaintext are both computed before
-    the comparison, and the comparison itself runs over compressed
-    encodings via ``hmac.compare_digest``; nothing about the failure
-    mode distinguishes which part of the chunk was bad.  A
-    ``PackageDataError`` (a damaged install, not a bad chunk) passes
-    through.
+    every key.  It is refused after the same group work as any other
+    chunk: the chunk is hashed as it is, and the core call gets a fresh
+    public stand-in (``_stand_in``, about two square-root attempts) for
+    each identity mask point.  The expected validity point and the
+    candidate plaintext are both computed before the comparison, and the
+    comparison itself runs over compressed encodings via
+    ``hmac.compare_digest``; nothing about the failure mode distinguishes
+    which part of the chunk was bad.  A ``PackageDataError`` (a damaged
+    install, not a bad chunk) is no ``ValueError`` and passes through.
     """
     try:
         params = curve_by_id(priv.curve_id)
@@ -212,8 +212,6 @@ def decrypt_chunk(
         if not valid or u1.is_identity or u2.is_identity:
             raise InvalidCiphertext
         return m_point
-    except (InvalidCiphertext, PackageDataError):
-        raise
     except (ValueError, TypeError, AttributeError):
         raise InvalidCiphertext from None
 
@@ -423,7 +421,5 @@ def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
         if not all(ok for ok, _piece in results):
             raise InvalidCiphertext
         return codec.join_message([piece for _ok, piece in results])
-    except (InvalidCiphertext, PackageDataError):
-        raise
     except (ValueError, TypeError, AttributeError):
         raise InvalidCiphertext from None

@@ -227,8 +227,6 @@ def dearmor(text: str) -> tuple[str, bytes]:
     nothing else.
     """
     lines = [line.rstrip("\r") for line in text.strip().split("\n")]
-    if not lines:
-        raise ParseError("empty armor")
     first = lines[0]
     if not (first.startswith("-----BEGIN ") and first.endswith("-----")):
         raise ParseError("missing armor header")

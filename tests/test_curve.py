@@ -52,7 +52,7 @@ from eccs.curve import (
     scalar_mult,
     toy_curve_search,
 )
-from eccs.errors import ParseError
+from eccs.errors import PackageDataError, ParseError
 from eccs.field import FieldElement
 
 from conftest import ALT_BETA, ALT_G1, ALT_ID, ALT_LAM, ALT_N, ALT_P, alt_curve
@@ -145,7 +145,7 @@ def fresh_registry(monkeypatch):
 def test_registry_load_rejects_a_changed_constant(fresh_registry, curve_id, key):
     specs, _ = fresh_registry
     specs[curve_id][key] = _mutate(specs[curve_id], key)
-    with pytest.raises(ValueError, match="pinned digest"):
+    with pytest.raises(PackageDataError, match="pinned digest"):
         curve_by_id(curve_id)
 
 
@@ -153,7 +153,7 @@ def test_registry_load_rejects_a_changed_constant(fresh_registry, curve_id, key)
 def test_registry_load_rejects_a_changed_digest(fresh_registry, curve_id):
     _, digests = fresh_registry
     digests[curve_id] = "00" * 32  # the spec itself is intact
-    with pytest.raises(ValueError, match="pinned digest"):
+    with pytest.raises(PackageDataError, match="pinned digest"):
         curve_by_id(curve_id)
 
 
@@ -201,6 +201,13 @@ def test_corrupted_toy_parameters_rejected(mutation):
     spec.update(mutation)
     with pytest.raises(ValueError):
         CurveParams(**spec)
+
+
+@pytest.mark.parametrize("g1", [(3 + 1051, 666), (3, 666 - 1051)])
+def test_an_unreduced_generator_is_refused(g1):
+    # as an unreduced b is: the point check reduces nothing
+    with pytest.raises(ValueError, match="not on the curve"):
+        CurveParams(**{**_REGISTRY_SPECS[TOY_ID], "g1": g1})
 
 
 def test_singular_curve_rejected():
@@ -305,6 +312,30 @@ def test_identity_edge_cases(toy):
     assert point_add(toy, IDENTITY, IDENTITY) == IDENTITY
     assert point_negate(toy, IDENTITY) == IDENTITY
     assert point_add(toy, g, point_negate(toy, g)) == IDENTITY
+
+
+def test_an_identity_result_takes_the_one_inversion_of_its_call(monkeypatch):
+    """Every call of the group law goes to affine with exactly one
+    blinded inversion, whether or not its results are the identity."""
+    toy = fresh_curve("toy")  # no table is built here, so none inverts
+    g = toy.g1
+    minus_g = point_negate(toy, g)
+    inversions = []
+    real_blinded_inverse = curve_mod._blinded_inverse
+    monkeypatch.setattr(
+        curve_mod, "_blinded_inverse", lambda v, p: inversions.append(v) or real_blinded_inverse(v, p)
+    )
+    doubled = toy.point(*aff_add(toy.p, 0, as_tuple(g), as_tuple(g)))
+    for compute, want in (
+        (lambda: [point_add(toy, g, g)], [doubled]),
+        (lambda: [point_add(toy, g, minus_g)], [IDENTITY]),
+        (lambda: [scalar_mult(toy, IDENTITY, 5)], [IDENTITY]),
+        (lambda: linear_combinations(toy, [[]]), [IDENTITY]),
+        (lambda: linear_combinations(toy, [[(g, 1), (minus_g, 1)], [(g, 2)]]), [IDENTITY, doubled]),
+    ):
+        inversions.clear()
+        assert compute() == want
+        assert len(inversions) == 1
 
 
 def test_addition_matches_affine_reference(toy):
@@ -655,10 +686,10 @@ def test_a_damaged_table_file_fails_the_first_use_of_g1(
     monkeypatch.setattr(curve_mod, "_TABLE_FILE", str(tmp_path / "gtables-{:02x}.bin"))
     params = curve_by_id(curve_id)  # the load itself reads no table
     got = []
-    with pytest.raises(ValueError, match=error):
+    with pytest.raises(PackageDataError, match=error):
         got.append(scalar_mult(params, params.g1, 5))
     assert got == [] and len(params._bases) == 0
-    with pytest.raises(ValueError, match=error):
+    with pytest.raises(PackageDataError, match=error):
         ecs.keygen(params, random.Random(1))
     # a curve built with every proof reads no file: it counts uses of g1
     proved = fresh_curve(params.name)
@@ -958,7 +989,8 @@ def test_off_curve_points_rejected(toy):
         assert not is_on_curve(toy, fake)
         with pytest.raises(ValueError):
             point_negate(toy, fake)
-    assert toy.point(3 + toy.p, 385 - toy.p) == CurvePoint(3, 385)
+    with pytest.raises(ValueError):
+        toy.point(3 + toy.p, 385 - toy.p)  # nothing is reduced
 
 
 # --- compression ----------------------------------------------------------
@@ -1029,6 +1061,27 @@ def test_compress_rejects_foreign_point(toy, secp):
 def test_derive_g2_reproduces_registry(toy, secp):
     assert derive_g2(TOY_ID, toy.p, toy.b, toy.n) == as_tuple(toy.g2)
     assert derive_g2(SECP256K1_ID, secp.p, secp.b, secp.n) == as_tuple(secp.g2)
+
+
+def test_one_square_root_attempt_per_candidate_x(toy, monkeypatch):
+    """derive_g2 and _stand_in ask no Euler test first: a failed square
+    root is the answer "not a square"."""
+    roots = []
+    real_sqrt = field_mod.FieldElement.sqrt
+    monkeypatch.setattr(field_mod.FieldElement, "is_square", None)  # never asked
+    monkeypatch.setattr(field_mod.FieldElement, "sqrt", lambda self: roots.append(1) or real_sqrt(self))
+    assert derive_g2(TOY_ID, toy.p, toy.b, toy.n) == as_tuple(toy.g2)
+    assert len(roots) == 4  # counters 0 to 3
+    draws = []
+    real_randbelow = curve_mod.secrets.randbelow
+    monkeypatch.setattr(
+        curve_mod, "secrets", SimpleNamespace(randbelow=lambda bound: draws.append(1) or real_randbelow(bound))
+    )
+    roots.clear()
+    for _ in range(20):
+        point = curve_mod._stand_in(toy)
+        assert is_on_curve(toy, point) and point not in (toy.g1, toy.g2)
+    assert len(roots) == len(draws) >= 20
 
 
 def test_derive_g2_reproduces_alt_fixture(alt):

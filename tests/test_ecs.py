@@ -481,8 +481,8 @@ def two_chunks(secp):
 
 
 def test_rejection_work_does_not_depend_on_where_a_forgery_diverges(secp, two_chunks, monkeypatch):
-    """A negated u1, u2, e or v in either chunk, an identity u1 or u2 in
-    either chunk, or a wrong key, costs the group work of a valid decryption."""
+    """A negated u1, u2, e or v in either chunk, an identity u1, u2 or both
+    in either chunk, or a wrong key, costs the group work of a valid decryption."""
     priv, message, blob = two_chunks
     wrong, _ = keygen(secp, random.Random(1008))
     monkeypatch.setattr(curve_mod, "_loaded", {})
@@ -524,6 +524,8 @@ def test_rejection_work_does_not_depend_on_where_a_forgery_diverges(secp, two_ch
     # an identity u1 or u2 (0x00) is hashed as it is, and a fresh stand-in takes its place
     for at in (11 + 33 * j for j in (0, 1, 4, 5)):
         assert work(priv, blob[:at] + b"\x00" + blob[at + 33 :]) == (False, *valid), at
+    for at in (11 + 33 * j for j in (0, 4)):  # u1 and u2 both, in each chunk
+        assert work(priv, blob[:at] + b"\x00\x00" + blob[at + 66 :]) == (False, *valid), at
 
 
 @st.composite
