@@ -20,10 +20,8 @@ so release installs always draw from the operating system's entropy.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
-import secrets
 import stat
 import sys
 import time
@@ -36,6 +34,7 @@ from .curve import (
     CurveParams,
     curve_by_id,
     get_curve,
+    sha3_256,
 )
 from .ecs import (
     Ciphertext,
@@ -113,7 +112,7 @@ def _write_file(path: str, data: bytes, *, private: bool = False) -> None:
             handle.write(data)
         return
     directory, name = os.path.split(os.path.abspath(path))
-    temp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     mode = 0o666 if old_mode is None and not private else 0o600
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     try:
@@ -328,7 +327,7 @@ def run_selftest(stream) -> bool:
 
     def check_sha3() -> None:
         for message, digest in _SHA3_VECTORS:
-            got = hashlib.sha3_256(message).hexdigest()
+            got = sha3_256(message).hexdigest()
             if got != digest:
                 raise AssertionError(f"sha3-256({message!r}) = {got}")
 
@@ -342,7 +341,7 @@ def run_selftest(stream) -> bool:
             if curve_mod._spec_digest(spec) != curve_mod._REGISTRY_DIGESTS[curve_id]:
                 raise AssertionError(f"{spec['name']} does not match its pinned digest")
             tables = curve_mod._generator_table_bytes(params)
-            digest = hashlib.sha3_256(tables).hexdigest()
+            digest = sha3_256(tables).hexdigest()
             shipped = curve_mod._shipped_table_bytes(curve_id)
             if shipped != tables or digest != curve_mod._TABLE_DIGESTS[curve_id]:
                 raise AssertionError(f"{spec['name']} generator tables do not match their build")

@@ -34,18 +34,23 @@ randomly blinded input.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-import secrets
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Optional, Sequence
 
 from .errors import PackageDataError, ParseError
-from .field import FieldElement, is_probable_prime
+from .field import _SYSTEM_RNG, FieldElement, is_probable_prime
 from .record import Record
+
+# CPython's builtin SHA3 spares the process hashlib's OpenSSL binding;
+# FIPS-configured distributions build CPython without it.
+try:
+    from _sha3 import sha3_256
+except ImportError:
+    from hashlib import sha3_256
 
 G2_DOMAIN_TAG = b"ECCS-G2-v1"
 
@@ -228,9 +233,10 @@ def _blinded_inverse(v, p: int) -> int:
     """1/v mod p, for v != 0 mod p.
 
     The built-in inverse takes variable time, so it only ever sees v*r
-    for a fresh uniform r from ``secrets``, which is independent of v.
+    for a fresh uniform r in [1, p) from ``field._SYSTEM_RNG``, which is
+    independent of v.
     """
-    r = 1 + secrets.randbelow(p - 1)
+    r = _SYSTEM_RNG.randrange(1, p)
     return r * pow(v * r % p, -1, p) % p
 
 
@@ -623,7 +629,7 @@ def _load_generator_tables(params: CurveParams) -> None:
     is checked here.
     """
     data = _shipped_table_bytes(params.curve_id)
-    if hashlib.sha3_256(data).hexdigest() != _TABLE_DIGESTS[params.curve_id]:
+    if sha3_256(data).hexdigest() != _TABLE_DIGESTS[params.curve_id]:
         raise PackageDataError(f"generator tables {params.curve_id:#04x} do not match their pinned digest")
     width, s = params.coord_bytes, params.p.bit_length()
     low = (1 << 8 * width) - 1
@@ -661,7 +667,7 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
 
 
 def _stand_in(params: CurveParams) -> CurvePoint:
-    """A new point at a random x from ``secrets``: never g1, g2 or a counted base.
+    """A new point at a random x from ``field._SYSTEM_RNG``: never g1, g2 or a counted base.
 
     So it has no fixed-base table, and a core call builds its rows as for
     any fresh base.  ``decrypt_chunk`` puts one in place of an identity mask.
@@ -669,7 +675,7 @@ def _stand_in(params: CurveParams) -> CurvePoint:
     fail, so a stand-in takes about two on average.
     """
     while True:
-        x = secrets.randbelow(params.p)
+        x = _SYSTEM_RNG.randrange(params.p)
         try:
             point = CurvePoint(x, FieldElement(params._rhs(x), params.p).sqrt())
         except ValueError:  # x^3 + b is not a square: draw again
@@ -824,7 +830,7 @@ def derive_g2(curve_id: int, p: int, b: int, n: int) -> tuple[int, int]:
     """
     tag = G2_DOMAIN_TAG + bytes([curve_id])
     for counter in range(2**32):
-        digest = hashlib.sha3_256(tag + counter.to_bytes(4, "big")).digest()
+        digest = sha3_256(tag + counter.to_bytes(4, "big")).digest()
         x = int.from_bytes(digest, "big") % p
         try:
             y = FieldElement(x * x % p * x + b, p).sqrt()
@@ -949,7 +955,7 @@ def _spec_digest(spec: dict) -> str:
             else:
                 raw = item.to_bytes((item.bit_length() + 7) // 8, "big")
             out += len(raw).to_bytes(2, "big") + raw
-    return hashlib.sha3_256(out).hexdigest()
+    return sha3_256(out).hexdigest()
 
 
 # _spec_digest of each registry spec above, taken when the tests and

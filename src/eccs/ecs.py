@@ -9,8 +9,8 @@ plaintext is released.
 
 Secret-dependent work is confined to the curve's multi-scalar core,
 ``linear_combinations``, and its one-term case ``scalar_mult`` (a fixed
-sequence of operations with masked table scans), and to a constant-time
-comparison; there are no secret-indexed lookups, the only early exit
+sequence of operations with masked table scans), and to a comparison
+with no early exit; there are no secret-indexed lookups, the only early exit
 ahead of the validity check is the public membership check on the
 chunk's points, and a message is rejected only after all of its chunks
 have been decrypted.  So every forgery that parses costs the work of a
@@ -32,12 +32,11 @@ single process computes, byte for byte.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import marshal
 import os
-import random
 import sys
+from functools import reduce
+from operator import or_, xor
 
 from . import codec
 from .curve import (
@@ -53,14 +52,14 @@ from .curve import (
     point_add,
     point_negate,
     scalar_mult,
+    sha3_256,
 )
 from .errors import InvalidCiphertext
+from .field import _SYSTEM_RNG
 from .record import Record
 
 # Domain-separation label for the validity hash.
 _HASH_LABEL = b"ECCS-v1-alpha"
-
-_SYSTEM_RNG = random.SystemRandom()
 
 # Fewest chunks a process of a fanned-out message computes.  A fork, its
 # pipe and its reaping took 1.8-3.6 ms in a 20 MiB process, against about
@@ -101,8 +100,9 @@ def sample_scalar(n: int, rng=None) -> int:
 
     Draws n.bit_length() bits and retries until the value lands in
     range, so no modular folding bias; rng must expose getrandbits.  The
-    one place that picks the default: None means the operating system's
-    entropy.
+    one place that picks a scalar's default: None means
+    ``field._SYSTEM_RNG``, the operating system's entropy, which the
+    package's other draws share.
     """
     if rng is None:
         rng = _SYSTEM_RNG
@@ -146,7 +146,7 @@ def hash_to_scalar(
 ) -> int:
     """SHA3-256 over label, curve id, header and the compressed points, mod n."""
     _tally("hashes")
-    digest = hashlib.sha3_256(
+    digest = sha3_256(
         _HASH_LABEL
         + bytes([params.curve_id])
         + header
@@ -174,6 +174,14 @@ def encrypt_chunk(
     return CiphertextChunk(u1, u2, e, v)
 
 
+def _equal_bytes(a: bytes, b: bytes) -> bool:
+    """a == b, found by folding every byte pair: no exit at the first difference.
+
+    The lengths are public (a compressed point or the 1-byte identity).
+    """
+    return not reduce(or_, map(xor, a, b), len(a) ^ len(b))
+
+
 def decrypt_chunk(
     priv: PrivateKey, chunk: CiphertextChunk, header: bytes
 ) -> CurvePoint:
@@ -187,8 +195,8 @@ def decrypt_chunk(
     public stand-in (``_stand_in``, about two square-root attempts) for
     each identity mask point.  The expected validity point and the
     candidate plaintext are both computed before the comparison, and the
-    comparison itself runs over compressed encodings via
-    ``hmac.compare_digest``; nothing about the failure mode distinguishes
+    comparison itself runs over compressed encodings via ``_equal_bytes``,
+    which has no early exit; nothing about the failure mode distinguishes
     which part of the chunk was bad.  A ``PackageDataError`` (a damaged
     install, not a bad chunk) is no ``ValueError`` and passes through.
     """
@@ -208,7 +216,7 @@ def decrypt_chunk(
             params, [[(b1, s1), (b2, s2)], [(b1, priv.z)]]
         )
         m_point = point_add(params, e, point_negate(params, mask))
-        valid = hmac.compare_digest(compress(params, expected_v), compress(params, v))
+        valid = _equal_bytes(compress(params, expected_v), compress(params, v))
         if not valid or u1.is_identity or u2.is_identity:
             raise InvalidCiphertext
         return m_point

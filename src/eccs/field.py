@@ -1,20 +1,26 @@
-"""Prime-field helpers: a primality test and the one square-root rule.
+"""Prime-field helpers: a primality test, the one square-root rule and
+the package's one entropy source.
 
 Field values are plain ints reduced mod p everywhere in the package.
 ``FieldElement`` only carries a value and its modulus to the Euler
 criterion and the square root, so every such call in the package goes
-through one place.
+through one place.  ``_SYSTEM_RNG`` draws from the operating system's
+entropy (``os.urandom``) and serves every random value the package
+picks: Miller-Rabin bases, inversion blinds, decryption's stand-in
+points and the default scalars.
 """
 
 from __future__ import annotations
 
-import secrets
+import random
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # 64 rounds keeps the error probability of accepting a composite below
 # 4**-64 even for adversarially chosen moduli.
 MILLER_RABIN_ROUNDS = 64
+
+_SYSTEM_RNG = random.SystemRandom()
 
 
 def is_probable_prime(n: int) -> bool:
@@ -30,7 +36,7 @@ def is_probable_prime(n: int) -> bool:
         d //= 2
         s += 1
     for _ in range(MILLER_RABIN_ROUNDS):
-        a = 2 + secrets.randbelow(n - 3)
+        a = _SYSTEM_RNG.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

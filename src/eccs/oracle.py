@@ -14,8 +14,12 @@ exhaustive verification, which is meaningless at cryptographic sizes.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
+
+try:
+    from _sha3 import sha3_256
+except ImportError:  # FIPS-configured CPython builds have no builtin SHA3
+    from hashlib import sha3_256
 
 from .curve import CurveParams, CurvePoint, IDENTITY
 
@@ -163,7 +167,7 @@ def _alpha(params: CurveParams, header: bytes, u1, u2, e) -> int:
     """The binding hash of a chunk, from its points as tuples, with the
     oracle's own point serialization."""
     width = (params.p.bit_length() + 7) // 8
-    digest = hashlib.sha3_256(
+    digest = sha3_256(
         _HASH_LABEL
         + bytes([params.curve_id])
         + header

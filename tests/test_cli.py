@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, file handling, output hygiene."""
 
 import copy
+import importlib.util
 import io
 import os
 import stat
@@ -496,6 +497,35 @@ def test_cli_import_loads_no_threading():
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\nFalse\n"
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha3") is None, reason="CPython built without its builtin SHA3")
+def test_a_cli_round_trip_loads_no_openssl_binding(tmp_path):
+    # SHA3-256 comes from the builtin _sha3, entropy from os.urandom and the
+    # tag comparison from the standard operators; -S keeps site hooks from
+    # loading any of these first
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import eccs.cli\n"
+        "d = sys.argv[1]\n"
+        "with open(d + '/m', 'wb') as f:\n"
+        "    f.write(b'one chunk')\n"
+        "for words in (['keygen', '--curve', 'secp256k1', '--pub', d + '/p', '--priv', d + '/s'],\n"
+        "              ['encrypt', '--pub', d + '/p', '--in', d + '/m', '--out', d + '/c'],\n"
+        "              ['decrypt', '--priv', d + '/s', '--in', d + '/c', '--out', d + '/o']):\n"
+        "    assert eccs.cli.main(words) == 0, words\n"
+        "print(sorted({'_hashlib', 'hashlib', 'hmac', 'secrets', 'ssl'} & (set(sys.modules) - before)))\n"
+    )
+    env = os.environ.copy()
+    env.pop(cli.TEST_BUILD_ENV, None)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+    assert (tmp_path / "o").read_bytes() == b"one chunk"
+    assert len(parse_ciphertext((tmp_path / "c").read_bytes()).chunks) == 1
 
 
 def test_cli_import_leaves_bench_only_modules_unloaded():

@@ -724,8 +724,9 @@ def test_registry_keygen_is_fully_tabled(fresh_registry, monkeypatch):
 
 def test_the_built_in_inverse_only_sees_blinded_products(fresh_registry, monkeypatch):
     """The built-in inverse only ever sees v*r mod p, where v is the
-    product ``_normalize`` inverts and r a fresh value from ``secrets``,
-    through keygen, encryption, decryption and point addition."""
+    product ``_normalize`` inverts and r a fresh value from
+    ``field._SYSTEM_RNG``, through keygen, encryption, decryption and
+    point addition."""
     secp = curve_by_id(SECP256K1_ID)
     rng = random.Random(0xB11D)
     events = []
@@ -735,10 +736,11 @@ def test_the_built_in_inverse_only_sees_blinded_products(fresh_registry, monkeyp
         events.append(("v", v))
         return real_blinded_inverse(v, p)
 
-    def randbelow(bound):
-        value = rng.randrange(1, bound)  # r = 1 + value is never 1
-        events.append(("r", 1 + value))
-        return value
+    def randrange(start, stop):
+        assert (start, stop) == (1, secp.p)
+        r = rng.randrange(2, stop)  # never 1
+        events.append(("r", r))
+        return r
 
     def spied_pow(base, exp, mod=None):
         if exp == -1:
@@ -746,7 +748,7 @@ def test_the_built_in_inverse_only_sees_blinded_products(fresh_registry, monkeyp
         return pow(base, exp, mod)
 
     monkeypatch.setattr(curve_mod, "_blinded_inverse", recorded_product)
-    monkeypatch.setattr(curve_mod, "secrets", SimpleNamespace(randbelow=randbelow))
+    monkeypatch.setattr(curve_mod, "_SYSTEM_RNG", SimpleNamespace(randrange=randrange))
     monkeypatch.setattr(curve_mod, "pow", spied_pow, raising=False)  # shadows the built-in
     priv, pub = ecs.keygen(secp, random.Random(0x1E))
     ct = ecs.encrypt(pub, b"one chunk", random.Random(0x2E))
@@ -1073,9 +1075,9 @@ def test_one_square_root_attempt_per_candidate_x(toy, monkeypatch):
     assert derive_g2(TOY_ID, toy.p, toy.b, toy.n) == as_tuple(toy.g2)
     assert len(roots) == 4  # counters 0 to 3
     draws = []
-    real_randbelow = curve_mod.secrets.randbelow
+    real_randrange = curve_mod._SYSTEM_RNG.randrange
     monkeypatch.setattr(
-        curve_mod, "secrets", SimpleNamespace(randbelow=lambda bound: draws.append(1) or real_randbelow(bound))
+        curve_mod, "_SYSTEM_RNG", SimpleNamespace(randrange=lambda stop: draws.append(1) or real_randrange(stop))
     )
     roots.clear()
     for _ in range(20):

@@ -241,6 +241,35 @@ def test_tampered_chunk_rejected(toy):
             decrypt_chunk(priv, broken, header)
 
 
+def test_the_tag_comparison_decides_equality_of_encodings(secp):
+    """``_equal_bytes`` folds every byte pair and the lengths; decryption
+    refuses a v whose encoding differs from the expected one in its last
+    byte alone."""
+    rng = random.Random(0xC0A1)
+    priv, pub = keygen(secp, rng)
+    header = chunk_header(0, 1)
+    chunk = encrypt_chunk(pub, msg_point(secp, 9), header, rng)
+    good = curve_mod.compress(secp, chunk.v)
+    equal = ecs_mod._equal_bytes
+    assert len(good) == 33
+    assert equal(good, good) and equal(b"\x00", b"\x00")
+    assert not equal(good, bytes([good[0] ^ 1]) + good[1:])
+    assert not equal(good, good[:-1] + bytes([good[-1] ^ 1]))
+    # the identity's one byte matches the first byte of this 33-byte string
+    padded = b"\x00" + good[1:]
+    assert not equal(b"\x00", padded) and not equal(padded, b"\x00")
+    for delta in range(1, 256):
+        try:
+            near = curve_mod.decompress(secp, good[:-1] + bytes([good[-1] ^ delta]))
+        except ParseError:  # x^3 + 7 is not a square
+            continue
+        break
+    assert curve_mod.compress(secp, near)[:-1] == good[:-1] and near != chunk.v
+    with pytest.raises(InvalidCiphertext):
+        decrypt_chunk(priv, CiphertextChunk(chunk.u1, chunk.u2, chunk.e, near), header)
+    assert decrypt_chunk(priv, chunk, header) == msg_point(secp, 9)
+
+
 def test_non_canonical_point_rejected(toy):
     # the same group element with x + p, or with field elements, is no member
     rng = random.Random(79)
