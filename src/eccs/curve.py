@@ -17,15 +17,15 @@ every curve accepted here has and carries, gives two half-length
 values, read as signed odd 5-bit digits, one entry added per digit, over
 a row of the base's 16 odd multiples and a row of their images.  Most
 bases get the two rows per call, and the terms of a sum share their
-doublings (Straus).  A base used often has a fixed-base table, the two
-rows at every window, so it needs no doublings; the registry curves' g1
-and g2 have theirs from their first use, shipped with the package as
-data files checked against a pinned digest when first read.  All
-results of a call go to affine with one inversion.  Iteration counts
-depend only on the curve and on the shape of the sums, every table entry
-is chosen by a masked scan of its whole row, and signs are applied by a
-mask, so the sequence of arithmetic operations does not depend on the
-scalars.  Python integers are not a hard side-channel boundary, but the
+doublings (Straus).  A point object used often as a base has a
+fixed-base table, the two rows at every window, so it needs no
+doublings; the registry curves' g1 and g2 objects have theirs from their
+first use, shipped with the package as data files checked against a
+pinned digest when first read.  All results of a call go to affine with
+one inversion.  Iteration counts depend only on the curve and on the
+shape of the sums, every table entry is chosen by a masked scan of its
+whole row, and signs are applied by a mask, so the sequence of
+arithmetic operations does not depend on the scalars.  Python integers are not a hard side-channel boundary, but the
 structure keeps the usual leak classes (branches, table indices) out of
 the scalar path.
 Converting results back to affine uses the built-in inverse on a
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Optional, Sequence
@@ -66,11 +65,13 @@ class CurvePoint(Record):
 
     Construction checks nothing: ``is_on_curve``, which every public
     operation applies to its points, accepts only ints in [0, p) that
-    satisfy the curve equation.  Points are weakly referenceable, so a
-    base's fixed-base table can go when the base does.
+    satisfy the curve equation.  The private slot, no field, holds the
+    object's uses as a base and then its fixed-base table, under one
+    curve's spec (``_fixed_table``): they go with the object, and an
+    equal object, a copy included, starts from none.
     """
 
-    __slots__ = ("x", "y", "__weakref__")
+    __slots__ = ("x", "y", "_table")
 
     @property
     def is_identity(self) -> bool:
@@ -379,7 +380,6 @@ class CurveParams:
         "_add",
         "_dbl",
         "_glv",
-        "_bases",
         "_ships_tables",
         "_spec",
     )
@@ -440,7 +440,6 @@ class CurveParams:
             # otherwise a cofactor >= 2 could hide inside the Hasse interval
             raise ValueError("order too small to force cofactor 1")
         self._add, self._dbl = _group_law(3 * b % p, p)
-        self._bases = weakref.WeakKeyDictionary()
         # a registry curve under its pinned digest takes g1's and g2's
         # tables from the package; a proved curve builds its own
         self._ships_tables = not proofs
@@ -564,11 +563,12 @@ def _as_scalar(params: CurveParams, k: int) -> int:
 # Building it once the untabled uses have cost about as much extra as the
 # table keeps every base within about 1.5 times the cost of the best
 # choice made knowing its use count.  Bases used fewer times (a fresh
-# key's h, c and d in its one chunk, a ciphertext's u1 and u2) never pay
-# for a table.  The registry curves' g1 and g2 are not counted: their
-# tables ship with the package (``_load_generator_tables``).  Each process
-# counts the uses it makes itself: a fanned-out message's child ends with
-# its uses and any table it builds.
+# key's h, c and d in its one chunk) never pay for a table, and neither do
+# decryption's, which are fresh copies (``ecs.decrypt_chunk``).  The
+# registry curves' g1 and g2 objects are not counted: their tables ship
+# with the package (``_load_generator_tables``).  Uses are counted per
+# point object, and each process counts the uses it makes itself: a
+# fanned-out message's child ends with its uses and any table it builds.
 _TABLE_AT_USE = 7
 
 
@@ -622,7 +622,7 @@ def _shipped_table_bytes(curve_id: int) -> bytes:
 
 
 def _load_generator_tables(params: CurveParams) -> None:
-    """Put the shipped tables of g1 and g2 into ``params._bases``.
+    """Give the objects ``params.g1`` and ``params.g2`` their shipped tables.
 
     The file must match its pinned digest, else ``PackageDataError``; the
     digest stands for the build the tests compared it with, so no entry
@@ -639,49 +639,34 @@ def _load_generator_tables(params: CurveParams) -> None:
         xy = int.from_bytes(data[i : i + 2 * width], "big")  # x << 8*width | y
         flat.append(xy >> 8 * width | (xy & low) << s | one)
     rows = [flat[i : i + 16] for i in range(0, len(flat), 16)]
-    params._bases[params.g1] = rows[: 2 * params._glv.windows]
-    params._bases[params.g2] = rows[2 * params._glv.windows :]
+    w = 2 * params._glv.windows
+    for base, table in ((params.g1, rows[:w]), (params.g2, rows[w:])):
+        object.__setattr__(base, "_table", (params._spec, table))
 
 
 def _fixed_table(params: CurveParams, point: CurvePoint):
     """The base's fixed-base table (see ``_table_rows``), or None.
 
-    On a registry curve loaded through ``curve_by_id``, a base equal to
-    g1 or g2 takes the shipped table from its first use.  Any other base
-    gets its table built on its ``_TABLE_AT_USE``-th use.  Uses are
-    counted per point in a weak mapping, so the count and the table go
-    when the object that first recorded them does.
+    A point object keeps its uses as a base, then its table, in its
+    ``_table`` slot under the spec of the curve that counted them; under
+    any other curve it starts from none, since another spec (toy's other
+    (beta, lam) pairing, say) gives other rows.  On a registry curve
+    loaded through ``curve_by_id``, the objects ``params.g1`` and
+    ``params.g2`` take the shipped tables from their first use.  Any
+    other object gets its table built on its ``_TABLE_AT_USE``-th use.
     """
-    uses = params._bases.get(point, 0)
-    if not isinstance(uses, int):
-        return uses
-    if params._ships_tables and (point == params.g1 or point == params.g2):
+    spec, held = getattr(point, "_table", (params._spec, 0))
+    if spec != params._spec:
+        held = 0
+    if not isinstance(held, int):
+        return held
+    if params._ships_tables and (point is params.g1 or point is params.g2):
         _load_generator_tables(params)
-        return params._bases[point]
-    if uses + 1 < _TABLE_AT_USE:
-        params._bases[point] = uses + 1
-        return None
-    table = _table_rows(params, point)
-    params._bases[point] = table
+        return point._table[1]
+    held += 1
+    table = _table_rows(params, point) if held >= _TABLE_AT_USE else None
+    object.__setattr__(point, "_table", (params._spec, table or held))
     return table
-
-
-def _stand_in(params: CurveParams) -> CurvePoint:
-    """A new point at a random x from ``field._SYSTEM_RNG``: never g1, g2 or a counted base.
-
-    So it has no fixed-base table, and a core call builds its rows as for
-    any fresh base.  ``decrypt_chunk`` puts one in place of an identity mask.
-    Each x drawn costs one square-root attempt, and about half of them
-    fail, so a stand-in takes about two on average.
-    """
-    while True:
-        x = _SYSTEM_RNG.randrange(params.p)
-        try:
-            point = CurvePoint(x, FieldElement(params._rhs(x), params.p).sqrt())
-        except ValueError:  # x^3 + b is not a square: draw again
-            continue
-        if point not in params._bases and point != params.g1 and point != params.g2:
-            return point
 
 
 def _rows(params: CurveParams, x, y) -> list:
@@ -709,14 +694,14 @@ def linear_combinations(
     entry per table row (no doublings).  The other terms take one
     Straus pass with shared doublings over their two rows; the table
     entries are then added to its result.
-    A base's rows are built and its membership checked once per call,
-    however many terms use it, and every result goes to affine with one
-    inversion.  Each term still counts as one use of its base towards a
-    fixed-base table; a registry curve's g1 and g2 take their shipped
-    tables at their first use instead.  The sequence of operations
-    depends only on the curve and on the shape of the sums (their sizes,
-    and which bases are the identity or have a table), never on the
-    scalars.
+    A base object's rows are built and its membership checked once per
+    call, however many terms use it, and every result goes to affine
+    with one inversion.  Each term still counts as one use of its base
+    object towards a fixed-base table; a registry curve's g1 and g2
+    objects take their shipped tables at their first use instead.  The
+    sequence of operations depends only on the curve and on the shape of
+    the sums (their sizes, and which bases are the identity or have a
+    table), never on the scalars.
     """
     glv = params._glv
     add, dbl, p = params._add, params._dbl, params.p
@@ -762,10 +747,10 @@ def scalar_mult(params: CurveParams, point: CurvePoint, k: int) -> CurvePoint:
 
     The one-term case of ``linear_combinations``, which says how the
     scalar is read: split in two halves, each digit of which adds one
-    entry chosen by a masked scan of a whole row.  A base used often, and
-    a registry curve's g1 or g2 from its first use, has a fixed-base
-    table and needs no doublings.  Iteration counts depend only on the
-    curve.
+    entry chosen by a masked scan of a whole row.  A point object used
+    often as a base, and a registry curve's g1 or g2 object from its
+    first use, has a fixed-base table and needs no doublings.  Iteration
+    counts depend only on the curve.
     """
     return linear_combinations(params, [[(point, k)]])[0]
 

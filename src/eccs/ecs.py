@@ -13,13 +13,11 @@ sequence of operations with masked table scans), and to a comparison
 with no early exit; there are no secret-indexed lookups, the only early exit
 ahead of the validity check is the public membership check on the
 chunk's points, and a message is rejected only after all of its chunks
-have been decrypted.  So every forgery that parses costs the work of a
-valid message, identity mask points included.  The exception is a mask
-point with a fixed-base table (a registry curve's g1 or g2, or a point
-used often), whose terms need no doublings; which points have one is
-public.  Key generation and decryption hand their sums of products to
-the core in one call each, so they share rows, doublings and the final
-inversion.
+have been decrypted.  Decryption computes on fresh copies of the mask
+points, which no fixed-base table reaches, so every forgery that parses
+costs the group work of a valid message, whatever its mask points equal.
+Key generation and decryption hand their sums of products to the core in
+one call each, so they share rows, doublings and the final inversion.
 
 A whole message uses the CPUs the process may run on
 (``os.sched_getaffinity``; ``taskset`` limits them): ``encrypt`` and
@@ -42,7 +40,6 @@ from . import codec
 from .curve import (
     CurveParams,
     CurvePoint,
-    _stand_in,
     _tally,
     compress,
     count_ops,
@@ -191,14 +188,16 @@ def decrypt_chunk(
     never makes one (r is in [1, n-1]), and a chunk with u1 = u2 = v =
     identity would pass the validity check and decrypt to its e under
     every key.  It is refused after the same group work as any other
-    chunk: the chunk is hashed as it is, and the core call gets a fresh
-    public stand-in (``_stand_in``, about two square-root attempts) for
-    each identity mask point.  The expected validity point and the
-    candidate plaintext are both computed before the comparison, and the
-    comparison itself runs over compressed encodings via ``_equal_bytes``,
-    which has no early exit; nothing about the failure mode distinguishes
-    which part of the chunk was bad.  A ``PackageDataError`` (a damaged
-    install, not a bad chunk) is no ``ValueError`` and passes through.
+    chunk: the chunk is hashed as it is, and the core call gets g1 in
+    place of an identity u1 and g2 in place of an identity u2.  The core
+    works on a fresh copy of each of its two bases, so neither has a
+    fixed-base table or shares rows with the other, whatever its value.
+    The expected validity point and the candidate plaintext are both
+    computed before the comparison, and the comparison itself runs over
+    compressed encodings via ``_equal_bytes``, which has no early exit;
+    nothing about the failure mode distinguishes which part of the chunk
+    was bad.  A ``PackageDataError`` (a damaged install, not a bad
+    chunk) is no ``ValueError`` and passes through.
     """
     try:
         params = curve_by_id(priv.curve_id)
@@ -210,8 +209,9 @@ def decrypt_chunk(
         alpha = hash_to_scalar(params, header, u1, u2, e)
         s1 = (priv.x1 + alpha * priv.y1) % n
         s2 = (priv.x2 + alpha * priv.y2) % n
-        # one object per position: a base's rows are built once per object
-        b1, b2 = (_stand_in(params) if u.is_identity else u for u in (u1, u2))
+        b1, b2 = (g if u.is_identity else u for u, g in ((u1, params.g1), (u2, params.g2)))
+        # fresh copies: no base reaches a fixed-base table or shares another's rows
+        b1, b2 = CurvePoint(b1.x, b1.y), CurvePoint(b2.x, b2.y)
         expected_v, mask = linear_combinations(
             params, [[(b1, s1), (b2, s2)], [(b1, priv.z)]]
         )

@@ -6,8 +6,7 @@ Field values are plain ints reduced mod p everywhere in the package.
 criterion and the square root, so every such call in the package goes
 through one place.  ``_SYSTEM_RNG`` draws from the operating system's
 entropy (``os.urandom``) and serves every random value the package
-picks: Miller-Rabin bases, inversion blinds, decryption's stand-in
-points and the default scalars.
+picks: Miller-Rabin bases, inversion blinds and the default scalars.
 """
 
 from __future__ import annotations

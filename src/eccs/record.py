@@ -18,7 +18,9 @@ class Record:
     so a record never equals a tuple or a record of another class with
     the same fields; the hash follows the fields.  Assigning or deleting
     an attribute raises ``AttributeError``.  A record has at least two
-    fields; a ``__weakref__`` slot is allowed and is not a field.
+    fields.  A slot whose name starts with ``_`` is not a field: equality,
+    the hash, the repr and copies ignore it, and the constructor leaves
+    it unset.
     """
 
     __slots__ = ()
@@ -26,7 +28,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__weakref__")
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # an attrgetter is not a descriptor: self._values(self) is the field tuple
         cls._values = attrgetter(*cls._fields)
 

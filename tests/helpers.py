@@ -63,6 +63,16 @@ def as_tuple(point):
     return point.x, point.y
 
 
+def held_by(params, point):
+    """point's use count as a base under params (0 for none), or its fixed-base table.
+
+    The one place the tests read where ``curve._fixed_table`` keeps them:
+    a private slot of the point object, under the curve's spec.
+    """
+    spec, held = getattr(point, "_table", (params._spec, 0))
+    return held if spec == params._spec else 0
+
+
 def reference_encode(p: int, b: int, capacity: int, data: bytes):
     """(x, y) of the try-and-increment chunk encoding on y^2 = x^3 + b, p % 4 == 3.
 

@@ -4,23 +4,31 @@ import copy
 import importlib.util
 import io
 import os
+import random
 import stat
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eccs import cli
 from eccs import curve as curve_mod
-from eccs.ecs import Ciphertext, CiphertextChunk
+from eccs.ecs import Ciphertext, CiphertextChunk, encrypt, keygen
 from eccs.wire import (
+    LABEL_CIPHERTEXT,
     LABEL_PRIVATE_KEY,
     LABEL_PUBLIC_KEY,
     armor,
     parse_ciphertext,
     parse_private_key,
     serialize_ciphertext,
+    serialize_private_key,
+    serialize_public_key,
 )
+
+from helpers import byte_mutation
 
 
 def run_cli(*args, env_extra=None):
@@ -753,8 +761,9 @@ def test_a_damaged_table_file_is_exit_3(
         assert err.startswith("error: cannot read generator tables: ") and err.count("\n") == 1
 
 
-def test_decrypt_meeting_a_missing_table_file_is_exit_3(keypair, sealed, tmp_path, capsys, monkeypatch):
-    # a forged u1 equal to g1 makes decryption load g1's shipped table
+def test_decrypt_of_a_forged_g1_reads_no_table_file(keypair, sealed, tmp_path, capsys, monkeypatch):
+    # decryption computes on a fresh copy of u1, so a forged u1 equal to g1
+    # is any other bad chunk: it needs no shipped table, even a missing one
     _, priv = keypair
     _, ct = sealed
     ciphertext = parse_ciphertext(ct.read_bytes())
@@ -764,10 +773,11 @@ def test_decrypt_meeting_a_missing_table_file_is_exit_3(keypair, sealed, tmp_pat
     (tmp_path / "forged").write_bytes(serialize_ciphertext(Ciphertext(ciphertext.curve_id, (forged, *rest))))
     monkeypatch.setattr(curve_mod, "_TABLE_FILE", str(tmp_path / "gtables-{:02x}.bin"))
     monkeypatch.setattr(curve_mod, "_loaded", {})
+    reads = []
+    real_read = curve_mod._shipped_table_bytes
+    monkeypatch.setattr(curve_mod, "_shipped_table_bytes", lambda curve_id: reads.append(curve_id) or real_read(curve_id))
     code = cli.main(["decrypt", "--priv", str(priv), "--in", str(tmp_path / "forged"), "--out", str(tmp_path / "o")])
-    out, err = capsys.readouterr()
-    assert (code, out) == (3, "")
-    assert err.startswith("error: cannot read generator tables: ") and err.count("\n") == 1
+    assert (code, capsys.readouterr(), reads) == (4, ("", "error: invalid ciphertext\n"), [])
     assert not (tmp_path / "o").exists()
 
 
@@ -833,3 +843,70 @@ def test_two_names_of_one_device_are_allowed(keypair):
         text=True,
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+# --- adversarial input: the exit-code contract ------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """(directory, {name: (raw, armored)}, message): a seeded secp256k1 key
+    pair and a two-chunk ciphertext under it, and the message in msg.bin."""
+    base = tmp_path_factory.mktemp("fuzz")
+    secp = curve_mod.get_curve("secp256k1")
+    rng = random.Random(0xF022)
+    priv, pub = keygen(secp, rng)
+    message = bytes(range(50))
+    ct = encrypt(pub, message, rng)
+    assert len(ct.chunks) == 2
+    (base / "msg.bin").write_bytes(message)
+    raw = {
+        "pub": (serialize_public_key(pub), LABEL_PUBLIC_KEY),
+        "priv": (serialize_private_key(priv), LABEL_PRIVATE_KEY),
+        "ct": (serialize_ciphertext(ct), LABEL_CIPHERTEXT),
+    }
+    inputs = {}
+    for name, (blob, label) in raw.items():
+        inputs[name] = (blob, armor(blob, label))
+        (base / f"{name}.bin").write_bytes(blob)
+    return base, inputs, message
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_inputs_keep_the_exit_code_contract(fuzz_inputs, capsys, data):
+    """One key or the ciphertext, raw or armored, with one byte or character
+    substituted, a truncation or an extension: ``inspect`` and the command
+    that uses it exit 0, 2, 3 or 4, each failure is one ``error:`` line,
+    a failed decrypt is the opaque one, a decrypt that succeeds wrote the
+    message, and no key file changes."""
+    base, inputs, message = fuzz_inputs
+    target = data.draw(st.sampled_from(sorted(inputs)))
+    armored = data.draw(st.booleans())
+    _, changed = data.draw(byte_mutation(inputs[target][armored]))
+    mutated = base / "mutated"
+    mutated.write_bytes(changed.encode() if armored else changed)
+    out_path = base / "o"
+    out_path.unlink(missing_ok=True)
+    keys = [base / "pub.bin", base / "priv.bin"] + ([mutated] if target != "ct" else [])
+    before = [(path.read_bytes(), path.stat().st_mtime_ns) for path in keys]
+    paths = {name: str(base / f"{name}.bin") for name in inputs}
+    paths[target] = str(mutated)
+    command = ["encrypt", "--pub", paths["pub"], "--in", str(base / "msg.bin")]
+    if target != "pub":
+        command = ["decrypt", "--priv", paths["priv"], "--in", paths["ct"]]
+    capsys.readouterr()
+    for words in (["inspect", "--in", str(mutated)], command + ["--out", str(out_path)]):
+        code = cli.main(words)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (words, code)
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if command[0] == "decrypt":
+        if code == 0:
+            assert out_path.read_bytes() == message
+        else:
+            assert not out_path.exists()
+        if code == 4 or target == "ct":
+            assert (code, err) in ((0, ""), (4, "error: invalid ciphertext\n"))
+    assert [(path.read_bytes(), path.stat().st_mtime_ns) for path in keys] == before

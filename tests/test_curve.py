@@ -56,7 +56,7 @@ from eccs.errors import PackageDataError, ParseError
 from eccs.field import FieldElement
 
 from conftest import ALT_BETA, ALT_G1, ALT_ID, ALT_LAM, ALT_N, ALT_P, alt_curve
-from helpers import aff_add, aff_mul, as_tuple
+from helpers import aff_add, aff_mul, as_tuple, held_by
 
 SECP_P = 2**256 - 2**32 - 977
 SECP_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -459,7 +459,7 @@ def with_table(params, point):
     """Use point as a base until it has its fixed-base table."""
     for _ in range(_TABLE_AT_USE):
         scalar_mult(params, point, 1)
-    assert isinstance(params._bases[point], list)
+    assert isinstance(held_by(params, point), list)
     return point
 
 
@@ -473,7 +473,7 @@ def test_toy_every_scalar_on_every_path():
             assert as_tuple(split(toy, base, k)) == want[k]
         # public calls: below the threshold the split path, then the table
         for k in range(toy.n):
-            built = isinstance(toy._bases.get(base), list)
+            built = isinstance(held_by(toy, base), list)
             assert built == (k >= _TABLE_AT_USE)
             assert as_tuple(scalar_mult(toy, base, k)) == want[k]
 
@@ -558,14 +558,14 @@ def test_select_matches_a_plain_lookup_for_every_window(secp):
 @pytest.mark.parametrize("name", ["toy", "secp256k1"])
 def test_fixed_tables_hold_16_odd_multiples_per_5_bit_window(fresh_registry, name):
     """A table built on a proved curve, and the shipped tables that a fresh
-    registry load gives g1 and g2 on the first use of a copy of g1: for
+    registry load gives the objects g1 and g2 on the first use of g1: for
     the w windows of a GLV half, row i holds (2j + 1) * 32**i * base and
     row w + i lam times that."""
     proved = fresh_curve(name)
-    tables = [(proved.g1, proved._bases[with_table(proved, proved.g1)])]
+    tables = [(proved.g1, held_by(proved, with_table(proved, proved.g1)))]
     loaded = get_curve(name)
-    scalar_mult(loaded, CurvePoint(loaded.g1.x, loaded.g1.y), 1)
-    tables += [(base, loaded._bases[base]) for base in (loaded.g1, loaded.g2)]
+    scalar_mult(loaded, loaded.g1, 1)
+    tables += [(base, held_by(loaded, base)) for base in (loaded.g1, loaded.g2)]
     windows = {"toy": 2, "secp256k1": 26}[name]
     assert proved._glv.windows == windows
     lam = _REGISTRY_SPECS[proved.curve_id]["lam"]
@@ -626,39 +626,64 @@ def test_fixed_tables_wait_for_the_break_even_use():
     base = CurvePoint(secp.g2.x, secp.g2.y)
     for use in range(1, _TABLE_AT_USE):
         scalar_mult(secp, base, use)
-        assert secp._bases[base] == use
+        assert held_by(secp, base) == use
     scalar_mult(secp, base, 5)
-    assert isinstance(secp._bases[base], list)
-    del base  # counts and tables go with the base object
-    assert len(secp._bases) == 0
+    assert isinstance(held_by(secp, base), list)
+    # counts and tables belong to the base object: an equal one, a copy
+    # included, has none
+    for twin in (CurvePoint(base.x, base.y), copy.copy(base), copy.deepcopy(base)):
+        assert twin == base and held_by(secp, twin) == 0
+
+
+def test_a_table_belongs_to_one_curve(fresh_registry):
+    """A point tabled under toy, and toy's g1 with its shipped table, start
+    from no uses under toy built with its other pairing (beta, lam) =
+    (870, 151), whose rows hold other images: every multiple there is
+    right."""
+    toy = curve_by_id(TOY_ID)
+    other = CurveParams(**{**_REGISTRY_SPECS[TOY_ID], "beta": 870, "lam": 151})
+    assert other != toy
+    g1t = as_tuple(toy.g1)
+    tabled = with_table(toy, toy.point(*aff_mul(toy.p, 0, g1t, 5)))
+    scalar_mult(toy, toy.g1, 1)
+    assert isinstance(held_by(toy, toy.g1), list)
+    for base in (tabled, toy.g1):
+        assert held_by(other, base) == 0
+        for k in range(1, toy.n):
+            assert as_tuple(scalar_mult(other, base, k)) == aff_mul(toy.p, 0, as_tuple(base), k), k
+        # the table is now other's, built on its own rows; toy counts afresh
+        assert isinstance(held_by(other, base), list) and held_by(toy, base) == 0
+        assert as_tuple(scalar_mult(toy, base, 2)) == aff_mul(toy.p, 0, as_tuple(base), 2)
 
 
 def generator_tables(name):
-    """{g1: table, g2: table} of a registry curve, built on it with every proof."""
+    """[g1's table, g2's table] of a registry curve, built on it with every proof."""
     proved = fresh_curve(name)
-    return {base: _table_rows(proved, base) for base in (proved.g1, proved.g2)}
+    return [_table_rows(proved, base) for base in (proved.g1, proved.g2)]
 
 
 def test_one_shot_processes_load_only_the_generator_tables(fresh_registry):
-    """A one-shot CLI process loads its own curve: keygen takes the shipped
-    tables of g1 and g2, encrypting one chunk uses them and c, d and h
-    once each, and decrypting it uses u1 twice and u2 once.  No other base
-    reaches a table, and decryption loads none."""
+    """A one-shot CLI process loads its own curve: keygen gives the objects
+    g1 and g2 their shipped tables, encrypting one chunk uses them and c,
+    d and h once each, and decrypting it counts nothing on u1 or u2 and
+    loads no table."""
     assert _TABLE_AT_USE >= 4
     tables = generator_tables("secp256k1")
     rng = random.Random(0x1CE)
     secp = curve_by_id(SECP256K1_ID)
     priv, pub = ecs.keygen(secp, rng)
-    assert dict(secp._bases) == tables
+    assert [held_by(secp, base) for base in (secp.g1, secp.g2)] == tables
+    assert [held_by(secp, point) for point in (pub.h, pub.c, pub.d)] == [0, 0, 0]
     curve_mod._loaded.clear()
     secp = curve_by_id(SECP256K1_ID)
     ct = ecs.encrypt(pub, b"one chunk", rng)
-    assert dict(secp._bases) == {**tables, pub.h: 1, pub.c: 1, pub.d: 1}
+    assert [held_by(secp, base) for base in (secp.g1, secp.g2)] == tables
+    assert [held_by(secp, point) for point in (pub.h, pub.c, pub.d)] == [1, 1, 1]
     curve_mod._loaded.clear()
     secp = curve_by_id(SECP256K1_ID)
     assert ecs.decrypt(priv, ct) == b"one chunk"
     (chunk,) = ct.chunks
-    assert dict(secp._bases) == {chunk.u1: 2, chunk.u2: 1}
+    assert [held_by(secp, point) for point in (chunk.u1, chunk.u2, secp.g1, secp.g2)] == [0] * 4
 
 
 # --- shipped generator tables ---------------------------------------------
@@ -688,14 +713,19 @@ def test_a_damaged_table_file_fails_the_first_use_of_g1(
     got = []
     with pytest.raises(PackageDataError, match=error):
         got.append(scalar_mult(params, params.g1, 5))
-    assert got == [] and len(params._bases) == 0
+    assert got == [] and [held_by(params, base) for base in (params.g1, params.g2)] == [0, 0]
     with pytest.raises(PackageDataError, match=error):
         ecs.keygen(params, random.Random(1))
-    # a curve built with every proof reads no file: it counts uses of g1
+    # a copy of g1 is any other base: it reads no file, and counts its uses
+    copied = CurvePoint(params.g1.x, params.g1.y)
+    got = scalar_mult(params, copied, 5)
+    assert as_tuple(got) == aff_mul(params.p, 0, as_tuple(params.g1), 5)
+    assert held_by(params, copied) == 1
+    # so does a curve built with every proof: it counts uses of g1
     proved = fresh_curve(params.name)
     got = scalar_mult(proved, proved.g1, 5)
     assert as_tuple(got) == aff_mul(proved.p, 0, as_tuple(proved.g1), 5)
-    assert dict(proved._bases) == {proved.g1: 1}
+    assert held_by(proved, proved.g1) == 1
 
 
 def test_registry_keygen_is_fully_tabled(fresh_registry, monkeypatch):
@@ -795,9 +825,10 @@ def reference_sum(params, terms):
 
 
 def check_core(params, sums, untabled):
-    # forget earlier uses so that no call here meets a table it did not build
-    for base in untabled:
-        params._bases.pop(base, None)
+    # fresh copies of the untabled bases, one per object: no call here
+    # meets a table it did not build
+    copies = {id(base): CurvePoint(base.x, base.y) for base in untabled}
+    sums = [[(copies.get(id(point), point), k) for point, k in terms] for terms in sums]
     got = linear_combinations(params, sums)
     assert [as_tuple(point) for point in got] == [reference_sum(params, t) for t in sums]
 
@@ -845,12 +876,12 @@ def test_linear_combinations_count_each_term_as_a_use():
     toy = fresh_curve("toy")
     P, Q = toy.g1, toy.g2
     linear_combinations(toy, [[(P, 1), (Q, 2)], [(P, 3)], [(IDENTITY, 4)]])
-    assert (toy._bases[P], toy._bases[Q]) == (2, 1)
+    assert (held_by(toy, P), held_by(toy, Q)) == (2, 1)
     # uses 3 to _TABLE_AT_USE of P in one call: the last term meets the new table
     ks = list(range(5, 3 + _TABLE_AT_USE))
     sums = [[(P, k) for k in ks[:-2]] + [(Q, 7)], [(P, k) for k in ks[-2:]]]
     got = linear_combinations(toy, sums)
-    assert isinstance(toy._bases[P], list) and toy._bases[Q] == 2
+    assert isinstance(held_by(toy, P), list) and held_by(toy, Q) == 2
     assert [as_tuple(point) for point in got] == [reference_sum(toy, t) for t in sums]
 
 
@@ -908,12 +939,11 @@ def test_linear_combinations_shape_is_independent_of_the_scalars(monkeypatch):
             patch.setattr(secp, "_dbl", counted("dbl", secp._dbl))
             patch.setattr(curve_mod, "_select", counted("select", curve_mod._select))
             for a, b, c in choices:
-                # forget earlier uses of the untabled bases: no table mid-run
-                secp._bases.pop(Q, None)
-                if not isinstance(secp._bases.get(P), list):
-                    secp._bases.pop(P, None)
+                # fresh copies of the untabled bases: no table mid-run
+                P1 = P if isinstance(held_by(secp, P), list) else CurvePoint(P.x, P.y)
+                Q1 = CurvePoint(Q.x, Q.y)
                 calls.clear()
-                got = linear_combinations(secp, [[(P, a), (Q, b)], [(P, c)]])
+                got = linear_combinations(secp, [[(P1, a), (Q1, b)], [(P1, c)]])
                 seen.add((calls["add"], calls["dbl"], calls["select"]))
                 want = [reference_sum(secp, [(P, a), (Q, b)]), reference_sum(secp, [(P, c)])]
                 assert [as_tuple(point) for point in got] == want
@@ -923,7 +953,7 @@ def test_linear_combinations_shape_is_independent_of_the_scalars(monkeypatch):
     untabled = shape()
     with_table(secp, P)
     tabled = shape()
-    assert len(secp._bases[P]) == 52
+    assert len(held_by(secp, P)) == 52
     windows = secp._glv.windows
     assert windows == 26
     # 15 additions per row of odd multiples built (P, Q), and each Straus
@@ -939,7 +969,7 @@ def test_linear_combinations_shape_is_independent_of_the_scalars(monkeypatch):
     # one scan per window of each GLV half: four in the first sum, two in the second
     assert untabled[2] == 6 * windows == 156
     # P tabled: one scan per table row in each sum, and Q's two halves
-    assert tabled[2] == 2 * len(secp._bases[P]) + 2 * windows == 156
+    assert tabled[2] == 2 * len(held_by(secp, P)) + 2 * windows == 156
 
 
 def test_untabled_scalar_mult_makes_66_additions(monkeypatch):
@@ -954,9 +984,9 @@ def test_untabled_scalar_mult_makes_66_additions(monkeypatch):
     monkeypatch.setattr(secp, "_add", counted)
     rng = random.Random(0x72)
     for k in (1, secp.n - 1, rng.randrange(secp.n), rng.randrange(secp.n)):
-        secp._bases.pop(secp.g2, None)  # never a table
+        base = CurvePoint(secp.g2.x, secp.g2.y)  # a fresh object: never a table
         adds.clear()
-        assert as_tuple(scalar_mult(secp, secp.g2, k)) == reference_sum(secp, [(secp.g2, k)])
+        assert as_tuple(scalar_mult(secp, base, k)) == reference_sum(secp, [(secp.g2, k)])
         # 15 for the row of odd multiples, 2 * 26 - 1 for the GLV pass
         assert adds["add"] == 15 + 2 * secp._glv.windows - 1 == 66
 
@@ -1066,24 +1096,14 @@ def test_derive_g2_reproduces_registry(toy, secp):
 
 
 def test_one_square_root_attempt_per_candidate_x(toy, monkeypatch):
-    """derive_g2 and _stand_in ask no Euler test first: a failed square
-    root is the answer "not a square"."""
+    """derive_g2 asks no Euler test first: a failed square root is the
+    answer "not a square"."""
     roots = []
     real_sqrt = field_mod.FieldElement.sqrt
     monkeypatch.setattr(field_mod.FieldElement, "is_square", None)  # never asked
     monkeypatch.setattr(field_mod.FieldElement, "sqrt", lambda self: roots.append(1) or real_sqrt(self))
     assert derive_g2(TOY_ID, toy.p, toy.b, toy.n) == as_tuple(toy.g2)
     assert len(roots) == 4  # counters 0 to 3
-    draws = []
-    real_randrange = curve_mod._SYSTEM_RNG.randrange
-    monkeypatch.setattr(
-        curve_mod, "_SYSTEM_RNG", SimpleNamespace(randrange=lambda stop: draws.append(1) or real_randrange(stop))
-    )
-    roots.clear()
-    for _ in range(20):
-        point = curve_mod._stand_in(toy)
-        assert is_on_curve(toy, point) and point not in (toy.g1, toy.g2)
-    assert len(roots) == len(draws) >= 20
 
 
 def test_derive_g2_reproduces_alt_fixture(alt):

@@ -43,7 +43,7 @@ from eccs.errors import InvalidCiphertext, ParseError
 from eccs.field import FieldElement
 from eccs.wire import parse_ciphertext, serialize_ciphertext, serialize_public_key
 
-from helpers import SeqRng, reference_encrypt, reference_keygen
+from helpers import SeqRng, held_by, reference_encrypt, reference_keygen
 
 
 def msg_point(params, k):
@@ -511,11 +511,18 @@ def two_chunks(secp):
 
 def test_rejection_work_does_not_depend_on_where_a_forgery_diverges(secp, two_chunks, monkeypatch):
     """A negated u1, u2, e or v in either chunk, an identity u1, u2 or both
-    in either chunk, or a wrong key, costs the group work of a valid decryption."""
+    in either chunk, u1 = g1, u2 = g2, u1 = a point this process has
+    tabled, u1 and u2 one object, or a wrong key, costs the group work of
+    a valid decryption, and no square root once the ciphertext is parsed."""
     priv, message, blob = two_chunks
     wrong, _ = keygen(secp, random.Random(1008))
     monkeypatch.setattr(curve_mod, "_loaded", {})
-    params = curve_mod.curve_by_id(SECP256K1_ID)  # this test's own: no use or table of any base
+    params = curve_mod.curve_by_id(SECP256K1_ID)  # this test's own, with g1's and g2's tables
+    tabled = scalar_mult(params, params.g1, 5)
+    for _ in range(_TABLE_AT_USE):
+        scalar_mult(params, tabled, 1)
+    assert isinstance(held_by(params, tabled), list)
+    assert all(isinstance(held_by(params, base), list) for base in (params.g1, params.g2))
     calls = Counter()
 
     def counted(name, fn):
@@ -529,11 +536,11 @@ def test_rejection_work_does_not_depend_on_where_a_forgery_diverges(secp, two_ch
     monkeypatch.setattr(params, "_dbl", counted("dbl", params._dbl))
     monkeypatch.setattr(curve_mod, "_select", counted("select", curve_mod._select))
     monkeypatch.setattr(curve_mod, "_blinded_inverse", counted("inverse", curve_mod._blinded_inverse))
+    monkeypatch.setattr(FieldElement, "sqrt", counted("sqrt", FieldElement.sqrt))
 
     def work(key, data):
-        """(count_ops tally, primitive counts) of one decryption of data."""
-        params._bases.clear()
-        ct = parse_ciphertext(data)
+        """(count_ops tally, primitive counts) of one decryption of data, a blob or a ciphertext."""
+        ct = parse_ciphertext(data) if isinstance(data, bytes) else data
         calls.clear()
         with count_ops() as ops:
             try:
@@ -543,8 +550,10 @@ def test_rejection_work_does_not_depend_on_where_a_forgery_diverges(secp, two_ch
         return accepted, vars(ops), dict(calls)
 
     accepted, *valid = work(priv, blob)
-    assert accepted and set(valid[1]) == {"add", "dbl", "select", "inverse"}
-    assert valid[0] == {"point_adds": 4, "scalar_mults": 6, "negations": 2, "hashes": 2}
+    assert accepted and valid[0] == {"point_adds": 4, "scalar_mults": 6, "negations": 2, "hashes": 2}
+    # per chunk: the core call's 184 additions, 252 doublings and 156 row
+    # scans, and e - mask's addition; one inversion each
+    assert valid[1] == {"add": 2 * 185, "dbl": 2 * 252, "select": 2 * 156, "inverse": 2 * 2}
     # envelope (7 B) and chunk count (4 B), then u1, u2, e, v of each chunk, 33 B each
     for at in (11 + 33 * j for j in range(8)):
         flipped = blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :]  # 0x02 <-> 0x03: the negation
@@ -555,6 +564,22 @@ def test_rejection_work_does_not_depend_on_where_a_forgery_diverges(secp, two_ch
         assert work(priv, blob[:at] + b"\x00" + blob[at + 33 :]) == (False, *valid), at
     for at in (11 + 33 * j for j in (0, 4)):  # u1 and u2 both, in each chunk
         assert work(priv, blob[:at] + b"\x00\x00" + blob[at + 66 :]) == (False, *valid), at
+    # mask points with a fixed-base table: decryption computes on fresh copies
+    for point, at in ((params.g1, 11), (params.g2, 44), (tabled, 11), (params.g1, 143)):
+        forged = blob[:at] + curve_mod.compress(params, point) + blob[at + 33 :]
+        assert work(priv, forged) == (False, *valid), (point, at)
+    # the one difference left is in parsing, public in the bytes: 0x00 takes no root
+    for data, roots in ((blob, 8), (blob[:11] + b"\x00" + blob[44:], 7)):
+        calls.clear()
+        parse_ciphertext(data)
+        assert calls == {"sqrt": roots}
+    # u1 and u2 one object, in each chunk: each still builds its own rows
+    ct = parse_ciphertext(blob)
+    for index in (0, 1):
+        chunks = list(ct.chunks)
+        u1, _u2, e, v = chunks[index].u1, chunks[index].u2, chunks[index].e, chunks[index].v
+        chunks[index] = CiphertextChunk(u1, u1, e, v)
+        assert work(priv, Ciphertext(ct.curve_id, tuple(chunks))) == (False, *valid), index
 
 
 @st.composite
@@ -901,7 +926,7 @@ def test_a_fanned_out_process_counts_only_its_own_slice(cpus, secp, monkeypatch)
     priv, pub = keygen(secp, random.Random(3011))
     message = bytes(11 * chunk_capacity(secp))
     ct = encrypt(pub, message, random.Random(3012))
-    assert [secp._bases.get(point) for point in (pub.h, pub.c, pub.d)] == [5] * 3
+    assert [held_by(secp, point) for point in (pub.h, pub.c, pub.d)] == [5] * 3
     calls = []
     real_decrypt_chunk = ecs_mod.decrypt_chunk
 
@@ -913,7 +938,7 @@ def test_a_fanned_out_process_counts_only_its_own_slice(cpus, secp, monkeypatch)
     assert decrypt(priv, ct) == message
     assert len(calls) == 5
     encrypt(pub, message, random.Random(3013))  # this process's uses 6 to 10 build the tables
-    assert all(isinstance(secp._bases.get(point), list) for point in (pub.h, pub.c, pub.d))
+    assert all(isinstance(held_by(secp, point), list) for point in (pub.h, pub.c, pub.d))
     assert len(cpus.forks) == 3
 
 

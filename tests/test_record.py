@@ -1,7 +1,6 @@
 """Value semantics of the package's immutable records."""
 
 import copy
-import weakref
 
 import pytest
 
@@ -70,12 +69,18 @@ def test_copies_are_equal_and_arity_is_checked(cls, values):
         cls(*values, None)
 
 
-def test_points_are_weak_mapping_keys():
-    # a base's use count and fixed-base table live in such a mapping;
+def test_an_underscore_slot_is_not_a_field():
+    # a point's use count and fixed-base table live in such a slot;
     # test_fixed_tables_wait_for_the_break_even_use runs it to the table
-    uses = weakref.WeakKeyDictionary()
-    point = CurvePoint(3, 666)
-    uses[point] = 1
-    assert uses[CurvePoint(3, 666)] == 1
-    del point
-    assert len(uses) == 0
+    assert CurvePoint._fields == ("x", "y")
+    for slot in ("_note", "__weakref__"):
+        marked = type("Marked", (Record,), {"__slots__": ("a", slot, "b")})
+        assert marked._fields == ("a", "b")
+        record, plain = marked(1, 2), marked(1, 2)
+        if slot == "_note":
+            assert not hasattr(record, "_note")  # the constructor leaves it unset
+            object.__setattr__(record, "_note", "held")
+        assert record == plain and hash(record) == hash(plain)
+        assert repr(record) == repr(plain) == "Marked(a=1, b=2)"
+        for twin in (copy.copy(record), copy.deepcopy(record)):
+            assert twin == record and not hasattr(twin, "_note")
