@@ -38,13 +38,13 @@ from .curve import (
 )
 from .ecs import (
     Ciphertext,
-    _Drawn,
     chunk_header,
     decrypt,
     decrypt_chunk,
     encrypt,
     encrypt_chunk,
     keygen,
+    sample_scalar,
 )
 from .errors import InvalidCiphertext, PackageDataError, ParseError
 from .wire import (
@@ -384,7 +384,7 @@ def run_selftest(stream) -> bool:
             m_point = table.to_point(table.points[rng.randrange(1, table.order)])
             header = chunk_header(0, 1)
             for r in range(1, toy.n):
-                chunk = encrypt_chunk(pub, m_point, header, _Drawn(r))
+                chunk = encrypt_chunk(pub, m_point, header, r)
                 if decrypt_chunk(priv, chunk, header) != m_point:
                     raise AssertionError(f"roundtrip failed at r={r}")
 
@@ -394,7 +394,7 @@ def run_selftest(stream) -> bool:
         for _ in range(5):
             priv, pub = keygen(toy, rng)
             m_point = table.to_point(table.points[rng.randrange(1, table.order)])
-            chunk = encrypt_chunk(pub, m_point, chunk_header(0, 1), rng)
+            chunk = encrypt_chunk(pub, m_point, chunk_header(0, 1), sample_scalar(toy.n, rng))
             blob = serialize_ciphertext(Ciphertext(toy.curve_id, (chunk,)))
             for bit in range(len(blob) * 8):
                 mutated = bytearray(blob)

@@ -23,9 +23,9 @@ A whole message uses the CPUs the process may run on
 (``os.sched_getaffinity``; ``taskset`` limits them): ``encrypt`` and
 ``decrypt``, and ``wire.parse_ciphertext`` through ``_fan_out``, cut its
 chunks into contiguous slices, one per CPU, compute the first slice
-themselves and each other slice in a forked child.  The chunks are
-independent work, each under its own r, so the result is the one a
-single process computes, byte for byte.
+themselves and each other slice in a forked child.  Every r is drawn in
+chunk order before any work is split, so the result is the one a single
+process computes, byte for byte.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ def sample_scalar(n: int, rng=None) -> int:
     """Uniform scalar in [1, n-1] by rejection sampling.
 
     Draws n.bit_length() bits and retries until the value lands in
-    range, so no modular folding bias; rng must expose getrandbits.  The
-    one place that picks a scalar's default: None means
-    ``field._SYSTEM_RNG``, the operating system's entropy, which the
-    package's other draws share.
+    range, so no modular folding bias; rng must expose getrandbits.
+    Every secret scalar is drawn here, by ``keygen`` and ``encrypt``
+    (and ``bench``'s baseline).  None means ``field._SYSTEM_RNG``, the
+    operating system's entropy, which the package's other draws share.
     """
     if rng is None:
         rng = _SYSTEM_RNG
@@ -155,11 +155,19 @@ def hash_to_scalar(
 
 
 def encrypt_chunk(
-    pub: PublicKey, m_point: CurvePoint, header: bytes, rng=None
+    pub: PublicKey, m_point: CurvePoint, header: bytes, r: int
 ) -> CiphertextChunk:
-    """Encrypt one message point under a fresh ephemeral scalar."""
+    """Encrypt one message point under r, which the caller draws and never reuses.
+
+    ``ValueError`` for an r outside [1, n-1] (``TypeError`` for another
+    non-int) and, before any scalar work, for a key whose c, d or h is
+    the identity: an identity h would leave e equal to m_point.
+    """
     params = curve_by_id(pub.curve_id)
-    r = sample_scalar(params.n, rng)
+    if not 1 <= r < params.n:
+        raise ValueError("ephemeral scalar outside [1, n-1]")
+    if pub.c.is_identity or pub.d.is_identity or pub.h.is_identity:
+        raise ValueError("public key has an identity point")
     u1 = scalar_mult(params, params.g1, r)
     u2 = scalar_mult(params, params.g2, r)
     e = point_add(params, scalar_mult(params, pub.h, r), m_point)
@@ -222,18 +230,6 @@ def decrypt_chunk(
         return m_point
     except (ValueError, TypeError, AttributeError):
         raise InvalidCiphertext from None
-
-
-class _Drawn:
-    """An rng that replays one scalar drawn earlier: ``sample_scalar`` takes it as it is."""
-
-    __slots__ = ("r",)
-
-    def __init__(self, r: int) -> None:
-        self.r = r
-
-    def getrandbits(self, _bits: int) -> int:
-        return self.r
 
 
 def _slices(count: int) -> list[tuple[int, int]]:
@@ -387,7 +383,7 @@ def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
 
     def chunk_points(index: int) -> tuple:
         m_point = codec.encode_chunk(params, pieces[index])
-        chunk = encrypt_chunk(pub, m_point, chunk_header(index, total), _Drawn(rs[index]))
+        chunk = encrypt_chunk(pub, m_point, chunk_header(index, total), rs[index])
         return chunk.u1, chunk.u2, chunk.e, chunk.v
 
     return Ciphertext(params.curve_id, _fan_out_chunks(chunk_points, total))

@@ -18,7 +18,7 @@ import sys
 import tempfile
 import time
 
-from helpers import SeqRng, as_tuple
+from helpers import as_tuple
 
 from eccs import bench
 from eccs.codec import decode_chunk, encode_chunk
@@ -38,6 +38,7 @@ from eccs.ecs import (
     encrypt_chunk,
     hash_to_scalar,
     keygen,
+    sample_scalar,
 )
 from eccs.errors import InvalidCiphertext, ParseError
 from eccs.oracle import brute_dlog, enumerate_points, independent_decrypt
@@ -96,7 +97,7 @@ def check_exhaustive_correctness():
         priv, pub = keygen(toy, rng)
         m_point = random_toy_point(table, rng)
         for r in range(1, toy.n):
-            chunk = encrypt_chunk(pub, m_point, header, SeqRng([r]))
+            chunk = encrypt_chunk(pub, m_point, header, r)
             alpha = hash_to_scalar(toy, header, chunk.u1, chunk.u2, chunk.e)
             v_dec = point_add(
                 toy,
@@ -134,7 +135,9 @@ def check_tamper_rejection():
     flips = rejections = 0
     for _ in range(50):
         priv, pub = keygen(toy, rng)
-        chunk = encrypt_chunk(pub, random_toy_point(table, rng), chunk_header(0, 1), rng)
+        chunk = encrypt_chunk(
+            pub, random_toy_point(table, rng), chunk_header(0, 1), sample_scalar(toy.n, rng)
+        )
         blob = serialize_ciphertext(Ciphertext(toy.curve_id, (chunk,)))
         for bit in range(len(blob) * 8):
             mutated = bytearray(blob)
@@ -159,7 +162,7 @@ def check_oracle_equivalence():
         priv, pub = keys[rng.randrange(len(keys))]
         header = chunk_header(rng.randrange(4), 4)
         m_point = random_toy_point(table, rng)
-        chunk = encrypt_chunk(pub, m_point, header, rng)
+        chunk = encrypt_chunk(pub, m_point, header, sample_scalar(toy.n, rng))
         assert independent_decrypt(table, pub, chunk, header) == decrypt_chunk(
             priv, chunk, header
         )
@@ -197,7 +200,9 @@ def check_published_encrypt_budget():
     rng = random.Random(0xC0DE)
     _, pub = keygen(toy, rng)
     with count_ops() as ops:
-        encrypt_chunk(pub, random_toy_point(table, rng), chunk_header(0, 1), rng)
+        encrypt_chunk(
+            pub, random_toy_point(table, rng), chunk_header(0, 1), sample_scalar(toy.n, rng)
+        )
     measured = (ops.scalar_mults, ops.point_adds, ops.hashes)
     assert measured == (4, 2, 1), f"measured {measured}"
 
@@ -209,7 +214,7 @@ def check_decrypt_count():
     rng = random.Random(0xDEC)
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, random_toy_point(table, rng), header, rng)
+    chunk = encrypt_chunk(pub, random_toy_point(table, rng), header, sample_scalar(toy.n, rng))
     with count_ops() as ops:
         decrypt_chunk(priv, chunk, header)
     measured = (ops.scalar_mults, ops.point_adds, ops.hashes, ops.negations)
@@ -246,7 +251,7 @@ def check_malleability_contrast():
 
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, m_point, header, rng)
+    chunk = encrypt_chunk(pub, m_point, header, sample_scalar(toy.n, rng))
     mauled_chunk = type(chunk)(chunk.u1, chunk.u2, point_add(toy, chunk.e, shift), chunk.v)
     try:
         decrypt_chunk(priv, mauled_chunk, header)

@@ -14,7 +14,14 @@ from eccs.bench import (
     run_suite,
 )
 from eccs.curve import count_ops, point_add, scalar_mult
-from eccs.ecs import CiphertextChunk, chunk_header, decrypt_chunk, encrypt_chunk, keygen
+from eccs.ecs import (
+    CiphertextChunk,
+    chunk_header,
+    decrypt_chunk,
+    encrypt_chunk,
+    keygen,
+    sample_scalar,
+)
 from eccs.errors import InvalidCiphertext
 
 
@@ -55,7 +62,7 @@ def test_elgamal_is_malleable_where_scheme_is_not(toy):
 
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, m, header, rng)
+    chunk = encrypt_chunk(pub, m, header, sample_scalar(toy.n, rng))
     mauled = CiphertextChunk(chunk.u1, chunk.u2, point_add(toy, chunk.e, toy.g1), chunk.v)
     with pytest.raises(InvalidCiphertext):
         decrypt_chunk(priv, mauled, header)

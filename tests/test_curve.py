@@ -29,6 +29,8 @@ from eccs.curve import (
     TOY_ID,
     _affine,
     _count_points,
+    _cube_roots_of_unity,
+    _Endomorphism,
     _generator_table_bytes,
     _odd_multiples,
     _pack,
@@ -201,6 +203,21 @@ def test_corrupted_toy_parameters_rejected(mutation):
     spec.update(mutation)
     with pytest.raises(ValueError):
         CurveParams(**spec)
+
+
+@pytest.mark.parametrize(
+    "mutation, reason",
+    [
+        (dict(curve_id=0x100), "curve id must fit in one byte"),
+        # Hasse allows n in [3, 13] over F_7, and 2n <= 13 leaves room for a cofactor
+        (dict(p=7, b=3, n=5), "order too small to force cofactor 1"),
+    ],
+    ids=["curve-id", "cofactor"],
+)
+def test_each_spec_check_names_its_reason(mutation, reason):
+    # with either check gone a later one raises, or none does
+    with pytest.raises(ValueError, match=reason):
+        CurveParams(**{**_REGISTRY_SPECS[TOY_ID], **mutation})
 
 
 @pytest.mark.parametrize("g1", [(3 + 1051, 666), (3, 666 - 1051)])
@@ -517,6 +534,19 @@ def test_secp256k1_edge_scalars_on_every_path():
         want = aff_mul(secp.p, 0, gt, k)
         assert as_tuple(split(secp, secp.g1, k)) == want, hex(k)
         assert as_tuple(scalar_mult(secp, base, k)) == want, hex(k)
+
+
+@pytest.mark.parametrize("n, lam", [(1123, 33), (1483, 38)])
+def test_split_after_the_basis_orientation_swap(n, lam):
+    # cube roots of 1 whose Euclidean basis comes out with a1*b2 - a2*b1 < 0;
+    # no registry or fixture curve takes that branch of _short_basis
+    assert lam in _cube_roots_of_unity(n)
+    glv = _Endomorphism(n, 2, lam)
+    ones = 32**glv.windows - 1
+    for k in range(n):
+        v1, v2 = glv.split(k)
+        assert 0 <= v1 <= ones and 0 <= v2 <= ones, k
+        assert (2 * v1 - ones + lam * (2 * v2 - ones) - k) % n == 0, k
 
 
 def test_straus_reads_extreme_windows(secp):

@@ -30,6 +30,7 @@ from eccs.ecs import (
     Ciphertext,
     CiphertextChunk,
     PrivateKey,
+    PublicKey,
     chunk_header,
     decrypt,
     decrypt_chunk,
@@ -132,7 +133,7 @@ def test_chunk_roundtrip_toy(toy):
     header = chunk_header(0, 1)
     for k in range(1, 50):
         m = msg_point(toy, k)
-        chunk = encrypt_chunk(pub, m, header, rng)
+        chunk = encrypt_chunk(pub, m, header, sample_scalar(toy.n, rng))
         assert decrypt_chunk(priv, chunk, header) == m
 
 
@@ -141,7 +142,7 @@ def test_chunk_equations_with_pinned_randomness(toy):
     header = chunk_header(0, 1)
     m = msg_point(toy, 123)
     r = 77
-    chunk = encrypt_chunk(pub, m, header, SeqRng([r]))
+    chunk = encrypt_chunk(pub, m, header, r)
     assert chunk.u1 == scalar_mult(toy, toy.g1, r)
     assert chunk.u2 == scalar_mult(toy, toy.g2, r)
     assert chunk.e == point_add(toy, scalar_mult(toy, pub.h, r), m)
@@ -157,9 +158,36 @@ def test_chunk_equations_with_pinned_randomness(toy):
 def test_r_equal_one_degenerates_to_generators(toy):
     # with r pinned to 1 the mask pair is just the generator pair
     _, pub = keygen(toy, random.Random(8))
-    chunk = encrypt_chunk(pub, msg_point(toy, 7), chunk_header(0, 1), SeqRng([1]))
+    chunk = encrypt_chunk(pub, msg_point(toy, 7), chunk_header(0, 1), 1)
     assert chunk.u1 == toy.g1
     assert chunk.u2 == toy.g2
+
+
+def test_encrypt_chunk_refuses_r_outside_its_range(toy):
+    _, pub = keygen(toy, random.Random(8))
+    m, header = msg_point(toy, 7), chunk_header(0, 1)
+    for r in (0, toy.n):
+        with pytest.raises(ValueError, match="outside"):
+            encrypt_chunk(pub, m, header, r)
+    for r in ("5", 5.0, None):
+        with pytest.raises(TypeError):
+            encrypt_chunk(pub, m, header, r)
+
+
+@pytest.mark.parametrize("field", ["c", "d", "h"])
+def test_a_key_with_an_identity_point_encrypts_nothing(secp, field):
+    # with h the identity, e would be the message point itself
+    _, pub = keygen(secp, random.Random(0x1D))
+    bad = PublicKey(
+        pub.curve_id, *(IDENTITY if name == field else getattr(pub, name) for name in "cdh")
+    )
+    m = msg_point(secp, 7)
+    with count_ops() as ops:
+        with pytest.raises(ValueError, match="identity"):
+            encrypt(bad, b"attack at dawn", random.Random(1))
+        with pytest.raises(ValueError, match="identity"):
+            encrypt_chunk(bad, m, chunk_header(0, 1), 5)
+    assert ops.scalar_mults == 0
 
 
 def test_folded_validity_scalars_match_four_term_form(toy):
@@ -168,7 +196,7 @@ def test_folded_validity_scalars_match_four_term_form(toy):
     rng = random.Random(12)
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, msg_point(toy, 44), header, rng)
+    chunk = encrypt_chunk(pub, msg_point(toy, 44), header, sample_scalar(toy.n, rng))
     alpha = hash_to_scalar(toy, header, chunk.u1, chunk.u2, chunk.e)
     n = toy.n
     folded = point_add(
@@ -218,8 +246,8 @@ def test_fresh_randomness_per_chunk(toy):
     _, pub = keygen(toy, rng)
     m = msg_point(toy, 5)
     header = chunk_header(0, 1)
-    c1 = encrypt_chunk(pub, m, header, rng)
-    c2 = encrypt_chunk(pub, m, header, rng)
+    c1 = encrypt_chunk(pub, m, header, sample_scalar(toy.n, rng))
+    c2 = encrypt_chunk(pub, m, header, sample_scalar(toy.n, rng))
     assert c1 != c2  # same plaintext, different ephemeral r
 
 
@@ -228,7 +256,7 @@ def test_tampered_chunk_rejected(toy):
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
     m = msg_point(toy, 9)
-    chunk = encrypt_chunk(pub, m, header, rng)
+    chunk = encrypt_chunk(pub, m, header, sample_scalar(toy.n, rng))
     other = msg_point(toy, 10)
     names = ("u1", "u2", "e", "v")
     for field in names:
@@ -248,7 +276,7 @@ def test_the_tag_comparison_decides_equality_of_encodings(secp):
     rng = random.Random(0xC0A1)
     priv, pub = keygen(secp, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, msg_point(secp, 9), header, rng)
+    chunk = encrypt_chunk(pub, msg_point(secp, 9), header, sample_scalar(secp.n, rng))
     good = curve_mod.compress(secp, chunk.v)
     equal = ecs_mod._equal_bytes
     assert len(good) == 33
@@ -275,7 +303,7 @@ def test_non_canonical_point_rejected(toy):
     rng = random.Random(79)
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, msg_point(toy, 9), header, rng)
+    chunk = encrypt_chunk(pub, msg_point(toy, 9), header, sample_scalar(toy.n, rng))
     names = ("u1", "u2", "e", "v")
     for field in names:
         point = getattr(chunk, field)
@@ -294,7 +322,7 @@ def test_non_canonical_point_rejected(toy):
 def test_wrong_header_rejected(toy):
     rng = random.Random(78)
     priv, pub = keygen(toy, rng)
-    chunk = encrypt_chunk(pub, msg_point(toy, 3), chunk_header(0, 2), rng)
+    chunk = encrypt_chunk(pub, msg_point(toy, 3), chunk_header(0, 2), sample_scalar(toy.n, rng))
     with pytest.raises(InvalidCiphertext):
         decrypt_chunk(priv, chunk, chunk_header(1, 2))
     with pytest.raises(InvalidCiphertext):
@@ -306,7 +334,7 @@ def test_wrong_key_rejected(toy):
     priv_a, pub_a = keygen(toy, rng)
     priv_b, _ = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub_a, msg_point(toy, 4), header, rng)
+    chunk = encrypt_chunk(pub_a, msg_point(toy, 4), header, sample_scalar(toy.n, rng))
     assert decrypt_chunk(priv_a, chunk, header) == msg_point(toy, 4)
     with pytest.raises(InvalidCiphertext):
         decrypt_chunk(priv_b, chunk, header)
@@ -317,7 +345,7 @@ def test_mask_reuse_across_keys_fails(toy):
     rng = random.Random(80)
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, msg_point(toy, 6), header, SeqRng([99]))
+    chunk = encrypt_chunk(pub, msg_point(toy, 6), header, 99)
     forged = CiphertextChunk(chunk.u1, chunk.u2, chunk.e, msg_point(toy, 1))
     with pytest.raises(InvalidCiphertext):
         decrypt_chunk(priv, forged, header)
@@ -328,7 +356,7 @@ def test_additive_mauling_rejected(toy):
     rng = random.Random(81)
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, msg_point(toy, 8), header, rng)
+    chunk = encrypt_chunk(pub, msg_point(toy, 8), header, sample_scalar(toy.n, rng))
     mauled = CiphertextChunk(
         chunk.u1, chunk.u2, point_add(toy, chunk.e, toy.g1), chunk.v
     )
@@ -340,7 +368,7 @@ def test_invalid_ciphertext_message_is_opaque(toy):
     rng = random.Random(82)
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, msg_point(toy, 2), header, rng)
+    chunk = encrypt_chunk(pub, msg_point(toy, 2), header, sample_scalar(toy.n, rng))
     mauled = CiphertextChunk(chunk.u1, chunk.u2, chunk.e, toy.g1)
     with pytest.raises(InvalidCiphertext) as excinfo:
         decrypt_chunk(priv, mauled, header)
@@ -654,7 +682,7 @@ def test_encrypt_chunk_operation_profile(toy):
     _, pub = keygen(toy, rng)
     m = msg_point(toy, 5)
     with count_ops() as ops:
-        encrypt_chunk(pub, m, chunk_header(0, 1), rng)
+        encrypt_chunk(pub, m, chunk_header(0, 1), sample_scalar(toy.n, rng))
     # u1, u2, the mask r*h, and the two validity legs r*c and (r*alpha)*d
     assert ops.scalar_mults == 5
     assert ops.point_adds == 2
@@ -666,7 +694,7 @@ def test_decrypt_chunk_operation_profile(toy):
     rng = random.Random(2001)
     priv, pub = keygen(toy, rng)
     m = msg_point(toy, 5)
-    chunk = encrypt_chunk(pub, m, chunk_header(0, 1), rng)
+    chunk = encrypt_chunk(pub, m, chunk_header(0, 1), sample_scalar(toy.n, rng))
     with count_ops() as ops:
         decrypt_chunk(priv, chunk, chunk_header(0, 1))
     assert ops.scalar_mults == 3

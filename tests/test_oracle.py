@@ -15,6 +15,7 @@ from eccs.ecs import (
     decrypt_chunk,
     encrypt_chunk,
     keygen,
+    sample_scalar,
 )
 from eccs.errors import InvalidCiphertext
 from eccs.oracle import (
@@ -113,7 +114,7 @@ def test_independent_decrypt_agrees_with_scheme(toy, table):
     header = chunk_header(0, 1)
     for k in range(1, 40):
         m = scalar_mult(toy, toy.g1, k)
-        chunk = encrypt_chunk(pub, m, header, rng)
+        chunk = encrypt_chunk(pub, m, header, sample_scalar(toy.n, rng))
         assert independent_decrypt(table, pub, chunk, header) == m
         assert decrypt_chunk(priv, chunk, header) == m
 
@@ -124,7 +125,7 @@ def test_independent_decrypt_never_touches_private_key(toy, table):
     priv, pub = keygen(toy, rng)
     header = chunk_header(2, 5)
     m = scalar_mult(toy, toy.g2, 345)
-    chunk = encrypt_chunk(pub, m, header, rng)
+    chunk = encrypt_chunk(pub, m, header, sample_scalar(toy.n, rng))
     assert independent_decrypt(table, pub, chunk, header) == m
 
 
@@ -133,7 +134,7 @@ def test_independent_decrypt_rejects_tampering(toy, table):
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
     m = scalar_mult(toy, toy.g1, 25)
-    chunk = encrypt_chunk(pub, m, header, rng)
+    chunk = encrypt_chunk(pub, m, header, sample_scalar(toy.n, rng))
     mauled = CiphertextChunk(chunk.u1, chunk.u2, point_add(toy, chunk.e, toy.g1), chunk.v)
     with pytest.raises(ValueError):
         independent_decrypt(table, pub, mauled, header)
@@ -150,7 +151,7 @@ def test_independent_decrypt_rejects_u2_forgery(toy, table):
     rng = random.Random(0x1E1)
     _, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, toy.g1, header, rng)
+    chunk = encrypt_chunk(pub, toy.g1, header, sample_scalar(toy.n, rng))
     forged = CiphertextChunk(chunk.u1, point_add(toy, chunk.u2, toy.g2), chunk.e, chunk.v)
     with pytest.raises(ValueError):
         independent_decrypt(table, pub, forged, header)
@@ -169,7 +170,7 @@ def test_oracle_uses_no_group_ops_from_package(toy, table):
     rng = random.Random(0x1E2)
     _, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
-    chunk = encrypt_chunk(pub, toy.g1, header, rng)
+    chunk = encrypt_chunk(pub, toy.g1, header, sample_scalar(toy.n, rng))
     with count_ops() as ops:
         table.add(toy.g1, toy.g2)
         table.mult(toy.g1, 500)
@@ -197,7 +198,7 @@ def test_every_substitution_gets_the_key_holding_oracles_verdict(toy, table):
     priv, pub = keygen(toy, rng)
     header = chunk_header(0, 1)
     m = scalar_mult(toy, toy.g1, 777)
-    honest = encrypt_chunk(pub, m, header, rng)
+    honest = encrypt_chunk(pub, m, header, sample_scalar(toy.n, rng))
     accepted = {}
     for position in ("u1", "u2", "e", "v"):
         accepted[position] = 0
