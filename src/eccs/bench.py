@@ -154,13 +154,13 @@ def _profile(name: str, fn, iterations: int) -> OpStats:
     )
 
 
-def run_suite(curve: str = "secp256k1", iterations: int = 25) -> BenchReport:
+def run_suite(iterations: int = 25) -> BenchReport:
     """Measure both schemes on DEFAULT_MESSAGE; at least 10 iterations for stable quantiles."""
     import platform  # here, not at the top: a one-shot CLI process never needs it
 
     if iterations < 10:
         raise ValueError("need at least 10 iterations")
-    params = get_curve(curve)
+    params = get_curve("secp256k1")
     message = DEFAULT_MESSAGE
 
     priv, pub = keygen(params)
@@ -196,7 +196,7 @@ def run_suite(curve: str = "secp256k1", iterations: int = 25) -> BenchReport:
     )
 
     host = f"{platform.python_implementation()} {platform.python_version()} on {platform.machine() or 'unknown'}"
-    return BenchReport(curve, len(message), iterations, host, (ours, baseline), (KEY_SIZE_NOTE,))
+    return BenchReport(params.name, len(message), iterations, host, (ours, baseline), (KEY_SIZE_NOTE,))
 
 
 def format_report(report: BenchReport) -> str:

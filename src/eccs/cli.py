@@ -29,13 +29,7 @@ from types import SimpleNamespace
 
 from . import bench as bench_mod  # eager: perfbench's tests rely on `import eccs.cli` loading it
 from . import curve as curve_mod
-from .curve import (
-    CURVE_NAMES,
-    CurveParams,
-    curve_by_id,
-    get_curve,
-    sha3_256,
-)
+from .curve import CurveParams, curve_by_id, get_curve, sha3_256
 from .ecs import (
     Ciphertext,
     chunk_header,
@@ -48,14 +42,12 @@ from .ecs import (
 )
 from .errors import InvalidCiphertext, PackageDataError, ParseError
 from .wire import (
-    KIND_CIPHERTEXT,
     KIND_PRIVATE_KEY,
     KIND_PUBLIC_KEY,
     LABEL_CIPHERTEXT,
     LABEL_PRIVATE_KEY,
     LABEL_PUBLIC_KEY,
     armor,
-    dearmor,
     parse_ciphertext,
     parse_envelope,
     parse_private_key,
@@ -63,17 +55,12 @@ from .wire import (
     serialize_ciphertext,
     serialize_private_key,
     serialize_public_key,
+    unarmor,
 )
 
 # Builds intended for test harnesses set this to "1"; everywhere else
 # --seed is rejected so randomness stays centralized in the OS source.
 TEST_BUILD_ENV = "ECCS_TEST_BUILD"
-
-_LABEL_KINDS = {
-    LABEL_PUBLIC_KEY: KIND_PUBLIC_KEY,
-    LABEL_PRIVATE_KEY: KIND_PRIVATE_KEY,
-    LABEL_CIPHERTEXT: KIND_CIPHERTEXT,
-}
 
 
 class _Fail(Exception):
@@ -138,27 +125,10 @@ def _write(path: str, data: bytes, *, private: bool = False) -> None:
         raise _Fail(3, f"write failed: {exc}")
 
 
-def _unarmor(raw: bytes) -> bytes:
-    """The binary payload of raw, dearmored if it is armored.
-
-    An armor label must name the payload's own envelope kind; whether
-    that kind is the one the caller wants is the parser's check.
-    """
-    if raw.lstrip()[:11] != b"-----BEGIN ":
-        return raw
-    try:
-        label, data = dearmor(raw.decode("ascii"))
-    except UnicodeDecodeError:
-        raise ParseError("armored input is not ASCII") from None
-    if _LABEL_KINDS[label] != parse_envelope(data).kind:
-        raise ParseError(f"armor label {label!r} does not match the content")
-    return data
-
-
 def _key(path: str, what: str, parse):
     raw = _read(path, what)
     try:
-        return parse(_unarmor(raw))
+        return parse(unarmor(raw))
     except ParseError as exc:
         raise _Fail(2, f"bad {what}: {exc}")
 
@@ -206,7 +176,7 @@ def cmd_keygen(args: SimpleNamespace) -> int:
             raise _Fail(2, f"cannot write to {path}")
     rng = _make_rng(args.seed)
     try:
-        priv, pub = keygen(get_curve(args.curve), rng)
+        priv, pub = keygen(get_curve("secp256k1"), rng)
     except OSError:
         raise _Fail(3, "randomness source failure")
     pub_blob = serialize_public_key(pub)
@@ -243,7 +213,7 @@ def cmd_decrypt(args: SimpleNamespace) -> int:
     raw = _read(args.infile, "ciphertext")
     # From here on, every content failure is the same opaque error.
     try:
-        message = decrypt(priv, parse_ciphertext(_unarmor(raw)))
+        message = decrypt(priv, parse_ciphertext(unarmor(raw)))
     except (ParseError, InvalidCiphertext):
         raise _Fail(4, "invalid ciphertext")
     _write(args.out, message)
@@ -253,7 +223,7 @@ def cmd_decrypt(args: SimpleNamespace) -> int:
 def cmd_inspect(args: SimpleNamespace) -> int:
     raw = _read(args.infile, "input")
     try:
-        data = _unarmor(raw)
+        data = unarmor(raw)
         envelope = parse_envelope(data)
         params = curve_by_id(envelope.curve_id)
         if envelope.kind == KIND_PUBLIC_KEY:
@@ -282,7 +252,7 @@ def cmd_selftest(_args: SimpleNamespace) -> int:
 
 def cmd_bench(args: SimpleNamespace) -> int:
     try:
-        report = bench_mod.run_suite(curve=args.curve, iterations=args.iters)
+        report = bench_mod.run_suite(iterations=args.iters)
     except ValueError as exc:
         raise _Fail(2, str(exc))
     print(bench_mod.format_report(report), end="")
@@ -419,10 +389,9 @@ def run_selftest(stream) -> bool:
 
 # --- argument parsing -----------------------------------------------------
 
-# flag -> (destination, kind, default): a kind is str, int, bool (a flag, which
-# takes no value) or CURVE_NAMES, and a default of ... marks a required option
+# flag -> (destination, kind, default): a kind is str, int or bool (a flag,
+# which takes no value), and a default of ... marks a required option
 _OPTIONS = {
-    "--curve": ("curve", CURVE_NAMES, "secp256k1"),
     "--pub": ("pub", str, ...),
     "--priv": ("priv", str, ...),
     "--in": ("infile", str, ...),
@@ -432,12 +401,12 @@ _OPTIONS = {
     "--iters": ("iters", int, 25),
 }
 COMMANDS = {  # name -> (handler, help, options)
-    "keygen": (cmd_keygen, "generate a key pair", ("--curve", "--pub", "--priv", "--armor", "--seed")),
+    "keygen": (cmd_keygen, "generate a key pair", ("--pub", "--priv", "--armor", "--seed")),
     "encrypt": (cmd_encrypt, "encrypt a file", ("--pub", "--in", "--out", "--armor", "--seed")),
     "decrypt": (cmd_decrypt, "decrypt a file", ("--priv", "--in", "--out")),
     "inspect": (cmd_inspect, "describe a key or ciphertext file", ("--in",)),
     "selftest": (cmd_selftest, "run the built-in verification suite", ()),
-    "bench": (cmd_bench, "measure scheme and baseline performance", ("--curve", "--iters")),
+    "bench": (cmd_bench, "measure scheme and baseline performance", ("--iters",)),
 }
 
 
@@ -447,8 +416,7 @@ def _usage(name: str | None) -> str:
     words = ["usage: eccs", name]
     for flag in COMMANDS[name][2]:
         dest, kind, default = _OPTIONS[flag]
-        value = "{" + ",".join(kind) + "}" if kind is CURVE_NAMES else dest.upper()
-        word = flag if kind is bool else f"{flag} {value}"
+        word = flag if kind is bool else f"{flag} {dest.upper()}"
         words.append(word if default is ... else f"[{word}]")
     return " ".join(words)
 
@@ -474,8 +442,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             value = next(words, "--")
             if value.startswith("--"):  # the next option, or the end
                 raise ValueError(f"{flag} expects a value")
-        if (kind is bool and joined or kind is int and not value.removeprefix("-").isdecimal()
-                or kind is CURVE_NAMES and value not in kind):
+        if kind is bool and joined or kind is int and not value.removeprefix("-").isdecimal():
             raise ValueError(f"{flag}: invalid value {value!r}")
         setattr(args, dest, True if kind is bool else int(value) if kind is int else value)
     if missing := [flag for flag in flags if getattr(args, _OPTIONS[flag][0]) is ...]:

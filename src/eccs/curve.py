@@ -921,8 +921,6 @@ _REGISTRY_SPECS: dict[int, dict] = {
 # arguments and the spec its equality reads; ``_pinned`` reads only these.
 _SPEC_FIELDS = ("curve_id", "name", "p", "b", "n", "g1", "g2", "beta", "lam")
 
-CURVE_NAMES = tuple(spec["name"] for spec in _REGISTRY_SPECS.values())
-
 
 def _spec_digest(spec: dict) -> str:
     """SHA3-256 hex digest of a canonical byte encoding of a registry spec.

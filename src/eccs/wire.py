@@ -35,7 +35,12 @@ LABEL_PUBLIC_KEY = "ECCS PUBLIC KEY"
 LABEL_PRIVATE_KEY = "ECCS PRIVATE KEY"
 LABEL_CIPHERTEXT = "ECCS MESSAGE"
 
-_LABELS = (LABEL_PUBLIC_KEY, LABEL_PRIVATE_KEY, LABEL_CIPHERTEXT)
+# armor label -> the envelope kind it may wrap
+_LABELS = {
+    LABEL_PUBLIC_KEY: KIND_PUBLIC_KEY,
+    LABEL_PRIVATE_KEY: KIND_PRIVATE_KEY,
+    LABEL_CIPHERTEXT: KIND_CIPHERTEXT,
+}
 
 _ARMOR_WIDTH = 64
 
@@ -115,9 +120,10 @@ def _expect_kind(envelope: Envelope, kind: int) -> CurveParams:
 
 def serialize_public_key(pub: PublicKey) -> bytes:
     params = curve_by_id(pub.curve_id)
-    body = (
-        compress(params, pub.c) + compress(params, pub.d) + compress(params, pub.h)
-    )
+    points = (pub.c, pub.d, pub.h)
+    if any(point.is_identity for point in points):
+        raise ValueError("public key points must not be the identity")
+    body = b"".join(compress(params, point) for point in points)
     return _pack(KIND_PUBLIC_KEY, pub.curve_id, body)
 
 
@@ -245,3 +251,20 @@ def dearmor(text: str) -> tuple[str, bytes]:
     except ValueError as exc:
         raise ParseError(f"bad base64 payload: {exc}") from None
     return label, data
+
+
+def unarmor(raw: bytes) -> bytes:
+    """The binary payload of raw, dearmored if it is armored.
+
+    An armor label must name the payload's own envelope kind; whether
+    that kind is the one the caller wants is the parser's check.
+    """
+    if raw.lstrip()[:11] != b"-----BEGIN ":
+        return raw
+    try:
+        label, data = dearmor(raw.decode("ascii"))
+    except UnicodeDecodeError:
+        raise ParseError("armored input is not ASCII") from None
+    if _LABELS[label] != parse_envelope(data).kind:
+        raise ParseError(f"armor label {label!r} does not match the content")
+    return data

@@ -24,6 +24,7 @@ from eccs.wire import (
     serialize_ciphertext,
     serialize_private_key,
     serialize_public_key,
+    unarmor,
 )
 
 from helpers import byte_mutation
@@ -192,6 +193,16 @@ def test_rejects_out_of_range_scalars(toy, toy_material):
         parse_private_key(equal_n)
 
 
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["c", "d", "h"])
+def test_serialize_rejects_identity_in_public_key(toy_material, position):
+    # parse_public_key refuses such keys, so no bytes are written for them
+    pub = toy_material[1]
+    points = [pub.c, pub.d, pub.h]
+    points[position] = IDENTITY
+    with pytest.raises(ValueError, match="identity"):
+        serialize_public_key(PublicKey(pub.curve_id, *points))
+
+
 def test_serialize_rejects_out_of_range_scalars(toy):
     bad = PrivateKey(toy.curve_id, 0, 1, 1, 1, 1)
     with pytest.raises(ValueError):
@@ -325,6 +336,24 @@ def test_dearmor_handles_crlf(toy_material):
     text = armor(blob, LABEL_PUBLIC_KEY).replace("\n", "\r\n")
     label, got = dearmor(text)
     assert (label, got) == (LABEL_PUBLIC_KEY, blob)
+
+
+def test_unarmor_checks_the_label_against_the_content(toy_material):
+    priv, pub, ct = toy_material
+    blobs = {
+        LABEL_PUBLIC_KEY: serialize_public_key(pub),
+        LABEL_PRIVATE_KEY: serialize_private_key(priv),
+        LABEL_CIPHERTEXT: serialize_ciphertext(ct),
+    }
+    for label, blob in blobs.items():
+        assert unarmor(blob) == blob
+        assert unarmor(armor(blob, label).encode("ascii")) == blob
+        for other in blobs.keys() - {label}:
+            with pytest.raises(ParseError, match="does not match the content"):
+                unarmor(armor(blob, other).encode("ascii"))
+    text = armor(blobs[LABEL_PUBLIC_KEY], LABEL_PUBLIC_KEY)
+    with pytest.raises(ParseError, match="not ASCII"):
+        unarmor(text.replace("\n", "\n\u00e9", 1).encode("utf-8"))
 
 
 # --- property tests -------------------------------------------------------
