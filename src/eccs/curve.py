@@ -595,21 +595,20 @@ def _table_rows(params: CurveParams, point: CurvePoint) -> list:
 
 
 def _generator_table_bytes(params: CurveParams) -> bytes:
-    """g1's table rows, then g2's, each entry as big-endian x then y.
+    """g1's table rows, then g2's, each entry as ``_select`` reads it, less Z = 1.
 
     The content of a registry curve's shipped table file, built by
     ``_table_rows`` from ``params``; the tests and ``eccs selftest``
     build it from curves with every proof and compare.
     """
-    width, s = params.coord_bytes, params.p.bit_length()
-    mask = (1 << s) - 1
-    out = bytearray()
-    for base in (params.g1, params.g2):
-        for row in _table_rows(params, base):
-            for entry in row:
-                out += (entry & mask).to_bytes(width, "big")
-                out += (entry >> s & mask).to_bytes(width, "big")
-    return bytes(out)
+    s = params.p.bit_length()
+    width, xy = (2 * s + 7) // 8, (1 << 2 * s) - 1
+    return b"".join(
+        (entry & xy).to_bytes(width, "big")
+        for base in (params.g1, params.g2)
+        for row in _table_rows(params, base)
+        for entry in row
+    )
 
 
 def _shipped_table_bytes(curve_id: int) -> bytes:
@@ -631,13 +630,9 @@ def _load_generator_tables(params: CurveParams) -> None:
     data = _shipped_table_bytes(params.curve_id)
     if sha3_256(data).hexdigest() != _TABLE_DIGESTS[params.curve_id]:
         raise PackageDataError(f"generator tables {params.curve_id:#04x} do not match their pinned digest")
-    width, s = params.coord_bytes, params.p.bit_length()
-    low = (1 << 8 * width) - 1
-    one = 1 << 2 * s  # Z == 1, packed as ``_pack`` packs it
-    flat = []
-    for i in range(0, len(data), 2 * width):
-        xy = int.from_bytes(data[i : i + 2 * width], "big")  # x << 8*width | y
-        flat.append(xy >> 8 * width | (xy & low) << s | one)
+    s = params.p.bit_length()
+    width, one = (2 * s + 7) // 8, 1 << 2 * s  # Z == 1, packed as ``_pack`` packs it
+    flat = [int.from_bytes(data[i : i + width], "big") | one for i in range(0, len(data), width)]
     rows = [flat[i : i + 16] for i in range(0, len(flat), 16)]
     w = 2 * params._glv.windows
     for base, table in ((params.g1, rows[:w]), (params.g2, rows[w:])):
@@ -953,10 +948,12 @@ _REGISTRY_DIGESTS: dict[int, str] = {
 # fixed-base tables, ``_generator_table_bytes``), taken when the tests and
 # ``eccs selftest`` had rebuilt it from the curve with every proof; a test
 # rebuilds both files, so a changed constant needs new files and digests.
-# A file is written as _generator_table_bytes(CurveParams(**spec)).
+# A file holds g1's rows, then g2's, each entry X | Y << s (s = bits of p)
+# in (2s + 7) // 8 big-endian bytes, 106,496 B on secp256k1 and 384 B on
+# toy; _generator_table_bytes(CurveParams(**spec)) is gtables-<id>.bin.
 _TABLE_DIGESTS: dict[int, str] = {
-    SECP256K1_ID: "241be390a9fd5da93c8f6ed7e029d8847c1731e73142398ac4037bae8975f6c8",
-    TOY_ID: "f11ba7ad2b907c4e3ddb334f64408a2a7029422402c89866f65ed82f405363ef",
+    SECP256K1_ID: "77059ede9cc7a2c86d0fe0c7483d77b27bf05263838a4c4dbaf2cc82f94ea3c1",
+    TOY_ID: "a79b3ce88447c411f0b4794d3e1d5e99dbf46bfc96c2d2f82e4c38fe04ee3e62",
 }
 
 _TABLE_FILE = os.path.join(os.path.dirname(__file__), "gtables-{:02x}.bin")

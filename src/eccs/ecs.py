@@ -344,11 +344,12 @@ def _fan_out(work, count: int) -> list:
             results += work(start, stop) if got is None else got
         return results
     finally:
-        for _start, _stop, child in children:
-            if child is not None:
-                pid, read = child
-                os.close(read)
-                _reap(pid)
+        # a child holds the read ends made before it: close all before any wait
+        live = [child for _start, _stop, child in children if child is not None]
+        for _pid, read in live:
+            os.close(read)
+        for pid, _read in live:
+            _reap(pid)
 
 
 def _fan_out_chunks(chunk_points, count: int) -> tuple[CiphertextChunk, ...]:

@@ -717,7 +717,7 @@ def test_one_shot_processes_load_only_the_generator_tables(fresh_registry):
 # --- shipped generator tables ---------------------------------------------
 
 
-@pytest.mark.parametrize("name, size", [("toy", 512), ("secp256k1", 106_496)])
+@pytest.mark.parametrize("name, size", [("toy", 384), ("secp256k1", 106_496)])
 def test_shipped_tables_are_rebuilt_from_proved_curves(name, size):
     params = fresh_curve(name)
     built = _generator_table_bytes(params)
@@ -725,6 +725,15 @@ def test_shipped_tables_are_rebuilt_from_proved_curves(name, size):
     assert len(built) == size
     digest = hashlib.sha3_256(built).hexdigest()
     assert digest == _TABLE_DIGESTS[params.curve_id], f"recomputed digest: {digest}"
+
+
+@pytest.mark.parametrize("name", ["toy", "secp256k1"])
+def test_every_loaded_table_entry_is_the_built_one(fresh_registry, name):
+    loaded = get_curve(name)
+    scalar_mult(loaded, loaded.g2, 1)  # the first use of either generator loads both tables
+    proved = fresh_curve(name)
+    for base, built in ((loaded.g1, proved.g1), (loaded.g2, proved.g2)):
+        assert held_by(loaded, base) == _table_rows(proved, built)
 
 
 @pytest.mark.parametrize("damage, error", [("flipped", "pinned digest"), ("missing", "cannot read")])

@@ -808,6 +808,53 @@ def test_fan_out_rejects_a_forged_chunk_in_any_slice(cpus, forty, secp):
     assert seen == [{name: 40 * n for name, n in PER_DEC_CHUNK.items()}] * 2
 
 
+def give_up(_signum, _frame):
+    raise TimeoutError("the fan-out did not return")
+
+
+def fan_out_within_a_minute(work, count):
+    """ecs._fan_out(work, count), or TimeoutError where it would hang."""
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(60)
+    try:
+        return ecs_mod._fan_out(work, count)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def large_slices(start, stop):
+    """About 80 KB of marshal data per 2-index slice, more than a pipe holds."""
+    return [(os.getpid(), bytes([index]) * 40_000) for index in range(start, stop)]
+
+
+def test_a_slice_larger_than_a_pipe_buffer_comes_back_whole(cpus):
+    # each child blocks in os.write past the pipe's 64 KiB until the parent reads
+    cpus(4)
+    results = fan_out_within_a_minute(large_slices, 8)
+    assert [data for _pid, data in results] == [bytes([index]) * 40_000 for index in range(8)]
+    assert len(cpus.forks) == 3
+    # the children's results are used, not recomputed here
+    assert [pid for pid, _data in results] == [os.getpid()] * 2 + [pid for pid in cpus.forks for _ in range(2)]
+    assert no_child_left()
+
+
+def test_a_failed_first_slice_leaves_no_child_blocked_in_a_full_pipe(cpus):
+    # a later child holds the read ends of the earlier pipes, so a child
+    # blocked in a full pipe is freed only once every read end here is closed
+    cpus(4)
+
+    def work(start, stop):
+        if start == 0:
+            raise ValueError("this process's slice fails")
+        return large_slices(start, stop)
+
+    with pytest.raises(ValueError, match="slice fails"):
+        fan_out_within_a_minute(work, 8)
+    assert len(cpus.forks) == 3
+    assert no_child_left()
+
+
 class FailingMarshal:
     """marshal for the children: ``dumps`` raises, or returns all but its last bytes."""
 
