@@ -252,17 +252,20 @@ def _slices(count: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _fork(work, start: int, stop: int):
+def _fork(work, start: int, stop: int, pipes: list):
     """(pid, read end) of a child that sends ``work(start, stop)``; None if fork fails.
 
+    ``pipes`` are the read ends the caller holds already.  The child
+    closes them and its own read end first, so each read end lives only
+    in the caller, as a file object whose second ``close`` does nothing.
     The child inherits the key, the tables and the input; a parsing
     child's work uses no key and sends back the coordinates of public
     points.  It writes its result and its ``count_ops`` tally to the pipe
     as ``marshal`` data, and leaves by ``os._exit``, with status 0 only
     once all of it is written.  Whatever happens in it, even an
-    interrupt, ends there: it prints nothing and never returns into the
-    caller's code.  The uses it makes of each base, and any table it
-    builds, end with it.
+    interrupt or a read end closed by the caller, ends there: it prints
+    nothing and never returns into the caller's code.  The uses it makes
+    of each base, and any table it builds, end with it.
     """
     try:
         read, write = os.pipe()
@@ -276,9 +279,11 @@ def _fork(work, start: int, stop: int):
         return None
     if pid:
         os.close(write)
-        return pid, read
+        return pid, open(read, "rb")
     status = 1
     try:
+        for pipe in pipes:
+            pipe.close()
         os.close(read)
         with count_ops() as ops:
             result = work(start, stop)
@@ -290,31 +295,24 @@ def _fork(work, start: int, stop: int):
         os._exit(status)
 
 
-def _reap(pid: int) -> int:
-    """The child's wait status, or 0 if the caller's SIGCHLD handling reaped it first.
+def _reap(pid: int) -> None:
+    """Wait for the child; one reaped already by the caller's SIGCHLD handling is done."""
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
 
-    A child reaped elsewhere (SIGCHLD ignored, or a handler that waits
-    for any child) is judged by its data alone, which it writes only
-    once its work is done.
+
+def _collect(pipe, size: int):
+    """The child's whole result, its tally added to the caller's; None otherwise.
+
+    Reads the pipe to its end.  A child is judged by its data alone: it
+    writes only once its work is done, so a result that loads whole at
+    the slice's size is the verdict, whatever its exit status, and a
+    child reaped by the caller's SIGCHLD handling is judged the same way.
     """
     try:
-        return os.waitpid(pid, 0)[1]
-    except ChildProcessError:
-        return 0
-
-
-def _collect(child, size: int):
-    """The child's whole result, its tally added to the caller's; None otherwise."""
-    pid, read = child
-    try:
-        with open(read, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        status = _reap(pid)
-    if status:
-        return None
-    try:
-        result, tally = marshal.loads(data)
+        result, tally = marshal.loads(pipe.read())
     except (EOFError, ValueError, TypeError):
         return None
     if len(result) != size:
@@ -329,26 +327,26 @@ def _fan_out(work, count: int) -> list:
 
     This process computes the first slice, and a forked child each
     other.  A slice whose fork fails, or whose child ends without a
-    whole result, is computed here, so children only add speed.  Every
-    child is reaped before this returns or raises.
+    whole result, is computed here, so children only add speed.  On any
+    exit, an exception or interrupt included, every read end is closed,
+    which ends a child blocked in a full pipe, and every child is reaped
+    once its current slice ends.
     """
     first, *rest = _slices(count)
-    children = []
+    children = {}  # start of a forked slice -> (pid, read end)
     try:
         for start, stop in rest:
-            children.append((start, stop, _fork(work, start, stop)))
+            child = _fork(work, start, stop, [pipe for _pid, pipe in children.values()])
+            if child is not None:
+                children[start] = child
         results = work(*first)
-        while children:
-            start, stop, child = children.pop(0)
-            got = None if child is None else _collect(child, stop - start)
+        for start, stop in rest:
+            got = _collect(children[start][1], stop - start) if start in children else None
             results += work(start, stop) if got is None else got
         return results
     finally:
-        # a child holds the read ends made before it: close all before any wait
-        live = [child for _start, _stop, child in children if child is not None]
-        for _pid, read in live:
-            os.close(read)
-        for pid, _read in live:
+        for pid, pipe in children.values():
+            pipe.close()
             _reap(pid)
 
 

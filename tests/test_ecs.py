@@ -4,6 +4,7 @@ import os
 import random
 import signal
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -42,6 +43,7 @@ from eccs.ecs import (
 )
 from eccs.errors import InvalidCiphertext, ParseError
 from eccs.field import FieldElement
+from eccs.oracle import brute_dlog, enumerate_points
 from eccs.wire import parse_ciphertext, serialize_ciphertext, serialize_public_key
 
 from helpers import SeqRng, held_by, reference_encrypt, reference_keygen
@@ -528,6 +530,48 @@ def test_decrypt_refuses_the_keyless_identity_forgery(secp):
         decrypt_chunk(priv, chunk, chunk_header(0, 1))
 
 
+def test_an_invalid_chunk_is_accepted_by_one_key_in_n(toy):
+    """Cramer-Shoup's rejection lemma, counted over every key the public key allows.
+
+    With w = log_g1 g2, the private keys that share (c, d, h) and y2 are
+    (x1 + w*(x2 - x2'), x2', y1, y2, z) for the n values of x2'.
+    A chunk with log_g1 u1 != log_g2 u2 passes the validity check under
+    exactly one of them, whatever its e and v; an honest chunk under all.
+    """
+    n, g1, g2 = toy.n, toy.g1, toy.g2
+    w = brute_dlog(enumerate_points(toy), g1, g2)
+    rng = random.Random(1010)
+    priv, pub = keygen(toy, rng)
+    keys = [
+        PrivateKey(toy.curve_id, (priv.x1 + w * (priv.x2 - x2)) % n, x2, priv.y1, priv.y2, priv.z)
+        for x2 in range(n)
+    ]
+    assert len(keys) == 1093 and priv in keys
+    header = chunk_header(0, 1)
+
+    def accepted_by(chunk):
+        """The point each key that accepts the chunk returns."""
+        points = []
+        for key in keys:
+            try:
+                points.append(decrypt_chunk(key, chunk, header))
+            except InvalidCiphertext:
+                pass
+        return points
+
+    for _ in range(3):
+        r1 = rng.randrange(1, n)
+        r2 = rng.choice([r for r in range(1, n) if r != r1])
+        e, v = (scalar_mult(toy, g1, rng.randrange(1, n)) for _ in range(2))
+        invalid = CiphertextChunk(scalar_mult(toy, g1, r1), scalar_mult(toy, g2, r2), e, v)
+        assert len(accepted_by(invalid)) == 1
+    m_point = msg_point(toy, 77)
+    honest = encrypt_chunk(pub, m_point, header, rng.randrange(1, n))
+    assert accepted_by(honest) == [m_point] * n
+    assert accepted_by(CiphertextChunk(IDENTITY, honest.u2, honest.e, honest.v)) == []
+    assert accepted_by(CiphertextChunk(honest.u1, IDENTITY, honest.e, honest.v)) == []
+
+
 @pytest.fixture(scope="module")
 def two_chunks(secp):
     """(private key, message, serialized two-chunk secp256k1 ciphertext)."""
@@ -840,8 +884,8 @@ def test_a_slice_larger_than_a_pipe_buffer_comes_back_whole(cpus):
 
 
 def test_a_failed_first_slice_leaves_no_child_blocked_in_a_full_pipe(cpus):
-    # a later child holds the read ends of the earlier pipes, so a child
-    # blocked in a full pipe is freed only once every read end here is closed
+    # every child blocks in a full pipe; closing the read ends, which only
+    # this process holds, frees each of them to be reaped
     cpus(4)
 
     def work(start, stop):
@@ -852,6 +896,75 @@ def test_a_failed_first_slice_leaves_no_child_blocked_in_a_full_pipe(cpus):
     with pytest.raises(ValueError, match="slice fails"):
         fan_out_within_a_minute(work, 8)
     assert len(cpus.forks) == 3
+    assert no_child_left()
+
+
+class Interrupt(BaseException):
+    """Raised in the caller as an interrupt is; pytest reports it as a failure, not a stop."""
+
+
+def sleepy_slices(start, stop):
+    """large_slices, after 2 s in the slice that starts at 2."""
+    if start == 2:
+        time.sleep(2)
+    return large_slices(start, stop)
+
+
+def interrupt_then_watch(_signum, _frame):
+    """Raise Interrupt, re-armed as a watchdog that gives up 30 s later."""
+    signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(30)
+    raise Interrupt
+
+
+def fan_out_interrupted_at_one_second():
+    """ecs._fan_out(sleepy_slices, 8) under 4 CPUs, interrupted while it reads slice 2's pipe."""
+    previous = signal.signal(signal.SIGALRM, interrupt_then_watch)
+    signal.alarm(1)
+    try:
+        ecs_mod._fan_out(sleepy_slices, 8)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_interrupt_in_the_caller_reaps_every_child_and_propagates(cpus):
+    # slices 4 and 6 block in full pipes while this process waits on
+    # slice 2; the interrupt must end them all, not wait on a full pipe
+    cpus(4)
+    began = time.monotonic()
+    with pytest.raises(Interrupt):
+        fan_out_interrupted_at_one_second()
+    assert time.monotonic() - began < 10
+    assert len(cpus.forks) == 3
+    assert no_child_left()
+
+
+def fail_first_slice(start, stop):
+    if start == 0:
+        raise ValueError("this process's slice fails")
+    return large_slices(start, stop)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_the_fan_out_leaves_no_descriptor_open(cpus):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    cpus(4)
+    before = open_fds()
+    fan_out_within_a_minute(large_slices, 8)
+    assert open_fds() == before
+    # counted while each traceback holds the fan-out's frame, so no pipe
+    # the fan-out left open is closed by its collection first
+    with pytest.raises(ValueError, match="slice fails") as failed:
+        fan_out_within_a_minute(fail_first_slice, 8)
+    assert open_fds() == before
+    with pytest.raises(Interrupt) as interrupted:
+        fan_out_interrupted_at_one_second()
+    assert open_fds() == before
+    del failed, interrupted
+    assert len(cpus.forks) == 9
     assert no_child_left()
 
 
