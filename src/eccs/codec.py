@@ -14,8 +14,7 @@ to be rejected rather than silently decoded to garbage.
 
 from __future__ import annotations
 
-from .curve import CurveParams, CurvePoint
-from .field import FieldElement
+from .curve import CurveParams, CurvePoint, _lift_x
 
 # [pad][length] prefix ahead of the data inside the x coordinate
 _OVERHEAD = 2
@@ -41,10 +40,9 @@ def encode_chunk(params: CurveParams, data: bytes) -> CurvePoint:
         x = int.from_bytes(bytes([pad]) + body, "big")
         if x >= params.p:
             continue
-        try:
-            return CurvePoint(x, FieldElement(params._rhs(x), params.p).sqrt())
-        except ValueError:  # x^3 + b is not a square: try the next pad
-            continue
+        y = _lift_x(params.p, params.b, x)
+        if y is not None:  # else x^3 + b is not a square: try the next pad
+            return CurvePoint(x, y)
     raise ValueError("no curve point found for chunk (pad counter exhausted)")
 
 

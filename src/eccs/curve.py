@@ -25,9 +25,9 @@ pinned digest when first read.  All results of a call go to affine with
 one inversion.  Iteration counts depend only on the curve and on the
 shape of the sums, every table entry is chosen by a masked scan of its
 whole row, and signs are applied by a mask, so the sequence of
-arithmetic operations does not depend on the scalars.  Python integers are not a hard side-channel boundary, but the
-structure keeps the usual leak classes (branches, table indices) out of
-the scalar path.
+arithmetic operations does not depend on the scalars.  Python integers
+are not a hard side-channel boundary, but the structure keeps the usual
+leak classes (branches, table indices) out of the scalar path.
 Converting results back to affine uses the built-in inverse on a
 randomly blinded input.
 """
@@ -478,10 +478,6 @@ class CurveParams:
             raise ValueError("point is not on the curve")
         return CurvePoint(x, y)
 
-    def _rhs(self, x: int) -> int:
-        p = self.p
-        return (x * x % p * x + self.b) % p
-
     def _on_curve(self, x, y) -> bool:
         """x and y are ints in [0, p) with y^2 == x^3 + b."""
         p = self.p
@@ -490,7 +486,7 @@ class CurveParams:
             and type(y) is int
             and 0 <= x < p
             and 0 <= y < p
-            and y * y % p == self._rhs(x)
+            and y * y % p == (x * x % p * x + self.b) % p
         )
 
     def __eq__(self, other: object) -> bool:
@@ -754,6 +750,14 @@ def scalar_mult(params: CurveParams, point: CurvePoint, k: int) -> CurvePoint:
 # point compression
 
 
+def _lift_x(p: int, b: int, x: int) -> Optional[int]:
+    """The even y with y^2 == x^3 + b mod p, for x in [0, p); None if there is none."""
+    try:
+        return FieldElement(x * x % p * x + b, p).sqrt()
+    except ValueError:
+        return None
+
+
 def compress(params: CurveParams, point: CurvePoint) -> bytes:
     """0x00 for the identity, else 0x02/0x03 (y parity) plus big-endian x."""
     _require_member(params, point)
@@ -779,10 +783,9 @@ def decompress(params: CurveParams, data: bytes) -> CurvePoint:
     x = int.from_bytes(data[1:], "big")
     if x >= params.p:
         raise ParseError("encoded x is not reduced modulo p")
-    try:
-        y = FieldElement(params._rhs(x), params.p).sqrt()
-    except ValueError:
-        raise ParseError("x coordinate has no point on the curve") from None
+    y = _lift_x(params.p, params.b, x)
+    if y is None:
+        raise ParseError("x coordinate has no point on the curve")
     # y != 0: the proofs and the cofactor check force odd prime order, so no (x, 0)
     if prefix == 0x03:
         y = params.p - y
@@ -812,11 +815,8 @@ def derive_g2(curve_id: int, p: int, b: int, n: int) -> tuple[int, int]:
     for counter in range(2**32):
         digest = sha3_256(tag + counter.to_bytes(4, "big")).digest()
         x = int.from_bytes(digest, "big") % p
-        try:
-            y = FieldElement(x * x % p * x + b, p).sqrt()
-        except ValueError:  # x^3 + b is not a square: next counter
-            continue
-        if _raw_multiple(p, b, n, x, y)[2] % p == 0:
+        y = _lift_x(p, b, x)
+        if y is not None and _raw_multiple(p, b, n, x, y)[2] % p == 0:
             return x, y
     raise ValueError("no generator found in the counter range")
 
@@ -859,12 +859,7 @@ def toy_curve_search() -> CurveParams:
         if p % 4 == 3 and is_probable_prime(p):
             n = _count_points(p, b)
             if n != p and 2 * n > p + 1 + math.isqrt(4 * p) and is_probable_prime(n):
-                for x in range(p):
-                    try:
-                        g1 = x, FieldElement(x * x % p * x + b, p).sqrt()
-                        break
-                    except ValueError:  # x^3 + b is not a square: next x
-                        pass
+                g1 = next((x, y) for x in range(p) if (y := _lift_x(p, b, x)) is not None)
                 g2 = derive_g2(TOY_ID, p, b, n)
                 beta = _cube_roots_of_unity(p)[0]
                 roots = _cube_roots_of_unity(n)

@@ -118,6 +118,8 @@ def keygen(params: CurveParams, rng=None) -> tuple[PrivateKey, PublicKey]:
     c, d, h = linear_combinations(
         params, [[(g1, x1), (g2, x2)], [(g1, y1), (g2, y2)], [(g1, z)]]
     )
+    if c.is_identity or d.is_identity:  # a key that encryption refuses; h = z*g1 never is
+        return keygen(params, rng)  # so all five scalars are drawn again
     private = PrivateKey(params.curve_id, x1, x2, y1, y2, z)
     public = PublicKey(params.curve_id, c, d, h)
     return private, public

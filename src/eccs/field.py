@@ -3,10 +3,12 @@ the package's one entropy source.
 
 Field values are plain ints reduced mod p everywhere in the package.
 ``FieldElement`` only carries a value and its modulus to the Euler
-criterion and the square root, so every such call in the package goes
-through one place.  ``_SYSTEM_RNG`` draws from the operating system's
-entropy (``os.urandom``) and serves every random value the package
-picks: Miller-Rabin bases, inversion blinds and the default scalars.
+criterion and the square root.  ``curve._lift_x``, which lifts an x to
+the point above it, is the square root's one caller, and
+``curve._count_points`` the only user of ``is_square``.  ``_SYSTEM_RNG``
+draws from the operating system's entropy (``os.urandom``) and serves
+every random value the package picks: Miller-Rabin bases, inversion
+blinds and the default scalars.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 class FieldElement:
-    """An int reduced mod p, carried to ``is_square`` or ``sqrt``."""
+    """An int mod p for ``sqrt`` (called by ``curve._lift_x`` alone) or ``is_square``."""
 
     __slots__ = ("value", "modulus")
 

@@ -88,6 +88,22 @@ def test_keygen_with_pinned_scalars(toy):
     assert (priv.x1, priv.x2, priv.y1, priv.y2, priv.z) == (11, 22, 33, 44, 55)
 
 
+@pytest.mark.parametrize("identity", ["c", "d"])
+def test_keygen_draws_again_for_an_identity_commitment(toy, identity):
+    # w = log_g1 g2 = 195 on toy (oracle.brute_dlog): x1 = -w*x2 makes c
+    # the identity, y1 = -w*y2 makes d the identity
+    first = [(-195 * 5) % toy.n, 5, 7, 9, 11]
+    if identity == "d":
+        first = [5, 7, (-195 * 9) % toy.n, 9, 11]
+    with count_ops() as ops:
+        priv, pub = keygen(toy, SeqRng(first + [12, 13, 14, 15, 16]))
+    assert (priv.x1, priv.x2, priv.y1, priv.y2, priv.z) == (12, 13, 14, 15, 16)
+    assert not (pub.c.is_identity or pub.d.is_identity or pub.h.is_identity)
+    assert wire_mod.parse_public_key(serialize_public_key(pub)) == pub
+    # the refused draw is counted too: twice keygen's 5 and 2
+    assert (ops.scalar_mults, ops.point_adds) == (10, 4)
+
+
 def test_sample_scalar_rejection(toy):
     # zero and out-of-range draws are rejected, first in-range value wins
     rng = SeqRng([0, toy.n, toy.n + 40, 2047, 5])
@@ -969,33 +985,36 @@ def test_the_fan_out_leaves_no_descriptor_open(cpus):
 
 
 class FailingMarshal:
-    """marshal for the children: ``dumps`` raises, or returns all but its last bytes."""
+    """marshal for the children: ``dumps`` raises, cuts its last 7 bytes, or drops an entry."""
 
     loads = staticmethod(marshal.loads)
 
-    def __init__(self, cut):
-        self.cut = cut
+    def __init__(self, fault):
+        self.fault = fault
 
     def dumps(self, value):
-        if self.cut is None:
+        if self.fault == "raise":
             raise RuntimeError("child fails before it writes")
-        return marshal.dumps(value)[: -self.cut]
+        if self.fault == "short":  # whole data, one entry short of the slice
+            result, tally = value
+            return marshal.dumps((result[:-1], tally))
+        return marshal.dumps(value)[:-7]
 
 
-def fork_fails():
-    raise OSError("no fork")
+def no_resource():
+    raise OSError("no fork or pipe")
 
 
-@pytest.mark.parametrize("fault", ["fork", "raise", "truncate"])
+@pytest.mark.parametrize("fault", ["fork", "raise", "truncate", "pipe", "short"])
 def test_a_failed_child_costs_time_not_results(cpus, forty, monkeypatch, fault):
     priv, pub, message = forty
     cpus(1)
     ct = encrypt(pub, message, random.Random(3004))
     cpus(2)
-    if fault == "fork":
-        monkeypatch.setattr(os, "fork", fork_fails)
+    if fault in ("fork", "pipe"):
+        monkeypatch.setattr(os, fault, no_resource)
     else:
-        monkeypatch.setattr(ecs_mod, "marshal", FailingMarshal(None if fault == "raise" else 7))
+        monkeypatch.setattr(ecs_mod, "marshal", FailingMarshal(fault))
     with count_ops() as enc:
         again = encrypt(pub, message, random.Random(3004))
     with count_ops() as dec:
@@ -1005,7 +1024,7 @@ def test_a_failed_child_costs_time_not_results(cpus, forty, monkeypatch, fault):
     assert parsed == ct
     # a failed child's tally is dropped, and its slice is counted here instead
     assert (per_chunk(enc, 40), per_chunk(dec, 40)) == (PER_ENC_CHUNK, PER_DEC_CHUNK)
-    assert len(cpus.forks) == (0 if fault == "fork" else 3)
+    assert len(cpus.forks) == (0 if fault in ("fork", "pipe") else 3)
 
 
 def test_an_error_in_the_parents_slice_reaps_the_children(cpus, forty, monkeypatch, secp):
