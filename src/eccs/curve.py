@@ -18,18 +18,19 @@ values, read as signed odd 5-bit digits, one entry added per digit, over
 a row of the base's 16 odd multiples and a row of their images.  Most
 bases get the two rows per call, and the terms of a sum share their
 doublings (Straus).  A point object used often as a base has a
-fixed-base table, the two rows at every window, so it needs no
-doublings; the registry curves' g1 and g2 objects have theirs from their
-first use, shipped with the package as data files checked against a
-pinned digest when first read.  All results of a call go to affine with
-one inversion.  Iteration counts depend only on the curve and on the
-shape of the sums, every table entry is chosen by a masked scan of its
-whole row, and signs are applied by a mask, so the sequence of
-arithmetic operations does not depend on the scalars.  Python integers
-are not a hard side-channel boundary, but the structure keeps the usual
-leak classes (branches, table indices) out of the scalar path.
-Converting results back to affine uses the built-in inverse on a
-randomly blinded input.
+fixed-base table, the two rows at every window: a sum's tabled terms
+take one Straus pass of a single window over their rows, with no
+doublings, and one addition joins it to the other pass.  The registry
+curves' g1 and g2 objects have theirs from their first use, shipped
+with the package as data files checked against a pinned digest when
+first read.  All results of a call go to affine with one inversion.
+Iteration counts depend only on the curve and on the shape of the sums,
+every table entry is chosen by a masked scan of its whole row, and
+signs are applied by a mask, so the sequence of arithmetic operations
+does not depend on the scalars.  Python integers are not a hard
+side-channel boundary, but the structure keeps the usual leak classes
+(branches, table indices) out of the scalar path.  Converting results
+back to affine uses the built-in inverse on a randomly blinded input.
 """
 
 from __future__ import annotations
@@ -245,8 +246,8 @@ def _normalize(points, p):
     """Projective points (Z reduced mod p) scaled to Z = 1, with one inversion.
 
     The identity, Z == 0, enters the product as 1 and leaves with Z = 0.
-    A generator over a list: each point is scaled as it is taken, so a
-    caller that packs the results holds no second list of triples.
+    A generator over a list: each point is scaled as it is taken, so
+    ``_affine`` builds its points with no list of scaled triples between.
     """
     zinv = []
     acc = 1
@@ -568,8 +569,20 @@ def _as_scalar(params: CurveParams, k: int) -> int:
 _TABLE_AT_USE = 7
 
 
+def _rows(params: CurveParams, points: list) -> list:
+    """``points`` packed in rows of 16, then their images (beta*X, Y, Z), lam times them.
+
+    Every row is built here: a base's two rows for one call, from its odd
+    multiples (the values of ``params._glv.split(k)`` read on them sum to
+    k), and its fixed-base table (``_table_rows``).
+    """
+    p, beta = params.p, params._glv.beta
+    flat = _pack(points + [(beta * X % p, Y, Z) for X, Y, Z in points], p)
+    return [flat[i : i + 16] for i in range(0, len(flat), 16)]
+
+
 def _table_rows(params: CurveParams, point: CurvePoint) -> list:
-    """The fixed-base table of a base: ``_rows``'s two rows at every window.
+    """The fixed-base table of a base: ``_rows`` of its odd multiples at every window.
 
     For w = ``params._glv.windows``, row i < w holds the packed 16 odd
     multiples of 32**i * point with Z = 1, from a chain of doublings and
@@ -578,16 +591,14 @@ def _table_rows(params: CurveParams, point: CurvePoint) -> list:
     ``_TABLE_AT_USE``-th use, and for the shipped generator tables
     (``_generator_table_bytes``).
     """
-    add, dbl, p, beta = params._add, params._dbl, params.p, params._glv.beta
+    add, dbl = params._add, params._dbl
     points = []
     base = (point.x, point.y, 1)
     for _ in range(params._glv.windows):
         row = _odd_multiples(add, dbl, *base)
         points += row
         base = add(*row[-1], *base)  # 31B + B
-    points = list(_normalize(points, p))
-    flat = _pack(points + [(beta * X % p, Y, Z) for X, Y, Z in points], p)
-    return [flat[i : i + 16] for i in range(0, len(flat), 16)]
+    return _rows(params, list(_normalize(points, params.p)))
 
 
 def _generator_table_bytes(params: CurveParams) -> bytes:
@@ -660,16 +671,6 @@ def _fixed_table(params: CurveParams, point: CurvePoint):
     return table
 
 
-def _rows(params: CurveParams, x, y) -> list:
-    """Packed rows of (x, y) for one call: its odd multiples and their images.
-
-    The values of ``params._glv.split(k)`` read on these two rows sum to k.
-    """
-    add, dbl, p, beta = params._add, params._dbl, params.p, params._glv.beta
-    row = _odd_multiples(add, dbl, x, y, 1)
-    return [_pack(row, p), _pack([(beta * X % p, Y, Z) for X, Y, Z in row], p)]
-
-
 def linear_combinations(
     params: CurveParams,
     sums: Sequence[Sequence[tuple[CurvePoint, int]]],
@@ -680,11 +681,11 @@ def linear_combinations(
     multiplications and t - 1 point additions.  Every scalar is split
     once by the curve's endomorphism into two half-length values, read
     as signed odd 5-bit digits over a row of the base's 16 odd multiples
-    and a row of their images.  In each sum a term whose base has a
-    fixed-base table, which holds both rows at every window, adds one
-    entry per table row (no doublings).  The other terms take one
-    Straus pass with shared doublings over their two rows; the table
-    entries are then added to its result.
+    and a row of their images.  In each sum the terms whose bases have
+    a fixed-base table, which holds both rows at every window, take one
+    Straus pass of a single window (one entry per row, no doublings).
+    The other terms take one Straus pass with shared doublings over
+    their two rows, and one addition joins the two passes' results.
     A base object's rows are built and its membership checked once per
     call, however many terms use it, and every result goes to affine
     with one inversion.  Each term still counts as one use of its base
@@ -696,40 +697,35 @@ def linear_combinations(
     """
     glv = params._glv
     add, dbl, p = params._add, params._dbl, params.p
-    checked: set[int] = set()
-    built: dict[int, list] = {}
+    rows_of: dict[int, Optional[list]] = {}  # checked base id -> its rows, or None before any
     results = []
     for terms in sums:
         _tally("scalar_mults", len(terms))
         _tally("point_adds", max(len(terms) - 1, 0))
-        tab_rows, tab_windows, var_rows, var_values = [], [], [], []
+        tab_rows, tab_digits, var_rows, var_values = [], [], [], []
         for point, k in terms:
             k = _as_scalar(params, k)
             key = id(point)
-            if key not in checked:
+            if key not in rows_of:
                 _require_member(params, point)
-                checked.add(key)
+                rows_of[key] = None
             if point.is_identity:
                 continue
             values = glv.split(k)
             table = _fixed_table(params, point)
             if table is not None:
                 tab_rows += table
-                tab_windows += [v >> i & 31 for v in values for i in range(0, 5 * glv.windows, 5)]
+                tab_digits += [v >> i & 31 for v in values for i in range(0, 5 * glv.windows, 5)]
                 continue
-            rows = built.get(key)
-            if rows is None:
-                rows = built[key] = _rows(params, point.x, point.y)
-            var_rows += rows
+            if rows_of[key] is None:
+                rows_of[key] = _rows(params, _odd_multiples(add, dbl, point.x, point.y, 1))
+            var_rows += rows_of[key]
             var_values += values
-        entries = (_select(row, window, p) for row, window in zip(tab_rows, tab_windows))
-        if var_rows:
-            total = _straus(add, dbl, p, var_rows, var_values, glv.windows)
-        else:  # start from the first table entry, not from the identity
-            total = next(entries, (0, 1, 0))
-        for entry in entries:
-            total = add(*total, *entry)
-        results.append(total)
+        total = _straus(add, dbl, p, var_rows, var_values, glv.windows) if var_rows else None
+        if tab_rows:
+            entries = _straus(add, dbl, p, tab_rows, tab_digits, 1)
+            total = entries if total is None else add(*total, *entries)
+        results.append((0, 1, 0) if total is None else total)
     return _affine(params, results)
 
 

@@ -10,6 +10,7 @@ build key and ciphertext bytes from these routines and ``hashlib`` alone.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 from hypothesis import strategies as st
 
@@ -71,6 +72,21 @@ def held_by(params, point):
     """
     spec, held = getattr(point, "_table", (params._spec, 0))
     return held if spec == params._spec else 0
+
+
+class CallCounter(Counter):
+    """Calls per name, made through the wrappers ``wrap`` returns.
+
+    The shape tests patch a primitive with ``wrap(name, fn)`` and read
+    ``counter[name]``; ``clear`` starts a new tally.
+    """
+
+    def wrap(self, name, fn):
+        def wrapper(*args):
+            self[name] += 1
+            return fn(*args)
+
+        return wrapper
 
 
 def reference_encode(p: int, b: int, capacity: int, data: bytes):

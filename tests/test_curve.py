@@ -57,7 +57,7 @@ from eccs.errors import PackageDataError, ParseError
 from eccs.field import FieldElement
 
 from conftest import ALT_BETA, ALT_G1, ALT_ID, ALT_LAM, ALT_N, ALT_P, alt_curve
-from helpers import aff_add, aff_mul, as_tuple, held_by
+from helpers import CallCounter, aff_add, aff_mul, as_tuple, held_by
 
 SECP_P = 2**256 - 2**32 - 977
 SECP_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -465,7 +465,7 @@ def fresh_curve(name):
 
 def split(params, point, k):
     """k * point through the variable-base path: the GLV split, on rows built here."""
-    glv, rows = params._glv, _rows(params, point.x, point.y)
+    glv, rows = params._glv, _rows(params, _odd_multiples(params._add, params._dbl, point.x, point.y, 1))
     total = _straus(params._add, params._dbl, params.p, rows, glv.split(k), glv.windows)
     return _affine(params, [total])[0]
 
@@ -769,18 +769,10 @@ def test_registry_keygen_is_fully_tabled(fresh_registry, monkeypatch):
     """Every one of keygen's five terms is a shipped-table term: one row
     scan per table row, and no doublings, not even to build a row."""
     secp = curve_by_id(SECP256K1_ID)
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(secp, "_add", counted("add", secp._add))
-    monkeypatch.setattr(secp, "_dbl", counted("dbl", secp._dbl))
-    monkeypatch.setattr(curve_mod, "_select", counted("select", curve_mod._select))
+    calls = CallCounter()
+    monkeypatch.setattr(secp, "_add", calls.wrap("add", secp._add))
+    monkeypatch.setattr(secp, "_dbl", calls.wrap("dbl", secp._dbl))
+    monkeypatch.setattr(curve_mod, "_select", calls.wrap("select", curve_mod._select))
     priv, pub = ecs.keygen(secp, random.Random(0x7AB))
     assert calls["dbl"] == 0
     assert calls["select"] == 5 * 52 == 260
@@ -948,84 +940,76 @@ def test_linear_combinations_validate_every_term(toy, secp):
         linear_combinations(toy, [[(toy.g1, 1.5)]])
 
 
-def test_linear_combinations_shape_is_independent_of_the_scalars(monkeypatch):
+@pytest.mark.parametrize("name", ["toy", "secp256k1"])
+def test_linear_combinations_shape_is_independent_of_the_scalars(monkeypatch, name):
     """The decrypt shape makes the same additions, doublings and row scans
-    whatever its scalars, without tables and with one."""
-    secp = fresh_curve("secp256k1")
-    n, lam = secp.n, _REGISTRY_SPECS[SECP256K1_ID]["lam"]
-    P, Q = secp.g1, secp.g2
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
+    whatever its scalars, without tables and with one; on toy, for every
+    scalar of the second sum's term."""
+    params = fresh_curve(name)
+    n = params.n
+    lam = next(spec["lam"] for spec in _REGISTRY_SPECS.values() if spec["name"] == name)
+    P, Q = params.g1, params.g2
+    calls = CallCounter()
     rng = random.Random(0x5A5E)
     edges = [0, 1, n - 1, lam, n - lam]
     choices = [(k, k, k) for k in edges] + [tuple(rng.choice(edges) for _ in range(3)) for _ in range(6)]
     choices += [tuple(rng.randrange(n) for _ in range(3)) for _ in range(4)]
+    if name == "toy":
+        choices += [(rng.randrange(n), rng.randrange(n), k) for k in range(n)]
 
     def shape():
         """The one (adds, doublings, row scans) of every choice of scalars."""
         seen = set()
         with monkeypatch.context() as patch:
-            patch.setattr(secp, "_add", counted("add", secp._add))
-            patch.setattr(secp, "_dbl", counted("dbl", secp._dbl))
-            patch.setattr(curve_mod, "_select", counted("select", curve_mod._select))
+            patch.setattr(params, "_add", calls.wrap("add", params._add))
+            patch.setattr(params, "_dbl", calls.wrap("dbl", params._dbl))
+            patch.setattr(curve_mod, "_select", calls.wrap("select", curve_mod._select))
             for a, b, c in choices:
                 # fresh copies of the untabled bases: no table mid-run
-                P1 = P if isinstance(held_by(secp, P), list) else CurvePoint(P.x, P.y)
+                P1 = P if isinstance(held_by(params, P), list) else CurvePoint(P.x, P.y)
                 Q1 = CurvePoint(Q.x, Q.y)
                 calls.clear()
-                got = linear_combinations(secp, [[(P1, a), (Q1, b)], [(P1, c)]])
+                got = linear_combinations(params, [[(P1, a), (Q1, b)], [(P1, c)]])
                 seen.add((calls["add"], calls["dbl"], calls["select"]))
-                want = [reference_sum(secp, [(P, a), (Q, b)]), reference_sum(secp, [(P, c)])]
+                want = [reference_sum(params, [(P, a), (Q, b)]), reference_sum(params, [(P, c)])]
                 assert [as_tuple(point) for point in got] == want
         assert len(seen) == 1, seen
         return seen.pop()
 
     untabled = shape()
-    with_table(secp, P)
+    with_table(params, P)
     tabled = shape()
-    assert len(held_by(secp, P)) == 52
-    windows = secp._glv.windows
-    assert windows == 26
+    windows, rows = params._glv.windows, len(held_by(params, P))
+    # (windows, table rows, untabled and tabled (adds, doublings, row scans))
+    expected = {"toy": (2, 4, (40, 12, 12), (25, 6, 12)), "secp256k1": (26, 52, (184, 252, 156), (169, 126, 156))}
+    assert (windows, rows, untabled, tabled) == expected[name]
     # 15 additions per row of odd multiples built (P, Q), and each Straus
     # pass starts from its first entry: one addition fewer than its entries
-    assert untabled[0] == 2 * 15 + (4 * windows - 1) + (2 * windows - 1) == 184
-    # P tabled: Q's row and pass, then 52 entries added to it; the
-    # table-only sum starts from its first entry
-    assert tabled[0] == 15 + (2 * windows - 1) + 52 + 51 == 169
+    assert untabled[0] == 2 * 15 + (4 * windows - 1) + (2 * windows - 1)
+    # P tabled: Q's row and pass, a one-window pass over P's table rows
+    # and one addition joining the two; the table-only sum is that pass
+    assert tabled[0] == 15 + (2 * windows - 1) + (rows - 1) + 1 + (rows - 1)
     # two sums of 5 * (windows - 1) doublings each, and one per row built (P, Q)
-    assert untabled[1] == 2 * 5 * (windows - 1) + 2 == 252
+    assert untabled[1] == 2 * 5 * (windows - 1) + 2
     # P tabled: only Q's row and Q's pass in the first sum double
-    assert tabled[1] == 5 * (windows - 1) + 1 == 126
+    assert tabled[1] == 5 * (windows - 1) + 1
     # one scan per window of each GLV half: four in the first sum, two in the second
-    assert untabled[2] == 6 * windows == 156
+    assert untabled[2] == 6 * windows
     # P tabled: one scan per table row in each sum, and Q's two halves
-    assert tabled[2] == 2 * len(held_by(secp, P)) + 2 * windows == 156
+    assert tabled[2] == 2 * rows + 2 * windows
 
 
 def test_untabled_scalar_mult_makes_66_additions(monkeypatch):
     secp = fresh_curve("secp256k1")
-    adds = Counter()
-    original = secp._add
-
-    def counted(*args):
-        adds["add"] += 1
-        return original(*args)
-
-    monkeypatch.setattr(secp, "_add", counted)
+    calls = CallCounter()
+    monkeypatch.setattr(secp, "_add", calls.wrap("add", secp._add))
     rng = random.Random(0x72)
     for k in (1, secp.n - 1, rng.randrange(secp.n), rng.randrange(secp.n)):
         base = CurvePoint(secp.g2.x, secp.g2.y)  # a fresh object: never a table
-        adds.clear()
+        calls.clear()
         assert as_tuple(scalar_mult(secp, base, k)) == reference_sum(secp, [(secp.g2, k)])
         # 15 for the row of odd multiples, 2 * 26 - 1 for the GLV pass
-        assert adds["add"] == 15 + 2 * secp._glv.windows - 1 == 66
+        assert calls["add"] == 15 + 2 * secp._glv.windows - 1 == 66
 
 
 def test_cross_curve_points_rejected(toy, secp):

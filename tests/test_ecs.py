@@ -5,7 +5,6 @@ import random
 import signal
 import threading
 import time
-from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,7 +45,7 @@ from eccs.field import FieldElement
 from eccs.oracle import brute_dlog, enumerate_points
 from eccs.wire import parse_ciphertext, serialize_ciphertext, serialize_public_key
 
-from helpers import SeqRng, held_by, reference_encrypt, reference_keygen
+from helpers import CallCounter, SeqRng, held_by, reference_encrypt, reference_keygen
 
 
 def msg_point(params, k):
@@ -494,17 +493,9 @@ def test_decrypt_rejects_a_message_only_after_every_chunk(secp, monkeypatch):
     priv, pub = keygen(secp, rng)
     ct = encrypt(pub, bytes(range(90)), rng)
     assert len(ct.chunks) == 3
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(ecs_mod, "linear_combinations", counted("core", ecs_mod.linear_combinations))
-    monkeypatch.setattr(codec, "decode_chunk", counted("decode", codec.decode_chunk))
+    calls = CallCounter()
+    monkeypatch.setattr(ecs_mod, "linear_combinations", calls.wrap("core", ecs_mod.linear_combinations))
+    monkeypatch.setattr(codec, "decode_chunk", calls.wrap("decode", codec.decode_chunk))
     seen = []
     for index in (0, 2):
         chunks = list(ct.chunks)
@@ -611,20 +602,12 @@ def test_rejection_work_does_not_depend_on_where_a_forgery_diverges(secp, two_ch
         scalar_mult(params, tabled, 1)
     assert isinstance(held_by(params, tabled), list)
     assert all(isinstance(held_by(params, base), list) for base in (params.g1, params.g2))
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(params, "_add", counted("add", params._add))
-    monkeypatch.setattr(params, "_dbl", counted("dbl", params._dbl))
-    monkeypatch.setattr(curve_mod, "_select", counted("select", curve_mod._select))
-    monkeypatch.setattr(curve_mod, "_blinded_inverse", counted("inverse", curve_mod._blinded_inverse))
-    monkeypatch.setattr(FieldElement, "sqrt", counted("sqrt", FieldElement.sqrt))
+    calls = CallCounter()
+    monkeypatch.setattr(params, "_add", calls.wrap("add", params._add))
+    monkeypatch.setattr(params, "_dbl", calls.wrap("dbl", params._dbl))
+    monkeypatch.setattr(curve_mod, "_select", calls.wrap("select", curve_mod._select))
+    monkeypatch.setattr(curve_mod, "_blinded_inverse", calls.wrap("inverse", curve_mod._blinded_inverse))
+    monkeypatch.setattr(FieldElement, "sqrt", calls.wrap("sqrt", FieldElement.sqrt))
 
     def work(key, data):
         """(count_ops tally, primitive counts) of one decryption of data, a blob or a ciphertext."""
@@ -821,7 +804,7 @@ def per_chunk(ops, chunks):
     return {name: count / chunks for name, count in vars(ops).items()}
 
 
-def test_slices_cover_the_chunks_in_order(cpus):
+def test_slices_cover_the_chunks_in_order(cpus, monkeypatch):
     cpus(2)
     assert ecs_mod._slices(1) == [(0, 1)]
     assert ecs_mod._slices(3) == [(0, 3)]
@@ -833,6 +816,11 @@ def test_slices_cover_the_chunks_in_order(cpus):
     assert ecs_mod._slices(16) == [(2 * i, 2 * i + 2) for i in range(8)]
     cpus(1)
     assert ecs_mod._slices(137) == [(0, 137)]
+    for missing in ("fork", "sched_getaffinity"):  # a platform without it: one process
+        cpus(8)
+        with monkeypatch.context() as patch:
+            patch.delattr(os, missing)
+            assert ecs_mod._slices(137) == [(0, 137)]
 
 
 def test_fan_out_changes_no_byte_and_no_count(cpus, forty):

@@ -1,6 +1,7 @@
 """README's claim ledger: every anchored claim maps to the tests that back it.
 
-A claim-bearing bullet in README ends with an anchor, an HTML comment
+A claim-bearing bullet of README's "Security notes", and a claim-bearing
+statement of its "Library", ends with an anchor, an HTML comment
 ``<!-- claim: NAME -->``.  ``LEDGER`` maps each anchor to pytest node
 ids; a node id without parameters stands for all of its cases.
 """
@@ -70,6 +71,40 @@ LEDGER = {
         "tests/test_ecs.py::test_the_fan_out_leaves_no_descriptor_open",
         "tests/test_ecs.py::test_slices_cover_the_chunks_in_order",
     ],
+    "fan-out-same": [
+        "tests/test_ecs.py::test_fan_out_changes_no_byte_and_no_count",
+        "tests/test_ecs.py::test_the_pinned_encryption_fans_out_on_two_cpus",
+        "tests/test_ecs.py::test_a_fanned_out_parse_equals_the_serial_one",
+        "tests/test_ecs.py::test_a_fanned_out_parse_uses_the_childs_slice",
+        "tests/test_ecs.py::test_a_fanned_out_process_counts_only_its_own_slice",
+        "tests/test_ecs.py::test_short_messages_never_fork",
+    ],
+    "one-process": [
+        "tests/test_ecs.py::test_slices_cover_the_chunks_in_order",
+        "tests/test_ecs.py::test_no_fork_beside_another_thread",
+    ],
+    "headers-bound": [
+        "tests/test_ecs.py::test_decrypt_rejects_swapped_chunks",
+        "tests/test_ecs.py::test_decrypt_rejects_truncation_and_extension",
+        "tests/test_ecs.py::test_wrong_header_rejected",
+    ],
+    "splice-gap": [
+        "tests/test_ecs.py::test_chunks_splice_between_ciphertexts_at_the_same_index",
+    ],
+    "strict-parsers": [
+        "tests/test_wire.py::test_rejects_all_truncations",
+        "tests/test_wire.py::test_rejects_trailing_bytes",
+        "tests/test_wire.py::test_rejects_invalid_point_encodings",
+        "tests/test_wire.py::test_fuzzed_mutations_parse_or_raise_parse_error",
+        "tests/test_wire.py::test_key_parsers_refuse_mutations_only_with_parse_error",
+        "tests/test_wire.py::test_dearmor_refuses_mutations_only_with_parse_error",
+        "tests/test_ecs.py::test_a_fanned_out_parse_equals_the_serial_one",
+        "tests/test_ecs.py::test_a_fanned_out_parse_reports_the_first_bad_point",
+    ],
+    "first-fault": [
+        "tests/test_ecs.py::test_a_fanned_out_parse_reports_the_first_bad_point",
+        "tests/test_ecs.py::test_a_fanned_out_parse_equals_the_serial_one",
+    ],
 }
 
 
@@ -88,6 +123,14 @@ def test_every_security_note_but_the_audit_disclaimer_is_anchored():
     bullets = section.split("\n## ", 1)[0].split("\n- ")[1:]
     unanchored = [bullet for bullet in bullets if not ANCHOR.search(bullet)]
     assert len(unanchored) == 1 and "not been audited" in unanchored[0]
+
+
+def test_every_library_statement_ends_at_an_anchor():
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    prose = section.split("```", 2)[2]  # after the example
+    *statements, rest = ANCHOR.split(prose)[::2]
+    assert statements and not rest.strip(), rest
+    assert all(statement.rstrip().endswith(".") for statement in statements)
 
 
 def test_every_ledger_node_id_is_collected():
