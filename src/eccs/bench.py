@@ -1,9 +1,16 @@
 """Benchmark harness with an EC-ElGamal comparison baseline.
 
-Measures keygen/encrypt/decrypt wall time and exact group-operation
-counts for this package's scheme and for textbook EC-ElGamal on the same
-curve and message codec.  Timing numbers are informative only; the
-operation counts are exact and asserted by tests.
+``run_suite`` measures keygen, encrypt and decrypt for this package's
+scheme and for textbook EC-ElGamal on the same curve and message codec,
+and returns one flat mapping in print order: ``curve``, ``message_bytes``,
+``iterations`` and ``host``; then, for each scheme PREFIX (``eccs``,
+``ec_elgamal``), ``PREFIX.public_key_bytes`` and ``PREFIX.private_key_bytes``,
+and for each op (``keygen``, ``encrypt``, ``decrypt``) ``PREFIX.OP.median_ms``
+and ``.p90_ms``, the wall time, and ``.scalar_mults``, ``.point_adds``,
+``.negations`` and ``.hashes``, the exact operation counts of one call.
+``format_report`` prints it as a table, then its items after the four
+header keys as ``key=value`` lines.  Timing numbers are informative only;
+the operation counts are exact and asserted by tests.
 
 The ElGamal baseline is NOT CCA-secure - its ciphertexts are malleable
 by construction - and exists purely as a cost yardstick and as the
@@ -30,7 +37,6 @@ from .curve import (
     scalar_mult,
 )
 from .ecs import decrypt, encrypt, keygen, sample_scalar
-from .record import Record
 from .wire import serialize_private_key, serialize_public_key
 
 # 28 bytes -> a single chunk on secp256k1 (capacity 30)
@@ -81,27 +87,6 @@ def elgamal_decrypt_message(params: CurveParams, z: int, pairs) -> bytes:
     )
 
 
-# --- report types ---------------------------------------------------------
-
-
-class OpStats(Record):
-    """One operation's measured profile: name, median_ms, p90_ms and its op counts."""
-
-    __slots__ = ("name", "median_ms", "p90_ms", "scalar_mults", "point_adds", "negations", "hashes")
-
-
-class AlgorithmReport(Record):
-    """One scheme's key sizes, a tuple of ``OpStats`` and a note."""
-
-    __slots__ = ("name", "public_key_bytes", "private_key_bytes", "ops", "note")
-
-
-class BenchReport(Record):
-    """The run's settings, a tuple of ``AlgorithmReport`` and a tuple of notes."""
-
-    __slots__ = ("curve", "message_bytes", "iterations", "host", "algorithms", "notes")
-
-
 # Published comparison figures (milliseconds on an Intel Core i7-8565U,
 # reference implementations; key sizes as printed).  Quoted, not
 # measured here; "init" covers key generation / setup.
@@ -122,10 +107,19 @@ KEY_SIZE_NOTE = (
     "sizes are reported above and the published figure is quoted as-is"
 )
 
+_NOTES = {"ec_elgamal": "baseline only, malleable, not CCA-secure; key sizes are raw, no envelope"}
 
-def _time_op(fn, iterations: int) -> tuple[float, float]:
-    import statistics  # here, not at the top: a one-shot CLI process never needs it
+_OPS = ("keygen", "encrypt", "decrypt")
+_FIELDS = ("median_ms", "p90_ms", "scalar_mults", "point_adds", "negations", "hashes")
+_ROW = "{:<12} {:<8} {:>10.3f} {:>10.3f} {:>5} {:>5} {:>4} {:>5}"
 
+
+def _measure(fn, iterations: int) -> tuple:
+    """Median and p90 ms of ``iterations`` timed calls, then one counted call's four counts.
+
+    p90 is the nearest-rank sample, rank ceil(0.9 n), the rule of
+    perfbench's ``percentile``.
+    """
     for _ in range(_WARMUP_ITERS):
         fn()
     samples = []
@@ -134,92 +128,77 @@ def _time_op(fn, iterations: int) -> tuple[float, float]:
         fn()
         samples.append((time.perf_counter() - start) * 1e3)
     samples.sort()
-    median = statistics.median(samples)
-    p90 = samples[min(len(samples) - 1, round(0.9 * (len(samples) - 1)))]
-    return median, p90
-
-
-def _profile(name: str, fn, iterations: int) -> OpStats:
-    median, p90 = _time_op(fn, iterations)
+    median = (samples[(iterations - 1) // 2] + samples[iterations // 2]) / 2
+    p90 = samples[-(-9 * iterations // 10) - 1]
     with count_ops() as ops:
         fn()
-    return OpStats(
-        name,
-        median,
-        p90,
-        ops.scalar_mults,
-        ops.point_adds,
-        ops.negations,
-        ops.hashes,
-    )
+    return median, p90, ops.scalar_mults, ops.point_adds, ops.negations, ops.hashes
 
 
-def run_suite(iterations: int = 25) -> BenchReport:
-    """Measure both schemes on DEFAULT_MESSAGE; at least 10 iterations for stable quantiles."""
+def run_suite(iterations: int = 25) -> dict:
+    """Measure both schemes on DEFAULT_MESSAGE; at least 10 iterations for stable quantiles.
+
+    Returns ``curve``, ``message_bytes``, ``iterations`` and ``host``, then,
+    under the prefixes ``eccs.`` and ``ec_elgamal.``, ``public_key_bytes``,
+    ``private_key_bytes`` and, for each op, ``OP.median_ms``, ``OP.p90_ms``,
+    ``OP.scalar_mults``, ``OP.point_adds``, ``OP.negations`` and ``OP.hashes``.
+    """
     import platform  # here, not at the top: a one-shot CLI process never needs it
 
     if iterations < 10:
         raise ValueError("need at least 10 iterations")
     params = get_curve("secp256k1")
     message = DEFAULT_MESSAGE
+    report = {
+        "curve": params.name,
+        "message_bytes": len(message),
+        "iterations": iterations,
+        "host": f"{platform.python_implementation()} {platform.python_version()} on {platform.machine() or 'unknown'}",
+    }
 
     priv, pub = keygen(params)
     ciphertext = encrypt(pub, message)
-    ours = AlgorithmReport(
-        "eccs",
-        len(serialize_public_key(pub)),
-        len(serialize_private_key(priv)),
-        (
-            _profile("keygen", lambda: keygen(params), iterations),
-            _profile("encrypt", lambda: encrypt(pub, message), iterations),
-            _profile("decrypt", lambda: decrypt(priv, ciphertext), iterations),
-        ),
-        "",
-    )
-
     z, h = elgamal_keygen(params)
     pairs = elgamal_encrypt_message(params, h, message)
-    baseline = AlgorithmReport(
-        "ec-elgamal",
-        len(compress(params, h)),
-        params.scalar_bytes,
-        (
-            _profile("keygen", lambda: elgamal_keygen(params), iterations),
-            _profile(
-                "encrypt",
-                lambda: elgamal_encrypt_message(params, h, message),
-                iterations,
-            ),
-            _profile("decrypt", lambda: elgamal_decrypt_message(params, z, pairs), iterations),
-        ),
-        "baseline only, malleable, not CCA-secure; key sizes are raw, no envelope",
+    schemes = (
+        ("eccs", len(serialize_public_key(pub)), len(serialize_private_key(priv)),
+         (lambda: keygen(params), lambda: encrypt(pub, message), lambda: decrypt(priv, ciphertext))),
+        ("ec_elgamal", len(compress(params, h)), params.scalar_bytes,
+         (lambda: elgamal_keygen(params), lambda: elgamal_encrypt_message(params, h, message),
+          lambda: elgamal_decrypt_message(params, z, pairs))),
     )
+    for prefix, public_bytes, private_bytes, fns in schemes:
+        report[f"{prefix}.public_key_bytes"] = public_bytes
+        report[f"{prefix}.private_key_bytes"] = private_bytes
+        for op, fn in zip(_OPS, fns):
+            for field, value in zip(_FIELDS, _measure(fn, iterations)):
+                report[f"{prefix}.{op}.{field}"] = value
+    return report
 
-    host = f"{platform.python_implementation()} {platform.python_version()} on {platform.machine() or 'unknown'}"
-    return BenchReport(params.name, len(message), iterations, host, (ours, baseline), (KEY_SIZE_NOTE,))
 
-
-def format_report(report: BenchReport) -> str:
-    """Aligned human-readable table followed by machine-readable lines."""
+def format_report(report: dict) -> str:
+    """Aligned human-readable table of ``run_suite``'s mapping, then its measured items as ``key=value``."""
+    measured = [(key, value) for key, value in report.items() if "." in key]
+    prefixes = [key.split(".")[0] for key, _ in measured if key.endswith(".public_key_bytes")]
     lines = [
-        f"curve={report.curve} message={report.message_bytes}B "
-        f"iterations={report.iterations} host={report.host}",
+        f"curve={report['curve']} message={report['message_bytes']}B "
+        f"iterations={report['iterations']} host={report['host']}",
         "",
         f"{'algorithm':<12} {'op':<8} {'median ms':>10} {'p90 ms':>10} "
         f"{'smul':>5} {'padd':>5} {'neg':>4} {'hash':>5}",
     ]
-    for algo in report.algorithms:
-        for op in algo.ops:
-            lines.append(
-                f"{algo.name:<12} {op.name:<8} {op.median_ms:>10.3f} "
-                f"{op.p90_ms:>10.3f} {op.scalar_mults:>5} {op.point_adds:>5} "
-                f"{op.negations:>4} {op.hashes:>5}"
-            )
+    for prefix in prefixes:
+        for op in _OPS:
+            values = (report[f"{prefix}.{op}.{field}"] for field in _FIELDS)
+            lines.append(_ROW.format(prefix.replace("_", "-"), op, *values))
     lines.append("")
-    for algo in report.algorithms:
-        sizes = f"{algo.name}: public key {algo.public_key_bytes} B, private key {algo.private_key_bytes} B"
-        if algo.note:
-            sizes += f"  ({algo.note})"
+    for prefix in prefixes:
+        sizes = (
+            f"{prefix.replace('_', '-')}: public key {report[prefix + '.public_key_bytes']} B, "
+            f"private key {report[prefix + '.private_key_bytes']} B"
+        )
+        if prefix in _NOTES:
+            sizes += f"  ({_NOTES[prefix]})"
         lines.append(sizes)
     lines.append("")
     lines.append(f"published figures, quoted not measured [{LITERATURE_SOURCE}]:")
@@ -231,19 +210,6 @@ def format_report(report: BenchReport) -> str:
             f"  {row['system']:<32} {row['pub']:>7} {row['priv']:>7} "
             f"{row['enc_ms']:>7} {row['dec_ms']:>7} {row['init_ms']:>8}"
         )
-    lines.append("")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    lines.append("")
-    for algo in report.algorithms:
-        prefix = algo.name.replace("-", "_")
-        lines.append(f"{prefix}.public_key_bytes={algo.public_key_bytes}")
-        lines.append(f"{prefix}.private_key_bytes={algo.private_key_bytes}")
-        for op in algo.ops:
-            lines.append(f"{prefix}.{op.name}.median_ms={op.median_ms:.3f}")
-            lines.append(f"{prefix}.{op.name}.p90_ms={op.p90_ms:.3f}")
-            lines.append(f"{prefix}.{op.name}.scalar_mults={op.scalar_mults}")
-            lines.append(f"{prefix}.{op.name}.point_adds={op.point_adds}")
-            lines.append(f"{prefix}.{op.name}.negations={op.negations}")
-            lines.append(f"{prefix}.{op.name}.hashes={op.hashes}")
+    lines += ["", f"note: {KEY_SIZE_NOTE}", ""]
+    lines += [f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}" for key, value in measured]
     return "\n".join(lines) + "\n"

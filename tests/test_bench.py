@@ -1,7 +1,10 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from eccs import bench
 from eccs.bench import (
     DEFAULT_MESSAGE,
     LITERATURE_ROWS,
@@ -103,41 +106,55 @@ def test_run_suite_rejects_too_few_iterations():
         run_suite(iterations=9)
 
 
+SCHEMES = (("eccs", "eccs"), ("ec_elgamal", "ec-elgamal"))  # (key prefix, table name)
+OPS = ("keygen", "encrypt", "decrypt")
+FIELDS = ("median_ms", "p90_ms", "scalar_mults", "point_adds", "negations", "hashes")
+
+
 @pytest.fixture(scope="module")
 def report():
     return run_suite(iterations=10)
 
 
 def test_run_suite_structure(report):
-    assert report.curve == "secp256k1"
-    assert report.message_bytes == 28
-    assert report.iterations == 10
-    assert [a.name for a in report.algorithms] == ["eccs", "ec-elgamal"]
-    ours, baseline = report.algorithms
-    assert ours.public_key_bytes == 106
-    assert ours.private_key_bytes == 167
-    assert [op.name for op in ours.ops] == ["keygen", "encrypt", "decrypt"]
-    assert "not CCA-secure" in baseline.note
-    for algo in report.algorithms:
-        for op in algo.ops:
-            assert op.median_ms > 0
-            assert op.p90_ms >= op.median_ms
+    assert list(report)[:4] == ["curve", "message_bytes", "iterations", "host"]
+    assert report["curve"] == "secp256k1"
+    assert report["message_bytes"] == 28
+    assert report["iterations"] == 10
+    assert report["eccs.public_key_bytes"] == 106
+    assert report["eccs.private_key_bytes"] == 167
+    expected = []
+    for prefix, _ in SCHEMES:
+        expected += [f"{prefix}.public_key_bytes", f"{prefix}.private_key_bytes"]
+        for op in OPS:
+            expected += [f"{prefix}.{op}.{field}" for field in FIELDS]
+            assert report[f"{prefix}.{op}.median_ms"] > 0
+            assert report[f"{prefix}.{op}.p90_ms"] >= report[f"{prefix}.{op}.median_ms"]
+    assert list(report)[4:] == expected
 
 
 def test_run_suite_counts_single_chunk_message(report):
-    ours, baseline = report.algorithms
-    by_name = {op.name: op for op in ours.ops}
-    assert by_name["keygen"].scalar_mults == 5
-    assert by_name["keygen"].point_adds == 2
-    assert (by_name["encrypt"].scalar_mults, by_name["encrypt"].point_adds) == (5, 2)
-    assert by_name["encrypt"].hashes == 1
-    assert (by_name["decrypt"].scalar_mults, by_name["decrypt"].point_adds) == (3, 2)
-    assert by_name["decrypt"].negations == 1
-    assert by_name["decrypt"].hashes == 1
-    base = {op.name: op for op in baseline.ops}
-    assert (base["encrypt"].scalar_mults, base["encrypt"].point_adds) == (2, 1)
-    assert (base["decrypt"].scalar_mults, base["decrypt"].point_adds) == (1, 1)
-    assert base["decrypt"].negations == 1
+    def counts(prefix, op):
+        return tuple(report[f"{prefix}.{op}.{field}"] for field in FIELDS[2:])
+
+    assert counts("eccs", "keygen") == (5, 2, 0, 0)
+    assert counts("eccs", "encrypt") == (5, 2, 0, 1)
+    assert counts("eccs", "decrypt") == (3, 2, 1, 1)
+    assert counts("ec_elgamal", "encrypt")[:2] == (2, 1)
+    assert counts("ec_elgamal", "decrypt")[:3] == (1, 1, 1)
+
+
+@pytest.mark.parametrize("n", [10, 25, 26, 46])
+def test_p90_is_the_nearest_rank_sample(monkeypatch, n):
+    # each op's n timed calls last 1, 2, ..., n ms; the warm-up calls read no clock
+    readings = itertools.cycle([reading for k in range(1, n + 1) for reading in (0.0, k / 1e3)])
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(readings)))
+    lines = format_report(run_suite(n)).splitlines()
+    rank = -(-9 * n // 10)  # ceil(0.9 n): 24 of 26, 42 of 46
+    for prefix, _ in SCHEMES:
+        for op in OPS:
+            assert f"{prefix}.{op}.p90_ms={rank:.3f}" in lines
+            assert f"{prefix}.{op}.median_ms={(n + 1) / 2:.3f}" in lines
 
 
 def test_literature_rows_quoted_not_measured():
@@ -152,16 +169,24 @@ def test_literature_rows_quoted_not_measured():
 
 def test_format_report_contents(report):
     text = format_report(report)
-    assert "eccs" in text and "ec-elgamal" in text
-    assert "public key 106 B" in text
-    assert "private key 167 B" in text
+    lines = text.splitlines()
+    assert lines[0] == "curve=secp256k1 message=28B iterations=10 host=" + report["host"]
+    assert "eccs: public key 106 B, private key 167 B" in lines
+    baseline_sizes = next(line for line in lines if line.startswith("ec-elgamal: public key"))
+    assert "not CCA-secure" in baseline_sizes
     assert "quoted not measured" in text
     assert "64 B" in text  # the published claim stays visible next to measured sizes
-    # machine-readable lines
-    assert "eccs.encrypt.scalar_mults=5" in text
-    assert "ec_elgamal.decrypt.scalar_mults=1" in text
-    assert "eccs.public_key_bytes=106" in text
-    for line in text.splitlines():
-        if "=" in line and "." in line.split("=")[0]:
-            key, value = line.split("=", 1)
-            assert " " not in key
+    # the last block is exactly the mapping's items after its four header keys, in order
+    shown = [f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}"
+             for key, value in list(report.items())[4:]]
+    assert text.rsplit("\n\n", 1)[1].splitlines() == shown
+    assert "eccs.encrypt.scalar_mults=5" in shown
+    assert "ec_elgamal.decrypt.scalar_mults=1" in shown
+    assert "eccs.public_key_bytes=106" in shown
+    assert all(" " not in line for line in shown)
+    # each table row shows its op's six mapping values
+    for prefix, name in SCHEMES:
+        for op in OPS:
+            row = next(line.split() for line in lines if line.split()[:2] == [name, op])
+            values = [report[f"{prefix}.{op}.{field}"] for field in FIELDS]
+            assert row[2:] == [f"{values[0]:.3f}", f"{values[1]:.3f}", *map(str, values[2:])]

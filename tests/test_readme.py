@@ -1,15 +1,18 @@
 """README's claim ledger: every anchored claim maps to the tests that back it.
 
 A claim-bearing bullet of README's "Security notes", and a claim-bearing
-statement of its "Library", ends with an anchor, an HTML comment
-``<!-- claim: NAME -->``.  ``LEDGER`` maps each anchor to pytest node
-ids; a node id without parameters stands for all of its cases.
+statement of its "Library" and "Benchmarks", ends with an anchor, an
+HTML comment ``<!-- claim: NAME -->``.  ``LEDGER`` maps each anchor to
+pytest node ids; a node id without parameters stands for all of its
+cases.
 """
 
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 ANCHOR = re.compile(r"<!-- claim: ([a-z0-9-]+) -->")
@@ -105,6 +108,30 @@ LEDGER = {
         "tests/test_ecs.py::test_a_fanned_out_parse_reports_the_first_bad_point",
         "tests/test_ecs.py::test_a_fanned_out_parse_equals_the_serial_one",
     ],
+    "bench-report": [
+        "tests/test_bench.py::test_run_suite_structure",
+        "tests/test_bench.py::test_run_suite_counts_single_chunk_message",
+        "tests/test_bench.py::test_elgamal_encrypt_counts",
+        "tests/test_bench.py::test_elgamal_decrypt_counts",
+        "tests/test_bench.py::test_literature_rows_quoted_not_measured",
+        "tests/test_bench.py::test_format_report_contents",
+        "tests/test_cli.py::test_cli_import_leaves_bench_only_modules_unloaded",
+    ],
+    "bench-64b": [
+        "tests/test_acceptance.py::test_criterion_8",
+        "tests/test_bench.py::test_literature_rows_quoted_not_measured",
+        "tests/test_bench.py::test_format_report_contents",
+    ],
+    "bench-keys": [
+        "tests/test_bench.py::test_run_suite_structure",
+        "tests/test_bench.py::test_format_report_contents",
+        "tests/test_cli.py::test_cli_import_leaves_bench_only_modules_unloaded",
+    ],
+    "bench-p90": [
+        "tests/test_bench.py::test_p90_is_the_nearest_rank_sample",
+        "tests/test_bench.py::test_run_suite_rejects_too_few_iterations",
+        "tests/test_cli.py::test_bench_iteration_floor_is_exit_2",
+    ],
 }
 
 
@@ -125,9 +152,10 @@ def test_every_security_note_but_the_audit_disclaimer_is_anchored():
     assert len(unanchored) == 1 and "not been audited" in unanchored[0]
 
 
-def test_every_library_statement_ends_at_an_anchor():
-    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    prose = section.split("```", 2)[2]  # after the example
+@pytest.mark.parametrize("title", ["Library", "Benchmarks"])
+def test_every_library_statement_ends_at_an_anchor(title):
+    section = (ROOT / "README.md").read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    prose = section.split("```")[-1]  # after the last code block, if any
     *statements, rest = ANCHOR.split(prose)[::2]
     assert statements and not rest.strip(), rest
     assert all(statement.rstrip().endswith(".") for statement in statements)

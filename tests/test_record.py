@@ -4,7 +4,6 @@ import copy
 
 import pytest
 
-from eccs.bench import AlgorithmReport, BenchReport, OpStats
 from eccs.curve import IDENTITY, CurvePoint
 from eccs.ecs import Ciphertext, CiphertextChunk, PrivateKey, PublicKey
 from eccs.record import Record
@@ -12,8 +11,6 @@ from eccs.wire import Envelope
 
 G1, G2 = CurvePoint(3, 666), CurvePoint(1033, 592)  # toy curve generators
 CHUNK = (G1, G2, G1, IDENTITY)
-OP = ("encrypt", 1.5, 2.5, 5, 2, 0, 1)
-ALGORITHM = ("eccs", 167, 143, (OpStats(*OP),), "")
 
 SAMPLES = [
     (CurvePoint, (3, 666)),
@@ -22,9 +19,6 @@ SAMPLES = [
     (CiphertextChunk, CHUNK),
     (Ciphertext, (0x7F, (CiphertextChunk(*CHUNK),))),
     (Envelope, (0x03, 0x7F, b"body")),
-    (OpStats, OP),
-    (AlgorithmReport, ALGORITHM),
-    (BenchReport, ("toy", 28, 10, "host", (AlgorithmReport(*ALGORITHM),), ("note",))),
 ]
 IDS = [cls.__name__ for cls, _ in SAMPLES]
 
