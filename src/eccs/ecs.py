@@ -20,11 +20,11 @@ Key generation and decryption hand their sums of products to the core in
 one call each, so they share rows, doublings and the final inversion.
 
 A whole message uses the CPUs the process may run on
-(``os.sched_getaffinity``; ``taskset`` limits them): ``encrypt`` and
-``decrypt``, and ``wire.parse_ciphertext`` through ``_fan_out``, cut its
-chunks into contiguous slices, one per CPU, compute the first slice
-themselves and each other slice in a forked child.  Every r is drawn in
-chunk order before any work is split, so the result is the one a single
+(``os.sched_getaffinity``; ``taskset`` limits them): ``encrypt``,
+``decrypt`` and ``wire.parse_ciphertext`` map a per-chunk function
+through ``_fan_out``, which computes one slice of chunks per CPU, the
+first here and each other in a forked child.  Every r is drawn in chunk
+order before any work is split, so the result is the one a single
 process computes, byte for byte.
 """
 
@@ -58,10 +58,11 @@ from .record import Record
 # Domain-separation label for the validity hash.
 _HASH_LABEL = b"ECCS-v1-alpha"
 
-# Fewest chunks a process of a fanned-out message computes.  A fork, its
-# pipe and its reaping took 1.8-3.6 ms in a 20 MiB process, against about
-# 5 ms per secp256k1 chunk, so a slice of one chunk saves little or
-# nothing; a message of 1 to 3 chunks stays in one process.
+# Fewest chunks a process of a fanned-out encryption or decryption
+# computes.  A fork, its pipe and its reaping took 1.8-3.6 ms in a 20 MiB
+# process, against about 5 ms per secp256k1 chunk, so a slice of one
+# chunk saves little or nothing; a message of 1 to 3 chunks stays in one
+# process.
 _SLICE_AT_CHUNKS = 2
 
 
@@ -234,34 +235,33 @@ def decrypt_chunk(
         raise InvalidCiphertext from None
 
 
-def _slices(count: int) -> list[tuple[int, int]]:
+def _slices(count: int, least: int) -> list[tuple[int, int]]:
     """Contiguous [start, stop) slices of range(count), one per process.
 
     One per CPU the process may run on, as long as every slice gets
-    ``_SLICE_AT_CHUNKS`` chunks.  One slice where ``fork`` or
-    ``sched_getaffinity`` is missing, and in a process with other
-    threads: a fork copies the locks they hold but not the threads that
-    would release them.  The cut depends only on the count and the CPU
-    set.
+    ``least`` chunks.  One slice where ``fork`` or ``sched_getaffinity``
+    is missing, and in a process with other threads: a fork copies the
+    locks they hold but not the threads that would release them.  The
+    cut depends only on the count, ``least`` and the CPU set.
     """
     cpus = 1
     threading = sys.modules.get("threading")  # no Python thread runs unless it is loaded
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         if threading is None or threading.active_count() == 1:
             cpus = len(os.sched_getaffinity(0))
-    processes = max(1, min(cpus, count // _SLICE_AT_CHUNKS))
+    processes = max(1, min(cpus, count // least))
     bounds = [count * i // processes for i in range(processes + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
-def _fork(work, start: int, stop: int, pipes: list):
-    """(pid, read end) of a child that sends ``work(start, stop)``; None if fork fails.
+def _fork(fn, start: int, stop: int, pipes: list):
+    """(pid, read end) of a child that sends ``fn(index)`` over its slice; None if fork fails.
 
     ``pipes`` are the read ends the caller holds already.  The child
     closes them and its own read end first, so each read end lives only
     in the caller, as a file object whose second ``close`` does nothing.
     The child inherits the key, the tables and the input; a parsing
-    child's work uses no key and sends back the coordinates of public
+    child's ``fn`` uses no key and sends back the coordinates of public
     points.  It writes its result and its ``count_ops`` tally to the pipe
     as ``marshal`` data, and leaves by ``os._exit``, with status 0 only
     once all of it is written.  Whatever happens in it, even an
@@ -288,7 +288,7 @@ def _fork(work, start: int, stop: int, pipes: list):
             pipe.close()
         os.close(read)
         with count_ops() as ops:
-            result = work(start, stop)
+            result = [fn(index) for index in range(start, stop)]
         data = memoryview(marshal.dumps((result, vars(ops))))
         while data:
             data = data[os.write(write, data) :]
@@ -324,8 +324,8 @@ def _collect(pipe, size: int):
     return result
 
 
-def _fan_out(work, count: int) -> list:
-    """work(start, stop) over the slices of range(count), concatenated in order.
+def _fan_out(fn, count: int, least: int) -> list:
+    """[fn(index) for index in range(count)], over ``_slices(count, least)``.
 
     This process computes the first slice, and a forked child each
     other.  A slice whose fork fails, or whose child ends without a
@@ -334,17 +334,17 @@ def _fan_out(work, count: int) -> list:
     which ends a child blocked in a full pipe, and every child is reaped
     once its current slice ends.
     """
-    first, *rest = _slices(count)
+    slices = _slices(count, least)
     children = {}  # start of a forked slice -> (pid, read end)
     try:
-        for start, stop in rest:
-            child = _fork(work, start, stop, [pipe for _pid, pipe in children.values()])
+        for start, stop in slices[1:]:
+            child = _fork(fn, start, stop, [pipe for _pid, pipe in children.values()])
             if child is not None:
                 children[start] = child
-        results = work(*first)
-        for start, stop in rest:
+        results = []
+        for start, stop in slices:
             got = _collect(children[start][1], stop - start) if start in children else None
-            results += work(start, stop) if got is None else got
+            results += [fn(index) for index in range(start, stop)] if got is None else got
         return results
     finally:
         for pid, pipe in children.values():
@@ -352,22 +352,15 @@ def _fan_out(work, count: int) -> list:
             _reap(pid)
 
 
-def _fan_out_chunks(chunk_points, count: int) -> tuple[CiphertextChunk, ...]:
-    """Chunks 0 .. count-1 from ``chunk_points(index)``, their four points, over the slices.
+def _fan_out_chunks(chunk_points, count: int, least: int) -> tuple[CiphertextChunk, ...]:
+    """Chunks 0 .. count-1 from ``chunk_points(index)``; a child sends their points' (x, y) pairs."""
 
-    A slice sends back one entry per chunk, the (x, y) pairs of its four
-    points, so ``_collect`` takes a whole slice at its chunk count.
-    """
-
-    def work(start: int, stop: int) -> list:
-        return [
-            tuple((point.x, point.y) for point in chunk_points(index))
-            for index in range(start, stop)
-        ]
+    def pairs(index: int) -> tuple:
+        return tuple((point.x, point.y) for point in chunk_points(index))
 
     return tuple(
         CiphertextChunk(*(CurvePoint(x, y) for x, y in points))
-        for points in _fan_out(work, count)
+        for points in _fan_out(pairs, count, least)
     )
 
 
@@ -387,7 +380,7 @@ def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
         chunk = encrypt_chunk(pub, m_point, chunk_header(index, total), rs[index])
         return chunk.u1, chunk.u2, chunk.e, chunk.v
 
-    return Ciphertext(params.curve_id, _fan_out_chunks(chunk_points, total))
+    return Ciphertext(params.curve_id, _fan_out_chunks(chunk_points, total, _SLICE_AT_CHUNKS))
 
 
 def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
@@ -407,22 +400,18 @@ def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
         if total == 0:
             raise InvalidCiphertext
 
-        def work(start: int, stop: int) -> list:
-            out = []
-            for index in range(start, stop):
-                chunk, ok = chunks[index], True
-                try:
-                    point = decrypt_chunk(priv, chunk, chunk_header(index, total))
-                except InvalidCiphertext:
-                    ok, point = False, chunk.e
-                try:
-                    piece = codec.decode_chunk(params, point)
-                except ValueError:
-                    ok, piece = False, b""
-                out.append((ok, piece))
-            return out
+        def verdict(index: int) -> tuple[bool, bytes]:
+            chunk, ok = chunks[index], True
+            try:
+                point = decrypt_chunk(priv, chunk, chunk_header(index, total))
+            except InvalidCiphertext:
+                ok, point = False, chunk.e
+            try:
+                return ok, codec.decode_chunk(params, point)
+            except ValueError:
+                return False, b""
 
-        results = _fan_out(work, total)
+        results = _fan_out(verdict, total, _SLICE_AT_CHUNKS)
         if not all(ok for ok, _piece in results):
             raise InvalidCiphertext
         return codec.join_message([piece for _ok, piece in results])

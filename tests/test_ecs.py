@@ -806,21 +806,34 @@ def per_chunk(ops, chunks):
 
 def test_slices_cover_the_chunks_in_order(cpus, monkeypatch):
     cpus(2)
-    assert ecs_mod._slices(1) == [(0, 1)]
-    assert ecs_mod._slices(3) == [(0, 3)]
-    assert ecs_mod._slices(4) == [(0, 2), (2, 4)]
-    assert ecs_mod._slices(9) == [(0, 4), (4, 9)]
-    assert ecs_mod._slices(137) == [(0, 68), (68, 137)]
+    assert ecs_mod._slices(1, 2) == [(0, 1)]
+    assert ecs_mod._slices(3, 2) == [(0, 3)]
+    assert ecs_mod._slices(4, 2) == [(0, 2), (2, 4)]
+    assert ecs_mod._slices(9, 2) == [(0, 4), (4, 9)]
+    assert ecs_mod._slices(137, 2) == [(0, 68), (68, 137)]
+    assert ecs_mod._slices(11, 6) == [(0, 11)]
+    assert ecs_mod._slices(12, 6) == [(0, 6), (6, 12)]
     cpus(8)
-    assert ecs_mod._slices(5) == [(0, 2), (2, 5)]
-    assert ecs_mod._slices(16) == [(2 * i, 2 * i + 2) for i in range(8)]
+    assert ecs_mod._slices(5, 2) == [(0, 2), (2, 5)]
+    assert ecs_mod._slices(16, 2) == [(2 * i, 2 * i + 2) for i in range(8)]
     cpus(1)
-    assert ecs_mod._slices(137) == [(0, 137)]
+    assert ecs_mod._slices(137, 2) == [(0, 137)]
     for missing in ("fork", "sched_getaffinity"):  # a platform without it: one process
         cpus(8)
         with monkeypatch.context() as patch:
             patch.delattr(os, missing)
-            assert ecs_mod._slices(137) == [(0, 137)]
+            assert ecs_mod._slices(137, 2) == [(0, 137)]
+    # the map: fn(index) for each index in order, a forked slice's entries from its child
+    for n in range(1, 5):
+        cpus(n)
+        for count in range(10):
+            slices, forked = ecs_mod._slices(count, 2), len(cpus.forks)
+            results = fan_out_within_a_minute(lambda index: (index, os.getpid()), count)
+            owners = [os.getpid()] + cpus.forks[forked:]
+            assert len(owners) == len(slices)
+            assert results == [
+                (index, owner) for (start, stop), owner in zip(slices, owners) for index in range(start, stop)
+            ]
 
 
 def test_fan_out_changes_no_byte_and_no_count(cpus, forty):
@@ -860,26 +873,32 @@ def give_up(_signum, _frame):
     raise TimeoutError("the fan-out did not return")
 
 
-def fan_out_within_a_minute(work, count):
-    """ecs._fan_out(work, count), or TimeoutError where it would hang."""
+def fan_out_within_a_minute(fn, count):
+    """ecs._fan_out(fn, count, 2), or TimeoutError where it would hang."""
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.alarm(60)
     try:
-        return ecs_mod._fan_out(work, count)
+        return ecs_mod._fan_out(fn, count, 2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
 
-def large_slices(start, stop):
-    """About 80 KB of marshal data per 2-index slice, more than a pipe holds."""
-    return [(os.getpid(), bytes([index]) * 40_000) for index in range(start, stop)]
+def large_entry(index):
+    """40,000 B per index: about 80 KB of marshal data per 2-index slice, more than a pipe holds."""
+    return os.getpid(), bytes([index]) * 40_000
+
+
+def failing_entry(index):
+    if index == 0:
+        raise ValueError("this process's slice fails")
+    return large_entry(index)
 
 
 def test_a_slice_larger_than_a_pipe_buffer_comes_back_whole(cpus):
     # each child blocks in os.write past the pipe's 64 KiB until the parent reads
     cpus(4)
-    results = fan_out_within_a_minute(large_slices, 8)
+    results = fan_out_within_a_minute(large_entry, 8)
     assert [data for _pid, data in results] == [bytes([index]) * 40_000 for index in range(8)]
     assert len(cpus.forks) == 3
     # the children's results are used, not recomputed here
@@ -891,14 +910,8 @@ def test_a_failed_first_slice_leaves_no_child_blocked_in_a_full_pipe(cpus):
     # every child blocks in a full pipe; closing the read ends, which only
     # this process holds, frees each of them to be reaped
     cpus(4)
-
-    def work(start, stop):
-        if start == 0:
-            raise ValueError("this process's slice fails")
-        return large_slices(start, stop)
-
     with pytest.raises(ValueError, match="slice fails"):
-        fan_out_within_a_minute(work, 8)
+        fan_out_within_a_minute(failing_entry, 8)
     assert len(cpus.forks) == 3
     assert no_child_left()
 
@@ -907,11 +920,11 @@ class Interrupt(BaseException):
     """Raised in the caller as an interrupt is; pytest reports it as a failure, not a stop."""
 
 
-def sleepy_slices(start, stop):
-    """large_slices, after 2 s in the slice that starts at 2."""
-    if start == 2:
+def sleepy_entry(index):
+    """large_entry, after 2 s at index 2."""
+    if index == 2:
         time.sleep(2)
-    return large_slices(start, stop)
+    return large_entry(index)
 
 
 def interrupt_then_watch(_signum, _frame):
@@ -922,11 +935,11 @@ def interrupt_then_watch(_signum, _frame):
 
 
 def fan_out_interrupted_at_one_second():
-    """ecs._fan_out(sleepy_slices, 8) under 4 CPUs, interrupted while it reads slice 2's pipe."""
+    """ecs._fan_out(sleepy_entry, 8, 2) under 4 CPUs, interrupted while it reads slice 2's pipe."""
     previous = signal.signal(signal.SIGALRM, interrupt_then_watch)
     signal.alarm(1)
     try:
-        ecs_mod._fan_out(sleepy_slices, 8)
+        ecs_mod._fan_out(sleepy_entry, 8, 2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -944,12 +957,6 @@ def test_an_interrupt_in_the_caller_reaps_every_child_and_propagates(cpus):
     assert no_child_left()
 
 
-def fail_first_slice(start, stop):
-    if start == 0:
-        raise ValueError("this process's slice fails")
-    return large_slices(start, stop)
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_the_fan_out_leaves_no_descriptor_open(cpus):
     def open_fds():
@@ -957,12 +964,12 @@ def test_the_fan_out_leaves_no_descriptor_open(cpus):
 
     cpus(4)
     before = open_fds()
-    fan_out_within_a_minute(large_slices, 8)
+    fan_out_within_a_minute(large_entry, 8)
     assert open_fds() == before
     # counted while each traceback holds the fan-out's frame, so no pipe
     # the fan-out left open is closed by its collection first
     with pytest.raises(ValueError, match="slice fails") as failed:
-        fan_out_within_a_minute(fail_first_slice, 8)
+        fan_out_within_a_minute(failing_entry, 8)
     assert open_fds() == before
     with pytest.raises(Interrupt) as interrupted:
         fan_out_interrupted_at_one_second()
@@ -1049,7 +1056,15 @@ def test_short_messages_never_fork(cpus, secp):
     message = rng.randbytes(3 * capacity + 1)  # four chunks: two slices of two
     ct = parse_ciphertext(serialize_ciphertext(encrypt(pub, message, rng)))
     assert decrypt(priv, ct) == message
-    assert len(cpus.forks) == 3  # encrypt, parse and decrypt
+    assert len(cpus.forks) == 2  # encrypt and decrypt; a parse forks from twelve chunks
+    for chunks, forks in ((11, 0), (12, 1)):
+        cpus(1)
+        blob = serialize_ciphertext(encrypt(pub, rng.randbytes(chunks * capacity), rng))
+        one_process = parse_ciphertext(blob)
+        cpus(2)
+        forked = len(cpus.forks)
+        assert parse_ciphertext(blob) == one_process
+        assert len(cpus.forks) - forked == forks
 
 
 def test_no_fork_beside_another_thread(cpus, secp):
@@ -1117,7 +1132,7 @@ def test_a_fanned_out_process_counts_only_its_own_slice(cpus, secp, monkeypatch)
     # a child's uses of h, c and d end with it, and its result is used, not recomputed
     assert 5 < _TABLE_AT_USE <= 10
     cpus(2)
-    assert ecs_mod._slices(11) == [(0, 5), (5, 11)]
+    assert ecs_mod._slices(11, ecs_mod._SLICE_AT_CHUNKS) == [(0, 5), (5, 11)]
     priv, pub = keygen(secp, random.Random(3011))
     message = bytes(11 * chunk_capacity(secp))
     ct = encrypt(pub, message, random.Random(3012))
@@ -1141,10 +1156,10 @@ def test_a_fanned_out_process_counts_only_its_own_slice(cpus, secp, monkeypatch)
 
 
 @pytest.fixture(scope="module")
-def six(secp):
-    """A six-chunk secp256k1 ciphertext's bytes: slices (0, 3) and (3, 6) on two CPUs."""
+def twelve(secp):
+    """A twelve-chunk secp256k1 ciphertext's bytes: parse slices (0, 6) and (6, 12) on two CPUs."""
     _, pub = keygen(secp, random.Random(3015))
-    message = random.Random(3016).randbytes(6 * chunk_capacity(secp))
+    message = random.Random(3016).randbytes(12 * chunk_capacity(secp))
     return serialize_ciphertext(encrypt(pub, message, random.Random(3017)))
 
 
@@ -1207,8 +1222,8 @@ def ciphertext_mutation(draw, blob):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_a_fanned_out_parse_equals_the_serial_one(cpus, six, data):
-    blob = data.draw(ciphertext_mutation(six))
+def test_a_fanned_out_parse_equals_the_serial_one(cpus, twelve, data):
+    blob = data.draw(ciphertext_mutation(twelve))
     fanned, one_cpu, serial = parse_outcomes(cpus, blob)
     assert fanned == one_cpu == serial
 
@@ -1219,7 +1234,7 @@ def with_point(blob, point, encoding):
 
 
 BAD_PREFIX = (5, b"\x05", "bad point prefix 0x05")  # chunk 1's u2, in the caller's slice
-UNREDUCED_X = (18, b"\x02" + b"\xff" * 32, "encoded x is not reduced modulo p")  # chunk 4's e
+UNREDUCED_X = (30, b"\x02" + b"\xff" * 32, "encoded x is not reduced modulo p")  # chunk 7's e
 
 
 @pytest.mark.parametrize(
@@ -1232,8 +1247,8 @@ UNREDUCED_X = (18, b"\x02" + b"\xff" * 32, "encoded x is not reduced modulo p") 
     ],
     ids=["callers-slice", "childs-slice", "both-slices", "bad-point-then-truncated"],
 )
-def test_a_fanned_out_parse_reports_the_first_bad_point(cpus, six, bad, cut, expected, forks):
-    blob = six
+def test_a_fanned_out_parse_reports_the_first_bad_point(cpus, twelve, bad, cut, expected, forks):
+    blob = twelve
     for point, encoding, _message in bad:
         blob = with_point(blob, point, encoding)
     blob = blob[: len(blob) - cut]
@@ -1242,13 +1257,13 @@ def test_a_fanned_out_parse_reports_the_first_bad_point(cpus, six, bad, cut, exp
 
 
 def test_a_fanned_out_parse_uses_the_childs_slice(cpus, secp, monkeypatch):
-    # chunks 5-10 are decompressed only in the child, once
+    # chunks 6-11 are decompressed only in the child, once
     cpus(1)
     _, pub = keygen(secp, random.Random(3018))
-    ct = encrypt(pub, bytes(11 * chunk_capacity(secp)), random.Random(3019))
+    ct = encrypt(pub, bytes(12 * chunk_capacity(secp)), random.Random(3019))
     blob = serialize_ciphertext(ct)
     cpus(2)
-    assert ecs_mod._slices(11) == [(0, 5), (5, 11)]
+    assert ecs_mod._slices(12, wire_mod._PARSE_SLICE_AT_CHUNKS) == [(0, 6), (6, 12)]
     calls = []
     real_decompress = wire_mod.decompress
 
@@ -1258,5 +1273,5 @@ def test_a_fanned_out_parse_uses_the_childs_slice(cpus, secp, monkeypatch):
 
     monkeypatch.setattr(wire_mod, "decompress", counted)
     assert parse_ciphertext(blob) == ct
-    assert calls == [blob[prefix_at(q) : prefix_at(q + 1)] for q in range(20)]
+    assert calls == [blob[prefix_at(q) : prefix_at(q + 1)] for q in range(24)]
     assert len(cpus.forks) == 1

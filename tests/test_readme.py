@@ -1,8 +1,8 @@
 """README's claim ledger: every anchored claim maps to the tests that back it.
 
 A claim-bearing bullet of README's "Security notes", and a claim-bearing
-statement of its "Library" and "Benchmarks", ends with an anchor, an
-HTML comment ``<!-- claim: NAME -->``.  ``LEDGER`` maps each anchor to
+statement of its "Library", "Verification oracle", "Tests" and
+"Benchmarks", ends with an anchor, an HTML comment ``<!-- claim: NAME -->``.  ``LEDGER`` maps each anchor to
 pytest node ids; a node id without parameters stands for all of its
 cases.
 """
@@ -108,6 +108,45 @@ LEDGER = {
         "tests/test_ecs.py::test_a_fanned_out_parse_reports_the_first_bad_point",
         "tests/test_ecs.py::test_a_fanned_out_parse_equals_the_serial_one",
     ],
+    "oracle-group": [
+        "tests/test_oracle.py::test_enumeration_finds_whole_group",
+        "tests/test_oracle.py::test_table_add_matches_group_law",
+        "tests/test_oracle.py::test_table_mult_is_repeated_addition",
+        "tests/test_oracle.py::test_brute_dlog_recovers_scalars",
+        "tests/test_oracle.py::test_independent_decrypt_agrees_with_scheme",
+        "tests/test_oracle.py::test_independent_decrypt_never_touches_private_key",
+    ],
+    "oracle-every-chunk": [
+        "tests/test_oracle.py::test_every_substitution_gets_the_key_holding_oracles_verdict",
+        "tests/test_oracle.py::test_independent_decrypt_rejects_u2_forgery",
+    ],
+    "oracle-independent": [
+        "tests/test_oracle.py::test_oracle_uses_no_group_ops_from_package",
+        "tests/test_acceptance.py::test_criterion_4",
+        "tests/test_acceptance.py::test_criterion_5",
+    ],
+    "acceptance-gate": [
+        f"tests/test_acceptance.py::test_criterion_{number}"
+        for number in ("1", "2", "3", "4", "5", "6b", "6c", "7", "8", "9", "10")
+    ],
+    "expected-red": [
+        "tests/test_acceptance.py::test_criterion_6a_expected_red",
+        "tests/test_ecs.py::test_encrypt_chunk_operation_profile",
+    ],
+    "logical-counts": [
+        "tests/test_curve.py::test_linear_combinations_tally_the_logical_operations",
+        "tests/test_bench.py::test_run_suite_counts_single_chunk_message",
+        "tests/test_ecs.py::test_encrypt_chunk_operation_profile",
+        "tests/test_ecs.py::test_decrypt_chunk_operation_profile",
+        "tests/test_ecs.py::test_fan_out_changes_no_byte_and_no_count",
+        "tests/test_ecs.py::test_keygen_draws_again_for_an_identity_commitment",
+    ],
+    "claim-ledger": [
+        "tests/test_readme.py::test_every_readme_anchor_is_in_the_ledger_once",
+        "tests/test_readme.py::test_every_security_note_but_the_audit_disclaimer_is_anchored",
+        "tests/test_readme.py::test_every_library_statement_ends_at_an_anchor",
+        "tests/test_readme.py::test_every_ledger_node_id_is_collected",
+    ],
     "bench-report": [
         "tests/test_bench.py::test_run_suite_structure",
         "tests/test_bench.py::test_run_suite_counts_single_chunk_message",
@@ -152,7 +191,7 @@ def test_every_security_note_but_the_audit_disclaimer_is_anchored():
     assert len(unanchored) == 1 and "not been audited" in unanchored[0]
 
 
-@pytest.mark.parametrize("title", ["Library", "Benchmarks"])
+@pytest.mark.parametrize("title", ["Library", "Verification oracle", "Tests", "Benchmarks"])
 def test_every_library_statement_ends_at_an_anchor(title):
     section = (ROOT / "README.md").read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
     prose = section.split("```")[-1]  # after the last code block, if any
