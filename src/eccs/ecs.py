@@ -58,11 +58,10 @@ from .record import Record
 # Domain-separation label for the validity hash.
 _HASH_LABEL = b"ECCS-v1-alpha"
 
-# Fewest chunks a process of a fanned-out encryption or decryption
-# computes.  A fork, its pipe and its reaping took 1.8-3.6 ms in a 20 MiB
-# process, against about 5 ms per secp256k1 chunk, so a slice of one
-# chunk saves little or nothing; a message of 1 to 3 chunks stays in one
-# process.
+# Fewest chunks a process of a fanned-out message computes.  A fork, its
+# pipe and its reaping took 1.8-3.6 ms in a 20 MiB process, against about
+# 5 ms per secp256k1 chunk, so a slice of one chunk saves little or
+# nothing; a message of 1 to 3 chunks stays in one process.
 _SLICE_AT_CHUNKS = 2
 
 
@@ -235,21 +234,22 @@ def decrypt_chunk(
         raise InvalidCiphertext from None
 
 
-def _slices(count: int, least: int) -> list[tuple[int, int]]:
+def _slices(count: int) -> list[tuple[int, int]]:
     """Contiguous [start, stop) slices of range(count), one per process.
 
     One per CPU the process may run on, as long as every slice gets
-    ``least`` chunks.  One slice where ``fork`` or ``sched_getaffinity``
-    is missing, and in a process with other threads: a fork copies the
-    locks they hold but not the threads that would release them.  The
-    cut depends only on the count, ``least`` and the CPU set.
+    ``_SLICE_AT_CHUNKS`` chunks.  One slice where ``fork`` or
+    ``sched_getaffinity`` is missing, and in a process with other
+    threads: a fork copies the locks they hold but not the threads that
+    would release them.  The cut depends only on the count and the CPU
+    set.
     """
     cpus = 1
     threading = sys.modules.get("threading")  # no Python thread runs unless it is loaded
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         if threading is None or threading.active_count() == 1:
             cpus = len(os.sched_getaffinity(0))
-    processes = max(1, min(cpus, count // least))
+    processes = max(1, min(cpus, count // _SLICE_AT_CHUNKS))
     bounds = [count * i // processes for i in range(processes + 1)]
     return list(zip(bounds, bounds[1:]))
 
@@ -324,8 +324,8 @@ def _collect(pipe, size: int):
     return result
 
 
-def _fan_out(fn, count: int, least: int) -> list:
-    """[fn(index) for index in range(count)], over ``_slices(count, least)``.
+def _fan_out(fn, count: int) -> list:
+    """[fn(index) for index in range(count)], over ``_slices(count)``.
 
     This process computes the first slice, and a forked child each
     other.  A slice whose fork fails, or whose child ends without a
@@ -334,7 +334,7 @@ def _fan_out(fn, count: int, least: int) -> list:
     which ends a child blocked in a full pipe, and every child is reaped
     once its current slice ends.
     """
-    slices = _slices(count, least)
+    slices = _slices(count)
     children = {}  # start of a forked slice -> (pid, read end)
     try:
         for start, stop in slices[1:]:
@@ -352,7 +352,7 @@ def _fan_out(fn, count: int, least: int) -> list:
             _reap(pid)
 
 
-def _fan_out_chunks(chunk_points, count: int, least: int) -> tuple[CiphertextChunk, ...]:
+def _fan_out_chunks(chunk_points, count: int) -> tuple[CiphertextChunk, ...]:
     """Chunks 0 .. count-1 from ``chunk_points(index)``; a child sends their points' (x, y) pairs."""
 
     def pairs(index: int) -> tuple:
@@ -360,7 +360,7 @@ def _fan_out_chunks(chunk_points, count: int, least: int) -> tuple[CiphertextChu
 
     return tuple(
         CiphertextChunk(*(CurvePoint(x, y) for x, y in points))
-        for points in _fan_out(pairs, count, least)
+        for points in _fan_out(pairs, count)
     )
 
 
@@ -380,7 +380,7 @@ def encrypt(pub: PublicKey, message: bytes, rng=None) -> Ciphertext:
         chunk = encrypt_chunk(pub, m_point, chunk_header(index, total), rs[index])
         return chunk.u1, chunk.u2, chunk.e, chunk.v
 
-    return Ciphertext(params.curve_id, _fan_out_chunks(chunk_points, total, _SLICE_AT_CHUNKS))
+    return Ciphertext(params.curve_id, _fan_out_chunks(chunk_points, total))
 
 
 def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
@@ -411,7 +411,7 @@ def decrypt(priv: PrivateKey, ciphertext: Ciphertext) -> bytes:
             except ValueError:
                 return False, b""
 
-        results = _fan_out(verdict, total, _SLICE_AT_CHUNKS)
+        results = _fan_out(verdict, total)
         if not all(ok for ok, _piece in results):
             raise InvalidCiphertext
         return codec.join_message([piece for _ok, piece in results])

@@ -7,8 +7,8 @@ fixed-width big-endian.  Parsers are strict: exact lengths, canonical
 encodings, every declared invariant checked, and unknown or trailing
 bytes rejected with :class:`~eccs.errors.ParseError`.
 
-A ciphertext of twelve or more chunks has its points decompressed over
-the CPUs, at least six chunks per CPU, by ``ecs._fan_out``; the
+A ciphertext of four or more chunks has its points decompressed over
+the CPUs, in the slices ``ecs.encrypt`` and ``ecs.decrypt`` use; the
 structural checks stay in the calling process.  The result, or the
 first fault and its message, is the one a single pass computes, and a
 parser that raises returns nothing: the chunks are assembled only once
@@ -34,14 +34,6 @@ KIND_CIPHERTEXT = 0x03
 LABEL_PUBLIC_KEY = "ECCS PUBLIC KEY"
 LABEL_PRIVATE_KEY = "ECCS PRIVATE KEY"
 LABEL_CIPHERTEXT = "ECCS MESSAGE"
-
-# Fewest chunks a process of a fanned-out parse decompresses.  A chunk
-# costs four square roots, about a tenth of encrypting or decrypting one,
-# so a fork pays only later.  On a 2-vCPU host (medians of 30 pairs,
-# tools/fanout_crossover.py) a fanned-out parse was slower up to 9
-# chunks (4: 2.4 -> 3.6 ms), about even at 10 and 11, and faster from
-# 12 (12: 7.1 -> 6.3 ms; 24: 14.1 -> 10.1 ms).
-_PARSE_SLICE_AT_CHUNKS = 6
 
 # armor label -> the envelope kind it may wrap
 _LABELS = {
@@ -189,10 +181,11 @@ def parse_ciphertext(data: bytes) -> Ciphertext:
     The whole structure is checked here first: header, chunk count,
     every point's length and the end of the input.  That scan only
     slices bytes.  The points are then decompressed, one square root
-    each, by ``ecs._fan_out``; a child that meets a bad point sends
-    nothing, so its slice is decompressed again here and raises.  Either
-    way the first fault in input order speaks: a structural fault raises
-    only after the points before it have been decompressed.
+    each, over the slices of ``ecs._fan_out``; a child that meets a bad
+    point sends nothing, so its slice is decompressed again here and
+    raises.  Either way the first fault in input order speaks: a
+    structural fault raises only after the points before it have been
+    decompressed.
     """
     envelope = parse_envelope(data)
     params = _expect_kind(envelope, KIND_CIPHERTEXT)
@@ -213,7 +206,7 @@ def parse_ciphertext(data: bytes) -> Ciphertext:
     def chunk_points(index: int) -> list:
         return [decompress(params, encoding) for encoding in encodings[4 * index : 4 * index + 4]]
 
-    return Ciphertext(params.curve_id, _fan_out_chunks(chunk_points, total, _PARSE_SLICE_AT_CHUNKS))
+    return Ciphertext(params.curve_id, _fan_out_chunks(chunk_points, total))
 
 
 # --- ASCII armor ----------------------------------------------------------

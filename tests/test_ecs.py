@@ -806,28 +806,26 @@ def per_chunk(ops, chunks):
 
 def test_slices_cover_the_chunks_in_order(cpus, monkeypatch):
     cpus(2)
-    assert ecs_mod._slices(1, 2) == [(0, 1)]
-    assert ecs_mod._slices(3, 2) == [(0, 3)]
-    assert ecs_mod._slices(4, 2) == [(0, 2), (2, 4)]
-    assert ecs_mod._slices(9, 2) == [(0, 4), (4, 9)]
-    assert ecs_mod._slices(137, 2) == [(0, 68), (68, 137)]
-    assert ecs_mod._slices(11, 6) == [(0, 11)]
-    assert ecs_mod._slices(12, 6) == [(0, 6), (6, 12)]
+    assert ecs_mod._slices(1) == [(0, 1)]
+    assert ecs_mod._slices(3) == [(0, 3)]
+    assert ecs_mod._slices(4) == [(0, 2), (2, 4)]
+    assert ecs_mod._slices(9) == [(0, 4), (4, 9)]
+    assert ecs_mod._slices(137) == [(0, 68), (68, 137)]
     cpus(8)
-    assert ecs_mod._slices(5, 2) == [(0, 2), (2, 5)]
-    assert ecs_mod._slices(16, 2) == [(2 * i, 2 * i + 2) for i in range(8)]
+    assert ecs_mod._slices(5) == [(0, 2), (2, 5)]
+    assert ecs_mod._slices(16) == [(2 * i, 2 * i + 2) for i in range(8)]
     cpus(1)
-    assert ecs_mod._slices(137, 2) == [(0, 137)]
+    assert ecs_mod._slices(137) == [(0, 137)]
     for missing in ("fork", "sched_getaffinity"):  # a platform without it: one process
         cpus(8)
         with monkeypatch.context() as patch:
             patch.delattr(os, missing)
-            assert ecs_mod._slices(137, 2) == [(0, 137)]
+            assert ecs_mod._slices(137) == [(0, 137)]
     # the map: fn(index) for each index in order, a forked slice's entries from its child
     for n in range(1, 5):
         cpus(n)
         for count in range(10):
-            slices, forked = ecs_mod._slices(count, 2), len(cpus.forks)
+            slices, forked = ecs_mod._slices(count), len(cpus.forks)
             results = fan_out_within_a_minute(lambda index: (index, os.getpid()), count)
             owners = [os.getpid()] + cpus.forks[forked:]
             assert len(owners) == len(slices)
@@ -874,11 +872,11 @@ def give_up(_signum, _frame):
 
 
 def fan_out_within_a_minute(fn, count):
-    """ecs._fan_out(fn, count, 2), or TimeoutError where it would hang."""
+    """ecs._fan_out(fn, count), or TimeoutError where it would hang."""
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.alarm(60)
     try:
-        return ecs_mod._fan_out(fn, count, 2)
+        return ecs_mod._fan_out(fn, count)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -935,11 +933,11 @@ def interrupt_then_watch(_signum, _frame):
 
 
 def fan_out_interrupted_at_one_second():
-    """ecs._fan_out(sleepy_entry, 8, 2) under 4 CPUs, interrupted while it reads slice 2's pipe."""
+    """ecs._fan_out(sleepy_entry, 8) under 4 CPUs, interrupted while it reads slice 2's pipe."""
     previous = signal.signal(signal.SIGALRM, interrupt_then_watch)
     signal.alarm(1)
     try:
-        ecs_mod._fan_out(sleepy_entry, 8, 2)
+        ecs_mod._fan_out(sleepy_entry, 8)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -1056,15 +1054,7 @@ def test_short_messages_never_fork(cpus, secp):
     message = rng.randbytes(3 * capacity + 1)  # four chunks: two slices of two
     ct = parse_ciphertext(serialize_ciphertext(encrypt(pub, message, rng)))
     assert decrypt(priv, ct) == message
-    assert len(cpus.forks) == 2  # encrypt and decrypt; a parse forks from twelve chunks
-    for chunks, forks in ((11, 0), (12, 1)):
-        cpus(1)
-        blob = serialize_ciphertext(encrypt(pub, rng.randbytes(chunks * capacity), rng))
-        one_process = parse_ciphertext(blob)
-        cpus(2)
-        forked = len(cpus.forks)
-        assert parse_ciphertext(blob) == one_process
-        assert len(cpus.forks) - forked == forks
+    assert len(cpus.forks) == 3  # encrypt, parse and decrypt
 
 
 def test_no_fork_beside_another_thread(cpus, secp):
@@ -1132,7 +1122,7 @@ def test_a_fanned_out_process_counts_only_its_own_slice(cpus, secp, monkeypatch)
     # a child's uses of h, c and d end with it, and its result is used, not recomputed
     assert 5 < _TABLE_AT_USE <= 10
     cpus(2)
-    assert ecs_mod._slices(11, ecs_mod._SLICE_AT_CHUNKS) == [(0, 5), (5, 11)]
+    assert ecs_mod._slices(11) == [(0, 5), (5, 11)]
     priv, pub = keygen(secp, random.Random(3011))
     message = bytes(11 * chunk_capacity(secp))
     ct = encrypt(pub, message, random.Random(3012))
@@ -1156,10 +1146,10 @@ def test_a_fanned_out_process_counts_only_its_own_slice(cpus, secp, monkeypatch)
 
 
 @pytest.fixture(scope="module")
-def twelve(secp):
-    """A twelve-chunk secp256k1 ciphertext's bytes: parse slices (0, 6) and (6, 12) on two CPUs."""
+def six(secp):
+    """A six-chunk secp256k1 ciphertext's bytes: slices (0, 3) and (3, 6) on two CPUs."""
     _, pub = keygen(secp, random.Random(3015))
-    message = random.Random(3016).randbytes(12 * chunk_capacity(secp))
+    message = random.Random(3016).randbytes(6 * chunk_capacity(secp))
     return serialize_ciphertext(encrypt(pub, message, random.Random(3017)))
 
 
@@ -1222,8 +1212,8 @@ def ciphertext_mutation(draw, blob):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_a_fanned_out_parse_equals_the_serial_one(cpus, twelve, data):
-    blob = data.draw(ciphertext_mutation(twelve))
+def test_a_fanned_out_parse_equals_the_serial_one(cpus, six, data):
+    blob = data.draw(ciphertext_mutation(six))
     fanned, one_cpu, serial = parse_outcomes(cpus, blob)
     assert fanned == one_cpu == serial
 
@@ -1234,7 +1224,7 @@ def with_point(blob, point, encoding):
 
 
 BAD_PREFIX = (5, b"\x05", "bad point prefix 0x05")  # chunk 1's u2, in the caller's slice
-UNREDUCED_X = (30, b"\x02" + b"\xff" * 32, "encoded x is not reduced modulo p")  # chunk 7's e
+UNREDUCED_X = (18, b"\x02" + b"\xff" * 32, "encoded x is not reduced modulo p")  # chunk 4's e
 
 
 @pytest.mark.parametrize(
@@ -1247,8 +1237,8 @@ UNREDUCED_X = (30, b"\x02" + b"\xff" * 32, "encoded x is not reduced modulo p") 
     ],
     ids=["callers-slice", "childs-slice", "both-slices", "bad-point-then-truncated"],
 )
-def test_a_fanned_out_parse_reports_the_first_bad_point(cpus, twelve, bad, cut, expected, forks):
-    blob = twelve
+def test_a_fanned_out_parse_reports_the_first_bad_point(cpus, six, bad, cut, expected, forks):
+    blob = six
     for point, encoding, _message in bad:
         blob = with_point(blob, point, encoding)
     blob = blob[: len(blob) - cut]
@@ -1257,13 +1247,13 @@ def test_a_fanned_out_parse_reports_the_first_bad_point(cpus, twelve, bad, cut, 
 
 
 def test_a_fanned_out_parse_uses_the_childs_slice(cpus, secp, monkeypatch):
-    # chunks 6-11 are decompressed only in the child, once
+    # chunks 5-10 are decompressed only in the child, once
     cpus(1)
     _, pub = keygen(secp, random.Random(3018))
-    ct = encrypt(pub, bytes(12 * chunk_capacity(secp)), random.Random(3019))
+    ct = encrypt(pub, bytes(11 * chunk_capacity(secp)), random.Random(3019))
     blob = serialize_ciphertext(ct)
     cpus(2)
-    assert ecs_mod._slices(12, wire_mod._PARSE_SLICE_AT_CHUNKS) == [(0, 6), (6, 12)]
+    assert ecs_mod._slices(11) == [(0, 5), (5, 11)]
     calls = []
     real_decompress = wire_mod.decompress
 
@@ -1273,5 +1263,5 @@ def test_a_fanned_out_parse_uses_the_childs_slice(cpus, secp, monkeypatch):
 
     monkeypatch.setattr(wire_mod, "decompress", counted)
     assert parse_ciphertext(blob) == ct
-    assert calls == [blob[prefix_at(q) : prefix_at(q + 1)] for q in range(24)]
+    assert calls == [blob[prefix_at(q) : prefix_at(q + 1)] for q in range(20)]
     assert len(cpus.forks) == 1

@@ -2,9 +2,9 @@
 
 A claim-bearing bullet of README's "Security notes", and a claim-bearing
 statement of its "Library", "Verification oracle", "Tests" and
-"Benchmarks", ends with an anchor, an HTML comment ``<!-- claim: NAME -->``.  ``LEDGER`` maps each anchor to
-pytest node ids; a node id without parameters stands for all of its
-cases.
+"Benchmarks", ends with an anchor, an HTML comment
+``<!-- claim: NAME -->``.  ``LEDGER`` maps each anchor to pytest node
+ids; a node id without parameters stands for all of its cases.
 """
 
 import re
