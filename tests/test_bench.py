@@ -7,6 +7,7 @@ import pytest
 from eccs import bench
 from eccs.bench import (
     DEFAULT_MESSAGE,
+    KEY_SIZE_NOTE,
     LITERATURE_ROWS,
     elgamal_decrypt,
     elgamal_decrypt_message,
@@ -175,7 +176,8 @@ def test_format_report_contents(report):
     baseline_sizes = next(line for line in lines if line.startswith("ec-elgamal: public key"))
     assert "not CCA-secure" in baseline_sizes
     assert "quoted not measured" in text
-    assert "64 B" in text  # the published claim stays visible next to measured sizes
+    # the published claim stays visible next to measured sizes, with its note
+    assert "64 B" in KEY_SIZE_NOTE and f"note: {KEY_SIZE_NOTE}" in lines
     # the last block is exactly the mapping's items after its four header keys, in order
     shown = [f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}"
              for key, value in list(report.items())[4:]]

@@ -217,20 +217,6 @@ def test_armored_flow(tmp_path):
     assert out.read_bytes() == b"armored pipeline"
 
 
-def test_decrypt_flipped_byte_is_exit_4(keypair, sealed, tmp_path):
-    _, priv = keypair
-    _, ct = sealed
-    mangled = bytearray(ct.read_bytes())
-    mangled[len(mangled) // 2] ^= 0x20
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(bytes(mangled))
-    out = tmp_path / "out.bin"
-    result = run_cli("decrypt", "--priv", priv, "--in", bad, "--out", out)
-    assert result.returncode == 4
-    assert result.stderr == "error: invalid ciphertext\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("chunk", ["first", "last"])
 def test_decrypt_of_a_tampered_4_kib_file_is_exit_4(keypair, tmp_path, chunk):
     # 137 chunks: on a host with several CPUs the last one is a child's
@@ -248,23 +234,6 @@ def test_decrypt_of_a_tampered_4_kib_file_is_exit_4(keypair, tmp_path, chunk):
     result = run_cli("decrypt", "--priv", priv, "--in", bad, "--out", out)
     assert (result.returncode, result.stdout, result.stderr) == (4, "", "error: invalid ciphertext\n")
     assert not out.exists()
-
-
-def test_decrypt_garbage_file_is_exit_4(keypair, tmp_path):
-    _, priv = keypair
-    bad = tmp_path / "garbage"
-    bad.write_bytes(b"\x00" * 40)
-    result = run_cli("decrypt", "--priv", priv, "--in", bad, "--out", tmp_path / "o")
-    assert result.returncode == 4
-    assert result.stderr == "error: invalid ciphertext\n"
-
-
-def test_decrypt_missing_ciphertext_is_exit_3(keypair, tmp_path):
-    _, priv = keypair
-    result = run_cli(
-        "decrypt", "--priv", priv, "--in", tmp_path / "nope", "--out", tmp_path / "o"
-    )
-    assert result.returncode == 3
 
 
 def test_inspect_lines(keypair, sealed):
@@ -306,82 +275,6 @@ def test_inspect_never_prints_secret_scalars(keypair):
         assert str(scalar) not in text
 
 
-def test_inspect_junk_is_exit_2(tmp_path):
-    junk = tmp_path / "junk"
-    junk.write_bytes(b"not a recognized file at all")
-    result = run_cli("inspect", "--in", junk)
-    assert result.returncode == 2
-    assert result.stderr.startswith("error: ")
-
-
-def test_curve_option_is_an_unrecognized_argument(tmp_path, capsys):
-    # keys and messages are secp256k1; no command takes a curve
-    for words in (["keygen", "--curve", "secp256k1", "--pub", tmp_path / "a", "--priv", tmp_path / "b"],
-                  ["bench", "--curve", "toy"]):
-        assert cli.main([str(w) for w in words]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines()[1] == "eccs: error: unrecognized argument '--curve'"
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_unwritable_output_path_is_exit_2(tmp_path):
-    result = run_cli(
-        "keygen", "--pub", "/nonexistent/dir/pk", "--priv", tmp_path / "sk"
-    )
-    assert result.returncode == 2
-
-
-def test_identical_pub_and_priv_paths_rejected(tmp_path):
-    path = tmp_path / "same"
-    result = run_cli("keygen", "--pub", path, "--priv", path)
-    assert result.returncode == 2
-
-
-def test_identical_in_and_out_paths_rejected(keypair, tmp_path):
-    pub, _ = keypair
-    path = tmp_path / "overlap"
-    path.write_bytes(b"x")
-    result = run_cli("encrypt", "--pub", pub, "--in", path, "--out", path)
-    assert result.returncode == 2
-
-
-def test_corrupt_public_key_is_exit_2(sealed, tmp_path):
-    msg, _ = sealed
-    bad = tmp_path / "badpub"
-    bad.write_bytes(b"ECS1\x01\x01\x01" + b"\xff" * 99)
-    result = run_cli("encrypt", "--pub", bad, "--in", msg, "--out", tmp_path / "o")
-    assert result.returncode == 2
-
-
-def test_wrong_key_kind_is_exit_2(keypair, sealed, tmp_path):
-    pub, priv = keypair
-    msg, ct = sealed
-    result = run_cli("encrypt", "--pub", priv, "--in", msg, "--out", tmp_path / "o")
-    assert result.returncode == 2
-    result = run_cli("decrypt", "--priv", pub, "--in", ct, "--out", tmp_path / "o")
-    assert result.returncode == 2
-
-
-def test_armor_label_mismatch_is_exit_2(sealed, tmp_path):
-    pub = tmp_path / "pk.txt"
-    priv = tmp_path / "sk.txt"
-    msg, _ = sealed
-    assert run_cli("keygen", "--pub", pub, "--priv", priv, "--armor").returncode == 0
-    # a private key offered where a public key belongs must be refused
-    result = run_cli("encrypt", "--pub", priv, "--in", msg, "--out", tmp_path / "o")
-    assert result.returncode == 2
-
-
-def test_seed_rejected_outside_test_builds(tmp_path):
-    result = run_cli(
-        "keygen", "--pub", tmp_path / "p", "--priv", tmp_path / "s", "--seed", 7
-    )
-    assert result.returncode == 2
-    assert "test builds" in result.stderr
-    assert not (tmp_path / "p").exists()
-
-
 def test_seed_accepted_and_deterministic_in_test_builds(tmp_path):
     env = {cli.TEST_BUILD_ENV: "1"}
     for tag in ("a", "b"):
@@ -409,15 +302,6 @@ def test_seed_accepted_and_deterministic_in_test_builds(tmp_path):
         )
         assert result.returncode == 0
     assert (tmp_path / "ca").read_bytes() == (tmp_path / "cb").read_bytes()
-
-
-def test_no_subcommand_is_exit_2():
-    assert run_cli().returncode == 2
-
-
-def test_bench_iteration_floor_is_exit_2():
-    result = run_cli("bench", "--iters", 3)
-    assert result.returncode == 2
 
 
 def test_selftest_passes():
@@ -493,78 +377,60 @@ def test_selftest_catches_corrupted_generator_tables(monkeypatch, tmp_path, corr
     assert "selftest: FAIL" in report
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_oracle():
-    # records are plain slotted classes, and only `eccs selftest` uses the oracle
-    code = (
-        "import sys\n"
-        "import eccs\n"
-        "print(sorted({'dataclasses'} & set(sys.modules)))\n"
-        "import eccs.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'eccs.oracle'} & set(sys.modules)))\n"
-    )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n[]\n"
+# A one-shot process imports only what it needs: -S keeps site hooks from
+# loading a module first.  A row gives the modules checked, the commands run
+# after ``import eccs.cli`` in the same process (in a temporary directory {d}
+# holding the message m), those of the modules new after the import and
+# after the commands, and a line the output must hold.
+ROUND_TRIP = [
+    ["keygen", "--pub", "{d}/p", "--priv", "{d}/s"],
+    ["encrypt", "--pub", "{d}/p", "--in", "{d}/m", "--out", "{d}/c"],
+    ["decrypt", "--priv", "{d}/s", "--in", "{d}/c", "--out", "{d}/o"],
+]
 
 
-def test_cli_import_loads_no_threading():
-    # the fan-out looks for other threads without importing threading;
-    # -S keeps site hooks from loading it first
-    code = (
-        "import sys\n"
-        "print('threading' in sys.modules)\n"
-        "import eccs.cli\n"
-        "print('threading' in sys.modules)\n"
-    )
-    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\nFalse\n"
-
-
-@pytest.mark.skipif(importlib.util.find_spec("_sha3") is None, reason="CPython built without its builtin SHA3")
-def test_a_cli_round_trip_loads_no_openssl_binding(tmp_path):
-    # SHA3-256 comes from the builtin _sha3, entropy from os.urandom and the
-    # tag comparison from the standard operators; -S keeps site hooks from
-    # loading any of these first
+@pytest.mark.parametrize(
+    "flags, modules, commands, loaded, shown",
+    [
+        # records are plain slotted classes, and only `eccs selftest` uses the oracle
+        ([], {"dataclasses", "inspect", "eccs.oracle"}, [], ([], []), ""),
+        # the fan-out looks for other threads without importing threading
+        (["-S"], {"threading"}, [], ([], []), ""),
+        # SHA3-256 from the builtin _sha3, entropy from os.urandom, the tag
+        # comparison from the standard operators
+        pytest.param(
+            ["-S"], {"_hashlib", "hashlib", "hmac", "secrets", "ssl"}, ROUND_TRIP, ([], []), "",
+            marks=pytest.mark.skipif(importlib.util.find_spec("_sha3") is None, reason="no builtin SHA3"),
+        ),
+        # only `eccs bench` needs platform
+        ([], {"platform", "statistics"}, [["bench", "--iters", "10"]], ([], ["platform"]),
+         "[]\ncurve=secp256k1 message=28B iterations=10 host="),
+        # the parser is table-driven; bench is imported eagerly
+        (["-S"], {"argparse", "gettext", "eccs.bench"}, [], (["eccs.bench"], ["eccs.bench"]), ""),
+    ],
+    ids=["dataclasses-inspect-oracle", "threading", "openssl", "bench-only", "argparse-gettext"],
+)
+def test_a_cli_process_loads_only_what_it_needs(tmp_path, flags, modules, commands, loaded, shown):
+    (tmp_path / "m").write_bytes(b"one chunk")
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import eccs.cli\n"
-        "d = sys.argv[1]\n"
-        "with open(d + '/m', 'wb') as f:\n"
-        "    f.write(b'one chunk')\n"
-        "for words in (['keygen', '--pub', d + '/p', '--priv', d + '/s'],\n"
-        "              ['encrypt', '--pub', d + '/p', '--in', d + '/m', '--out', d + '/c'],\n"
-        "              ['decrypt', '--priv', d + '/s', '--in', d + '/c', '--out', d + '/o']):\n"
-        "    assert eccs.cli.main(words) == 0, words\n"
-        "print(sorted({'_hashlib', 'hashlib', 'hmac', 'secrets', 'ssl'} & (set(sys.modules) - before)))\n"
+        f"new = lambda: sorted({modules!r} & (set(sys.modules) - before))\n"
+        "print(new())\n"
+        f"for words in {commands!r}:\n"
+        "    assert eccs.cli.main([w.format(d=sys.argv[1]) for w in words]) == 0, words\n"
+        "print(new())\n"
     )
     env = os.environ.copy()
     env.pop(cli.TEST_BUILD_ENV, None)
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(tmp_path)], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
-    assert (tmp_path / "o").read_bytes() == b"one chunk"
-    assert len(parse_ciphertext((tmp_path / "c").read_bytes()).chunks) == 1
-
-
-def test_cli_import_leaves_bench_only_modules_unloaded():
-    # a one-shot process does not pay for modules only `eccs bench` uses
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import eccs.cli\n"
-        "print(sorted({'platform', 'statistics'} & (set(sys.modules) - before)))\n"
-        "sys.exit(eccs.cli.main(['bench', '--iters', '10']))\n"
-    )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    first, rest = result.stdout.split("\n", 1)
-    assert first == "[]"
-    assert rest.startswith("curve=secp256k1 message=28B iterations=10 host=")
-    assert "eccs.decrypt.median_ms=" in rest
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == tuple(map(str, loaded))
+    assert shown in result.stdout
 
 
 # --- argument parsing -----------------------------------------------------
@@ -600,6 +466,7 @@ def test_readme_cli_block_matches_the_parser():
 @pytest.mark.parametrize(
     "words, reason",
     [
+        ([], "a command is required"),
         (["frobnicate"], "unknown command 'frobnicate'"),
         (["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out", "{out}", "--bogus", "x"],
          "unrecognized argument '--bogus'"),
@@ -611,9 +478,13 @@ def test_readme_cli_block_matches_the_parser():
          "--seed: invalid value 'x'"),
         (["bench", "--iters", "x"], "--iters: invalid value 'x'"),
         (["keygen", "--armor=1", "--pub", "{out}", "--priv", "{sk}"], "--armor: invalid value '1'"),
+        # keys and messages are secp256k1; no command takes a curve
+        (["keygen", "--curve", "secp256k1", "--pub", "{out}", "--priv", "{sk}"],
+         "unrecognized argument '--curve'"),
+        (["bench", "--curve", "toy"], "unrecognized argument '--curve'"),
     ],
-    ids=["command", "option", "abbreviation", "required", "value-at-end", "value-is-option",
-         "seed", "iters", "flag-value"],
+    ids=["no-command", "command", "option", "abbreviation", "required", "value-at-end", "value-is-option",
+         "seed", "iters", "flag-value", "keygen-curve", "bench-curve"],
 )
 def test_usage_errors_are_exit_2_before_any_file(keypair, tmp_path, capsys, words, reason):
     pub, _ = keypair
@@ -669,23 +540,33 @@ def test_output_onto_the_key_file_is_exit_2(keypair, sealed, tmp_path, command):
     assert [p.name for p in tmp_path.iterdir()] == ["key"]
 
 
-def test_cli_import_loads_bench_but_no_argparse_or_gettext():
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import eccs.cli\n"
-        "print(sorted({'argparse', 'gettext', 'eccs.bench'} & (set(sys.modules) - before)))\n"
-    )
-    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "['eccs.bench']\n"
-
-
 # --- failures: one ``error: ...`` line and an exit code ---------------------
 
 
 def _raise_oserror(*_args):
     raise OSError("injected entropy failure")
+
+
+@pytest.fixture(scope="module")
+def refused(tmp_path_factory, keypair, sealed):
+    """Paths of inputs a command refuses: the sealed ciphertext with one
+    flipped byte, 40 zero bytes, junk, a public key of 0xff points, and
+    the private key armored."""
+    _, priv = keypair
+    _, ct = sealed
+    base = tmp_path_factory.mktemp("refused")
+    flipped = bytearray(ct.read_bytes())
+    flipped[len(flipped) // 2] ^= 0x20
+    files = {
+        "flipped": bytes(flipped),
+        "zeros": bytes(40),
+        "junk": b"not a recognized file at all",
+        "badpub": b"ECS1\x01\x01\x01" + b"\xff" * 99,
+        "armored": armor(priv.read_bytes(), LABEL_PRIVATE_KEY).encode(),
+    }
+    for name, data in files.items():
+        (base / name).write_bytes(data)
+    return {name: base / name for name in files}
 
 
 @pytest.mark.parametrize(
@@ -708,23 +589,40 @@ def _raise_oserror(*_args):
          "randomness source failure"),
         (["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out", "{d}/o", "--seed", "7"], None, 2,
          "--seed is only available in test builds"),
+        (["keygen", "--pub", "{d}/p", "--priv", "{d}/s", "--seed", "7"], None, 2,
+         "--seed is only available in test builds"),
+        (["keygen", "--pub", "{d}/nope/p", "--priv", "{d}/s"], None, 2, "cannot write to "),
+        (["keygen", "--pub", "{d}/k", "--priv", "{d}/k"], None, 2, "--pub and --priv must be different paths"),
+        (["encrypt", "--pub", "{pk}", "--in", "{msg}", "--out", "{msg}"], None, 2,
+         "--in and --out must be different paths"),
+        (["encrypt", "--pub", "{badpub}", "--in", "{msg}", "--out", "{d}/o"], None, 2, "bad public key: "),
+        (["encrypt", "--pub", "{sk}", "--in", "{msg}", "--out", "{d}/o"], None, 2, "bad public key: "),
+        (["encrypt", "--pub", "{armored}", "--in", "{msg}", "--out", "{d}/o"], None, 2, "bad public key: "),
+        (["decrypt", "--priv", "{pk}", "--in", "{ct}", "--out", "{d}/o"], None, 2, "bad private key: "),
+        (["inspect", "--in", "{junk}"], None, 2, "unrecognized input: "),
+        (["bench", "--iters", "3"], None, 2, "need at least 10 iterations"),
+        (["decrypt", "--priv", "{sk}", "--in", "{flipped}", "--out", "{d}/o"], None, 4, "invalid ciphertext"),
+        (["decrypt", "--priv", "{sk}", "--in", "{zeros}", "--out", "{d}/o"], None, 4, "invalid ciphertext"),
     ],
     ids=["read-pub", "read-priv", "read-message", "read-ciphertext", "read-inspect",
-         "write-encrypt", "write-decrypt", "rng-keygen", "rng-encrypt", "seed"],
+         "write-encrypt", "write-decrypt", "rng-keygen", "rng-encrypt", "seed", "keygen-seed",
+         "unwritable-dir", "same-pub-priv", "same-in-out", "corrupt-pub", "priv-as-pub",
+         "armored-priv-as-pub", "pub-as-priv", "inspect-junk", "bench-iters", "flipped-byte", "zeros"],
 )
 def test_failures_are_one_error_line_and_an_exit_code(
-    keypair, sealed, tmp_path, capsys, monkeypatch, words, patched, code, prefix
+    keypair, sealed, refused, tmp_path, capsys, monkeypatch, words, patched, code, prefix
 ):
     monkeypatch.delenv(cli.TEST_BUILD_ENV, raising=False)
     if patched:
         monkeypatch.setattr(cli, patched, _raise_oserror)
     pub, priv = keypair
     msg, ct = sealed
-    paths = {"d": tmp_path, "pk": pub, "sk": priv, "msg": msg, "ct": ct}
+    paths = {"d": tmp_path, "pk": pub, "sk": priv, "msg": msg, "ct": ct, **refused}
     assert cli.main([w.format(**paths) for w in words]) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {prefix}") and err.count("\n") == 1 and err.endswith("\n")
+    assert code != 4 or err == "error: invalid ciphertext\n"
     assert list(tmp_path.iterdir()) == []
 
 

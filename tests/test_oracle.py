@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from eccs import ecs, oracle
 from eccs.curve import (
     IDENTITY,
     count_ops,
@@ -179,6 +180,8 @@ def test_oracle_uses_no_group_ops_from_package(toy, table):
     assert ops.point_adds == 0
     assert ops.scalar_mults == 0
     assert ops.negations == 0
+    # the hash label is restated: the same bytes, not the scheme's object
+    assert oracle._HASH_LABEL == ecs._HASH_LABEL and oracle._HASH_LABEL is not ecs._HASH_LABEL
 
 
 def _verdict(decrypt, *args):

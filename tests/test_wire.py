@@ -55,25 +55,17 @@ def secp_material(secp):
 # --- roundtrips and golden sizes ------------------------------------------
 
 
-def test_public_key_roundtrip(toy_material, secp_material):
-    for _, pub, _ in (toy_material, secp_material):
-        blob = serialize_public_key(pub)
-        assert parse_public_key(blob) == pub
-        assert serialize_public_key(parse_public_key(blob)) == blob
-
-
-def test_private_key_roundtrip(toy_material, secp_material):
-    for priv, _, _ in (toy_material, secp_material):
-        blob = serialize_private_key(priv)
-        assert parse_private_key(blob) == priv
-        assert serialize_private_key(parse_private_key(blob)) == blob
-
-
-def test_ciphertext_roundtrip(toy_material, secp_material):
-    for _, _, ct in (toy_material, secp_material):
-        blob = serialize_ciphertext(ct)
-        assert parse_ciphertext(blob) == ct
-        assert serialize_ciphertext(parse_ciphertext(blob)) == blob
+@pytest.mark.parametrize(
+    "index, serialize, parse",
+    [(1, serialize_public_key, parse_public_key), (0, serialize_private_key, parse_private_key),
+     (2, serialize_ciphertext, parse_ciphertext)],
+    ids=["public-key", "private-key", "ciphertext"],
+)
+def test_roundtrip(toy_material, secp_material, index, serialize, parse):
+    for material in (toy_material, secp_material):
+        blob = serialize(material[index])
+        assert parse(blob) == material[index]
+        assert serialize(parse(blob)) == blob
 
 
 def test_envelope_layout(secp_material):
@@ -117,28 +109,20 @@ def test_identity_points_in_ciphertext(toy):
 # --- strictness -----------------------------------------------------------
 
 
-def test_rejects_bad_magic(secp_material):
+@pytest.mark.parametrize(
+    "at, new, parse, reason",
+    [
+        (0, b"XXXX", parse_public_key, "magic"),
+        (4, b"\x02", parse_public_key, "version"),
+        (5, b"\x07", parse_envelope, "kind"),
+        (6, b"\x42", parse_public_key, "curve"),
+    ],
+    ids=["magic", "version", "kind", "curve-id"],
+)
+def test_rejects_an_unknown_envelope_field(secp_material, at, new, parse, reason):
     blob = serialize_public_key(secp_material[1])
-    with pytest.raises(ParseError, match="magic"):
-        parse_public_key(b"XXXX" + blob[4:])
-
-
-def test_rejects_bad_version(secp_material):
-    blob = serialize_public_key(secp_material[1])
-    with pytest.raises(ParseError, match="version"):
-        parse_public_key(blob[:4] + b"\x02" + blob[5:])
-
-
-def test_rejects_unknown_kind(secp_material):
-    blob = serialize_public_key(secp_material[1])
-    with pytest.raises(ParseError, match="kind"):
-        parse_envelope(blob[:5] + b"\x07" + blob[6:])
-
-
-def test_rejects_unknown_curve_id(secp_material):
-    blob = serialize_public_key(secp_material[1])
-    with pytest.raises(ParseError, match="curve"):
-        parse_public_key(blob[:6] + b"\x42" + blob[7:])
+    with pytest.raises(ParseError, match=reason):
+        parse(blob[:at] + new + blob[at + len(new) :])
 
 
 def test_rejects_kind_confusion(toy_material):
