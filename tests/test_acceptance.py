@@ -21,7 +21,6 @@ import time
 from helpers import as_tuple
 
 from eccs import bench
-from eccs.codec import decode_chunk, encode_chunk
 from eccs.curve import (
     count_ops,
     get_curve,

@@ -50,8 +50,7 @@ def run_cli(*args, env_extra=None):
 def keypair(tmp_path_factory):
     """One secp256k1 key pair shared by the read-only CLI tests."""
     base = tmp_path_factory.mktemp("keys")
-    pub = base / "pk.bin"
-    priv = base / "sk.bin"
+    pub, priv = base / "pk.bin", base / "sk.bin"
     result = run_cli("keygen", "--pub", pub, "--priv", priv)
     assert result.returncode == 0
     return pub, priv
@@ -62,8 +61,7 @@ def sealed(tmp_path_factory, keypair):
     """A 300-byte message encrypted under the shared key pair."""
     pub, priv = keypair
     base = tmp_path_factory.mktemp("sealed")
-    msg = base / "msg.bin"
-    ct = base / "ct.bin"
+    msg, ct = base / "msg.bin", base / "ct.bin"
     msg.write_bytes(os.urandom(300))
     result = run_cli("encrypt", "--pub", pub, "--in", msg, "--out", ct)
     assert result.returncode == 0
@@ -80,8 +78,7 @@ def test_roundtrip(keypair, sealed, tmp_path):
 
 
 def test_keygen_writes_nothing_to_streams(keypair, tmp_path):
-    pub = tmp_path / "p"
-    priv = tmp_path / "s"
+    pub, priv = tmp_path / "p", tmp_path / "s"
     result = run_cli("keygen", "--pub", pub, "--priv", priv)
     assert result.returncode == 0
     assert result.stdout == ""
@@ -154,10 +151,9 @@ def test_decrypt_to_redirected_stdout(keypair, sealed, tmp_path):
 def test_output_symlink_is_written_through(keypair, sealed, tmp_path):
     _, priv = keypair
     msg, ct = sealed
-    real = tmp_path / "real"
+    real, link = tmp_path / "real", tmp_path / "link"
     real.write_bytes(b"old")
     real.chmod(0o640)
-    link = tmp_path / "link"
     link.symlink_to(real)
     assert run_cli("decrypt", "--priv", priv, "--in", ct, "--out", link).returncode == 0
     assert link.is_symlink()
@@ -167,10 +163,9 @@ def test_output_symlink_is_written_through(keypair, sealed, tmp_path):
 
 
 def test_private_key_through_symlink_becomes_owner_only(tmp_path):
-    real = tmp_path / "real"
+    real, link = tmp_path / "real", tmp_path / "sk"
     real.write_bytes(b"old")
     real.chmod(0o644)
-    link = tmp_path / "sk"
     link.symlink_to(real)
     assert run_cli("keygen", "--pub", tmp_path / "pk", "--priv", link).returncode == 0
     assert link.is_symlink()
@@ -202,11 +197,7 @@ def test_write_syncs_before_rename(tmp_path, monkeypatch):
 
 
 def test_armored_flow(tmp_path):
-    pub = tmp_path / "pk.txt"
-    priv = tmp_path / "sk.txt"
-    msg = tmp_path / "m"
-    ct = tmp_path / "c.txt"
-    out = tmp_path / "o"
+    pub, priv, msg, ct, out = (tmp_path / name for name in ("pk.txt", "sk.txt", "m", "c.txt", "o"))
     msg.write_bytes(b"armored pipeline")
     assert run_cli("keygen", "--pub", pub, "--priv", priv, "--armor").returncode == 0
     assert pub.read_text().startswith("-----BEGIN ECCS PUBLIC KEY-----")
@@ -234,6 +225,12 @@ def test_decrypt_of_a_tampered_4_kib_file_is_exit_4(keypair, tmp_path, chunk):
     result = run_cli("decrypt", "--priv", priv, "--in", bad, "--out", out)
     assert (result.returncode, result.stdout, result.stderr) == (4, "", "error: invalid ciphertext\n")
     assert not out.exists()
+
+
+def test_decrypt_missing_ciphertext_is_exit_3(keypair, tmp_path):
+    # the process's exit status, through ``python -m eccs``
+    result = run_cli("decrypt", "--priv", keypair[1], "--in", tmp_path / "nope", "--out", tmp_path / "o")
+    assert result.returncode == 3 and not (tmp_path / "o").exists()
 
 
 def test_inspect_lines(keypair, sealed):

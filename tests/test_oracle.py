@@ -20,7 +20,6 @@ from eccs.ecs import (
 )
 from eccs.errors import InvalidCiphertext
 from eccs.oracle import (
-    GroupTable,
     brute_dlog,
     enumerate_points,
     independent_decrypt,

@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eccs.curve import IDENTITY, TOY_ID, scalar_mult
+from eccs.curve import IDENTITY, scalar_mult
 from eccs.ecs import Ciphertext, CiphertextChunk, PrivateKey, PublicKey, encrypt, keygen
 from eccs.errors import ParseError
 from eccs.wire import (
-    KIND_CIPHERTEXT,
-    KIND_PRIVATE_KEY,
     KIND_PUBLIC_KEY,
     LABEL_CIPHERTEXT,
     LABEL_PRIVATE_KEY,
